@@ -39,8 +39,6 @@ __all__ = [
     "NormalNoise",
     "ZeroNoise",
     "CascadeSpec",
-    "LayerStats",
-    "layer_stats",
     "synthesize_wcascade",
     "synthesize_mixed",
     "theoretical_tau_lognormal",
@@ -269,40 +267,6 @@ class CascadeSpec:
         )
 
 
-def _population_std(values: np.ndarray) -> float:
-    return float(values.std())
-
-
-@dataclass
-class LayerStats:
-    """Per-layer sample mean and standard deviation of a pyramid.
-
-    Standard deviations use the population convention (divisor n); index 0
-    is the root layer, whose spread is taken as the magnitude of its single
-    coefficient.
-    """
-
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        self.stds = np.asarray(self.stds, dtype=float)
-        if self.means.shape != self.stds.shape:
-            raise ValueError("means and stds must align")
-        if np.any(self.stds < 0):
-            raise ValueError("standard deviations must be non-negative")
-
-
-def layer_stats(pyramid: WaveletPyramid) -> LayerStats:
-    means = [pyramid.root_detail]
-    stds = [abs(pyramid.root_detail)]
-    for layer in pyramid.layers:
-        means.append(layer.mean())
-        stds.append(layer.std())
-    return LayerStats(means=np.asarray(means), stds=np.asarray(stds))
-
-
 def _generate(spec: CascadeSpec):
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     use_noise = not spec.additive_law.is_null
@@ -324,7 +288,7 @@ def _generate(spec: CascadeSpec):
         layers.append(children)
         draws.append((w, eta))
         parents = children
-        h = _population_std(children)
+        h = float(children.std())
     pyramid = WaveletPyramid(
         depth=spec.depth,
         root_approx=spec.root_approx,

@@ -3,6 +3,12 @@
 Exit codes are a frozen contract: 0 success, 2 invalid input or config,
 3 I/O failure, 4 analysis failure.  Every command is deterministic given
 its config and seed; rerunning produces byte-identical artifacts.
+
+Each command reads its input through one loader (failures raise
+:class:`InputError`), runs the library through :func:`_stage` (failures
+raise :class:`AnalysisError`) and writes each artifact through the one
+writer that ``pipeline`` shares; :func:`main` alone maps the exceptions
+to exit codes.
 """
 
 from __future__ import annotations
@@ -32,6 +38,134 @@ class AnalysisError(Exception):
     """A computation stage failed (exit 4)."""
 
 
+def _stage(name: str, fn, *args):
+    """Run one library stage; its ValueError becomes an AnalysisError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise AnalysisError(f"stage {name}: {exc}") from exc
+
+
+def _q_range(text: str) -> tuple:
+    try:
+        lo, hi, n = text.split(":")
+        return float(lo), float(hi), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX:COUNT, got {text!r}") from None
+
+
+def _scale_range(text: str) -> tuple:
+    try:
+        lo, hi = text.split(":")
+        return float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
+
+
+def _h_grid(text: str) -> np.ndarray:
+    try:
+        start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected START:STOP:STEP, got {text!r}") from None
+    if step <= 0 or stop <= start:
+        raise argparse.ArgumentTypeError(f"need STOP > START and STEP > 0, got {text!r}")
+    return np.arange(start, stop + step / 2, step)
+
+
+def _wtmm_config(args) -> wtmm.WtmmConfig:
+    config = wtmm.WtmmConfig()
+    if args.q_range:
+        config.q_min, config.q_max, config.n_q = args.q_range
+    if args.scale_range:
+        config.fit_min_scale, config.fit_max_scale = args.scale_range
+    return config
+
+
+def _load_series(path) -> TimeSeries:
+    """One optional header line, then one number or ``index,value`` per line.
+
+    The series is truncated to its most recent ``2**J`` samples.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    values = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) > 2:
+                raise ValueError
+            values.append(float(fields[-1]))
+        except ValueError:
+            if line_no == 1:
+                continue  # header
+            raise InputError(
+                f"{path} line {line_no}: expected a number or index,value, got {line!r}"
+            ) from None
+    if len(values) < 2:
+        raise InputError(f"{path} holds fewer than 2 numeric samples")
+    keep = 2 ** int(np.floor(np.log2(len(values))))
+    try:
+        return TimeSeries(np.asarray(values[-keep:]))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_pyramid(path):
+    """A pyramid file, converted to the rescaled convention."""
+    try:
+        pyramid = load_pyramid(path)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed pyramid file {path}: {exc}") from exc
+    return pyramid if pyramid.rescaled else rescale(pyramid, "to_rescaled")
+
+
+def _load_spectrum(path) -> wtmm.SingularSpectrum:
+    try:
+        with open(path) as fh:
+            return wtmm.spectrum_from_dict(json.load(fh))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed spectrum file {path}: {exc}") from exc
+
+
+def _load_panel(path, dt: int) -> tuple:
+    """Deseasonalized increments of a price panel and their accumulated path."""
+    try:
+        deltas = empirics.deseasonalize_returns(empirics.load_panel_csv(path), dt=dt)
+        return deltas, empirics.accumulate_path(deltas)
+    except OSError as exc:
+        raise InputError(f"cannot read panel: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"panel ingestion failed: {exc}") from exc
+
+
+def _load_spec(path, seed: int | None) -> cascade.CascadeSpec:
+    """A cascade config; a ``--seed`` override is validated like the file's own."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if seed is not None:
+            data["seed"] = seed
+        return cascade.CascadeSpec.from_dict(data)
+    except OSError as exc:
+        raise InputError(f"cannot read config: {exc}") from exc
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"invalid cascade config: {exc}") from exc
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
@@ -45,98 +179,7 @@ def _write_indexed_csv(path: Path, header: str, values) -> None:
             fh.write(f"{i},{float(v)!r}\n")
 
 
-def _load_series_csv(path: Path) -> TimeSeries:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    values = []
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            values.append(float(fields[-1]))
-        except ValueError:
-            continue  # header row
-    if len(values) < 2:
-        raise InputError(f"{path} holds fewer than 2 numeric samples")
-    arr = np.asarray(values)
-    keep = 2 ** int(np.floor(np.log2(arr.size)))
-    return TimeSeries(arr[-keep:])
-
-
-def _parse_q_range(text: str) -> tuple:
-    try:
-        lo, hi, n = text.split(":")
-        return float(lo), float(hi), int(n)
-    except ValueError as exc:
-        raise InputError(f"bad --q-range {text!r}; expected MIN:MAX:COUNT") from exc
-
-
-def _parse_scale_range(text: str) -> tuple:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise InputError(f"bad --scale-range {text!r}; expected MIN:MAX") from exc
-
-
-def _parse_h_grid(text: str) -> np.ndarray:
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError as exc:
-        raise InputError(f"bad --h-grid {text!r}; expected START:STOP:STEP") from exc
-    if step <= 0 or stop <= start:
-        raise InputError(f"bad --h-grid {text!r}; need STOP > START and STEP > 0")
-    return np.arange(start, stop + step / 2, step)
-
-
-def _wtmm_config(args) -> wtmm.WtmmConfig:
-    config = wtmm.WtmmConfig()
-    if getattr(args, "q_range", None):
-        config.q_min, config.q_max, config.n_q = _parse_q_range(args.q_range)
-    if getattr(args, "scale_range", None):
-        config.fit_min_scale, config.fit_max_scale = _parse_scale_range(args.scale_range)
-    return config
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_rescaled_pyramid(path):
-    try:
-        pyramid = load_pyramid(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed pyramid file {path}: {exc}") from exc
-    return pyramid if pyramid.rescaled else rescale(pyramid, "to_rescaled")
-
-
-def cmd_simulate(args) -> int:
-    try:
-        with open(args.config) as fh:
-            spec = cascade.CascadeSpec.from_dict(json.load(fh))
-        if args.seed is not None:
-            spec.seed = args.seed
-    except OSError as exc:
-        raise InputError(f"cannot read config: {exc}") from exc
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"invalid cascade config: {exc}") from exc
-    out = _out_dir(args)
-    pyramid = cascade.synthesize_mixed(spec)
-    path = dwt_inverse(pyramid)
-    save_pyramid(pyramid, out / "pyramid.json")
-    _write_indexed_csv(out / "path.csv", "value", path.values)
-    return EXIT_OK
-
-
-def _write_spectrum(out: Path, spectrum, fmt: str) -> None:
+def _write_spectrum(out: Path, spectrum, fmt: str = "both") -> None:
     if fmt in ("json", "both"):
         _write_json(out / "spectrum.json", wtmm.spectrum_to_dict(spectrum))
     if fmt in ("csv", "both"):
@@ -144,41 +187,50 @@ def _write_spectrum(out: Path, spectrum, fmt: str) -> None:
         wtmm.write_spectrum_csv(spectrum, out / "spectrum.csv")
 
 
-def cmd_spectrum(args) -> int:
-    series = _load_series_csv(args.input)
-    if series.length < 1024:
-        raise InputError(f"series too short after truncation: {series.length} < 1024")
-    config = _wtmm_config(args)
-    out = _out_dir(args)
-    try:
-        spectrum = wtmm.singular_spectrum(series, config)
-    except ValueError as exc:
-        raise AnalysisError(str(exc)) from exc
-    lo, hi = config.fit_window(series.length)
-    print(f"fit scale range: [{lo:g}, {hi:g}] samples", file=sys.stderr)
-    _write_spectrum(out, spectrum, args.format)
-    return EXIT_OK
+def _write_multipliers(out: Path, result: tuple, fmt: str = "both") -> None:
+    report, corr = result
+    if fmt in ("json", "both"):
+        _write_json(out / "multipliers.json", report)
+    if fmt in ("csv", "both"):
+        with open(out / "correlations.csv", "w") as fh:
+            fh.write("kind,layer,r,n_pairs\n")
+            for row in corr.successive:
+                fh.write(f"successive,{row.layer},{float(row.r)!r},{row.n_pairs}\n")
+            for row in corr.parent_vs_factor:
+                fh.write(f"parent_vs_factor,{row.layer},{float(row.r)!r},{row.n_pairs}\n")
 
 
-def cmd_check_spectrum(args) -> int:
-    try:
-        with open(args.input) as fh:
-            spectrum = wtmm.spectrum_from_dict(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed spectrum file: {exc}") from exc
-    error = wtmm.legendre_duality_error(spectrum)
-    curvature = 0.0
-    if spectrum.tau.size >= 3:
-        curvature = float(np.max(np.abs(np.diff(spectrum.tau, 2))))
-    tolerance = 4.0 * curvature + 1e-9
-    print(f"duality gap {error:.3e} (tolerance {tolerance:.3e})")
-    if error > tolerance:
-        raise AnalysisError(
-            f"Legendre duality violated: gap {error:.3e} > {tolerance:.3e}"
+def _write_variances(out: Path, fits: list, fmt: str = "both") -> None:
+    if fmt in ("json", "both"):
+        _write_json(out / "variances.json", [f.to_dict() for f in fits])
+    if fmt in ("csv", "both"):
+        with open(out / "variance_table.csv", "w") as fh:
+            fh.write("Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)\n")
+            for row in empirics.variance_table_rows(fits):
+                fh.write(
+                    f"{row['Scale']},{row['side']},"
+                    f"{row['a']:.2f},{row['b']:.2f},{row['Std a']:.2f},{row['Std b']:.2f},"
+                    f"{row['Adj R2']:.2f},{row['Var(W)']:.2f},{row['Var(eta)']:.2f}\n"
+                )
+
+
+def _write_collapse(out: Path, result, fmt: str = "both") -> None:
+    if fmt in ("json", "both"):
+        _write_json(
+            out / "collapse.json",
+            {
+                "h": result.h,
+                "distance": result.distance,
+                "boundary": result.boundary,
+                "h_grid": result.h_grid.tolist(),
+                "distances": result.distances.tolist(),
+            },
         )
-    return EXIT_OK
+    if fmt in ("csv", "both"):
+        with open(out / "collapse.csv", "w") as fh:
+            fh.write("h,distance\n")
+            for h, d in zip(result.h_grid, result.distances):
+                fh.write(f"{float(h)!r},{float(d)!r}\n")
 
 
 def _multiplier_report(pyramid) -> tuple:
@@ -214,152 +266,84 @@ def _multiplier_report(pyramid) -> tuple:
     return report, corr
 
 
-def _write_correlations_csv(path: Path, corr) -> None:
-    with open(path, "w") as fh:
-        fh.write("kind,layer,r,n_pairs\n")
-        for row in corr.successive:
-            fh.write(f"successive,{row.layer},{float(row.r)!r},{row.n_pairs}\n")
-        for row in corr.parent_vs_factor:
-            fh.write(f"parent_vs_factor,{row.layer},{float(row.r)!r},{row.n_pairs}\n")
-
-
-def cmd_multipliers(args) -> int:
-    pyramid = _load_rescaled_pyramid(args.input)
+def cmd_simulate(args) -> int:
+    spec = _load_spec(args.config, args.seed)
+    pyramid = _stage("synthesize", cascade.synthesize_mixed, spec)
+    path = _stage("reconstruct", dwt_inverse, pyramid)
     out = _out_dir(args)
-    try:
-        report, corr = _multiplier_report(pyramid)
-    except ValueError as exc:
-        raise AnalysisError(str(exc)) from exc
-    if args.format in ("json", "both"):
-        _write_json(out / "multipliers.json", report)
-    if args.format in ("csv", "both"):
-        _write_correlations_csv(out / "correlations.csv", corr)
+    save_pyramid(pyramid, out / "pyramid.json")
+    _write_indexed_csv(out / "path.csv", "value", path.values)
     return EXIT_OK
 
 
-def _write_variance_table(path: Path, fits) -> None:
-    header = "Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in empirics.variance_table_rows(fits):
-            fh.write(
-                f"{row['Scale']},{row['side']},"
-                f"{row['a']:.2f},{row['b']:.2f},{row['Std a']:.2f},{row['Std b']:.2f},"
-                f"{row['Adj R2']:.2f},{row['Var(W)']:.2f},{row['Var(eta)']:.2f}\n"
-            )
+def cmd_spectrum(args) -> int:
+    series = _load_series(args.input)
+    if series.length < 1024:
+        raise InputError(f"series too short after truncation: {series.length} < 1024")
+    config = _wtmm_config(args)
+    spectrum = _stage("spectrum", wtmm.singular_spectrum, series, config)
+    lo, hi = config.fit_window(series.length)
+    print(f"fit scale range: [{lo:g}, {hi:g}] samples", file=sys.stderr)
+    _write_spectrum(_out_dir(args), spectrum, args.format)
+    return EXIT_OK
+
+
+def cmd_check_spectrum(args) -> int:
+    spectrum = _load_spectrum(args.input)
+    error = wtmm.legendre_duality_error(spectrum)
+    curvature = 0.0
+    if spectrum.tau.size >= 3:
+        curvature = float(np.max(np.abs(np.diff(spectrum.tau, 2))))
+    tolerance = 4.0 * curvature + 1e-9
+    print(f"duality gap {error:.3e} (tolerance {tolerance:.3e})")
+    if error > tolerance:
+        raise AnalysisError(
+            f"Legendre duality violated: gap {error:.3e} > {tolerance:.3e}"
+        )
+    return EXIT_OK
+
+
+def cmd_multipliers(args) -> int:
+    result = _stage("multipliers", _multiplier_report, _load_pyramid(args.input))
+    _write_multipliers(_out_dir(args), result, args.format)
+    return EXIT_OK
 
 
 def cmd_variances(args) -> int:
-    pyramid = _load_rescaled_pyramid(args.input)
-    out = _out_dir(args)
-    try:
-        fits = empirics.estimate_variances(pyramid)
-    except ValueError as exc:
-        raise AnalysisError(str(exc)) from exc
+    fits = _stage("variances", empirics.estimate_variances, _load_pyramid(args.input))
     if not fits:
         raise AnalysisError("no transition had enough data for a variance fit")
-    if args.format in ("json", "both"):
-        _write_json(out / "variances.json", [f.to_dict() for f in fits])
-    if args.format in ("csv", "both"):
-        _write_variance_table(out / "variance_table.csv", fits)
+    _write_variances(_out_dir(args), fits, args.format)
     return EXIT_OK
 
 
 def cmd_collapse(args) -> int:
-    pyramid = _load_rescaled_pyramid(args.input)
-    h_grid = _parse_h_grid(args.h_grid)
-    out = _out_dir(args)
-    try:
-        result = empirics.collapse_H(pyramid, h_grid)
-    except ValueError as exc:
-        raise AnalysisError(str(exc)) from exc
-    if args.format in ("json", "both"):
-        _write_json(
-            out / "collapse.json",
-            {
-                "h": result.h,
-                "distance": result.distance,
-                "boundary": result.boundary,
-                "h_grid": result.h_grid.tolist(),
-                "distances": result.distances.tolist(),
-            },
-        )
-    if args.format in ("csv", "both"):
-        with open(out / "collapse.csv", "w") as fh:
-            fh.write("h,distance\n")
-            for h, d in zip(result.h_grid, result.distances):
-                fh.write(f"{float(h)!r},{float(d)!r}\n")
+    pyramid = _load_pyramid(args.input)
+    result = _stage("collapse", empirics.collapse_H, pyramid, args.h_grid)
+    _write_collapse(_out_dir(args), result, args.format)
     return EXIT_OK
 
 
-def _ingest(args) -> np.ndarray:
-    try:
-        panel = empirics.load_panel_csv(args.input)
-        return empirics.deseasonalize_returns(panel, dt=args.dt)
-    except OSError as exc:
-        raise InputError(f"cannot read panel: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"panel ingestion failed: {exc}") from exc
-
-
 def cmd_ingest(args) -> int:
-    deltas = _ingest(args)
+    deltas, path = _load_panel(args.input, args.dt)
     out = _out_dir(args)
-    try:
-        path = empirics.accumulate_path(deltas)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     _write_indexed_csv(out / "deltas.csv", "delta", deltas)
     _write_indexed_csv(out / "path.csv", "value", path.values)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    deltas = _ingest(args)
-    try:
-        path = empirics.accumulate_path(deltas)
-    except ValueError as exc:
-        raise InputError(f"stage accumulate: {exc}") from exc
+    _, path = _load_panel(args.input, args.dt)
     if path.length < 1024:
-        raise InputError(
-            f"stage accumulate: path too short for analysis ({path.length} < 1024)"
-        )
+        raise InputError(f"path too short for analysis ({path.length} < 1024)")
     out = _out_dir(args)
     _write_indexed_csv(out / "path.csv", "value", path.values)
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except ValueError as exc:
-            raise AnalysisError(f"stage {name}: {exc}") from exc
-
-    pyramid = stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
+    pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
     save_pyramid(pyramid, out / "pyramid.json")
-    config = _wtmm_config(args)
-    spectrum = stage("spectrum", lambda: wtmm.singular_spectrum(path, config))
-    _write_spectrum(out, spectrum, "both")
-    report, corr = stage("multipliers", lambda: _multiplier_report(pyramid))
-    _write_json(out / "multipliers.json", report)
-    _write_correlations_csv(out / "correlations.csv", corr)
-    fits = stage("variances", lambda: empirics.estimate_variances(pyramid))
-    _write_json(out / "variances.json", [f.to_dict() for f in fits])
-    _write_variance_table(out / "variance_table.csv", fits)
-    h_grid = _parse_h_grid(args.h_grid)
-    collapse = stage("collapse", lambda: empirics.collapse_H(pyramid, h_grid))
-    _write_json(
-        out / "collapse.json",
-        {
-            "h": collapse.h,
-            "distance": collapse.distance,
-            "boundary": collapse.boundary,
-            "h_grid": collapse.h_grid.tolist(),
-            "distances": collapse.distances.tolist(),
-        },
-    )
-    with open(out / "collapse.csv", "w") as fh:
-        fh.write("h,distance\n")
-        for h, d in zip(collapse.h_grid, collapse.distances):
-            fh.write(f"{float(h)!r},{float(d)!r}\n")
+    _write_spectrum(out, _stage("spectrum", wtmm.singular_spectrum, path, _wtmm_config(args)))
+    _write_multipliers(out, _stage("multipliers", _multiplier_report, pyramid))
+    _write_variances(out, _stage("variances", empirics.estimate_variances, pyramid))
+    _write_collapse(out, _stage("collapse", empirics.collapse_H, pyramid, args.h_grid))
     return EXIT_OK
 
 
@@ -371,27 +355,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_help=None):
+    def add_common(p, input_help=None, tables=True):
         if input_help:
             p.add_argument("--input", required=True, help=input_help)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "both"),
-            default="both",
-            help="artifact format for analysis tables (default: both)",
-        )
+        if tables:
+            p.add_argument(
+                "--format",
+                choices=("json", "csv", "both"),
+                default="both",
+                help="artifact format for analysis tables (default: both)",
+            )
 
     p = sub.add_parser("simulate", help="synthesize a cascade pyramid and its path")
     p.add_argument("--config", required=True, help="cascade spec JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    add_common(p)
+    add_common(p, tables=False)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="singular spectrum of a series")
     add_common(p, "path CSV (index,value or one value per line)")
-    p.add_argument("--q-range", default=None, help="moment grid MIN:MAX:COUNT")
-    p.add_argument("--scale-range", default=None, help="fit window MIN:MAX in samples")
+    p.add_argument("--q-range", type=_q_range, help="moment grid MIN:MAX:COUNT")
+    p.add_argument("--scale-range", type=_scale_range, help="fit window MIN:MAX in samples")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("check-spectrum", help="verify a spectrum file's Legendre duality")
@@ -408,20 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="distribution-collapse exponent estimate")
     add_common(p, "pyramid JSON file")
-    p.add_argument("--h-grid", default="0:1:0.01", help="exponent grid START:STOP:STEP")
+    p.add_argument(
+        "--h-grid", type=_h_grid, default="0:1:0.01", help="exponent grid START:STOP:STEP"
+    )
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("ingest", help="deseasonalize a price panel into a path")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)")
+    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False)
     p.add_argument("--dt", type=int, default=1, help="return lag in grid steps")
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("pipeline", help="full panel-to-report analysis")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)")
+    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False)
     p.add_argument("--dt", type=int, default=1, help="return lag in grid steps")
-    p.add_argument("--q-range", default=None, help="moment grid MIN:MAX:COUNT")
-    p.add_argument("--scale-range", default=None, help="fit window MIN:MAX in samples")
-    p.add_argument("--h-grid", default="0:1:0.01", help="exponent grid START:STOP:STEP")
+    p.add_argument("--q-range", type=_q_range, help="moment grid MIN:MAX:COUNT")
+    p.add_argument("--scale-range", type=_scale_range, help="fit window MIN:MAX in samples")
+    p.add_argument(
+        "--h-grid", type=_h_grid, default="0:1:0.01", help="exponent grid START:STOP:STEP"
+    )
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

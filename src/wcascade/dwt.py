@@ -51,12 +51,10 @@ def _is_power_of_two(n: int) -> bool:
 class TimeSeries:
     """Equally spaced samples of a real-valued signal.
 
-    The length must be a power of two (at least 2) and every value finite;
-    ``sample_interval`` is carried in abstract time units.
+    The length must be a power of two (at least 2) and every value finite.
     """
 
     values: np.ndarray
-    sample_interval: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -69,8 +67,6 @@ class TimeSeries:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("time series contains non-finite values")
-        if not (self.sample_interval > 0):
-            raise ValueError("sample_interval must be positive")
 
     @property
     def length(self) -> int:

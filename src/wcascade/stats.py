@@ -62,14 +62,6 @@ class FitResult:
     location: float
     goodness: float  # sum of squared density residuals
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "scale": self.scale,
-            "location": self.location,
-            "goodness": self.goodness,
-        }
-
 
 @dataclass
 class RegressionResult:
@@ -80,17 +72,6 @@ class RegressionResult:
     r2: float
     adj_r2: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr_slope": self.stderr_slope,
-            "stderr_intercept": self.stderr_intercept,
-            "r2": self.r2,
-            "adj_r2": self.adj_r2,
-            "n": self.n,
-        }
 
 
 @dataclass
@@ -111,16 +92,6 @@ class BinnedVariance:
     def __post_init__(self):
         if self.included is None:
             self.included = self.bin_counts >= self.min_count
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_centers": np.asarray(self.bin_centers).tolist(),
-            "bin_counts": np.asarray(self.bin_counts).tolist(),
-            "conditional_variances": np.asarray(self.conditional_variances).tolist(),
-            "bin_width": self.bin_width,
-            "min_count": self.min_count,
-            "included": np.asarray(self.included).astype(bool).tolist(),
-        }
 
 
 def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-8):

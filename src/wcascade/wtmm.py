@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,52 +97,43 @@ class CwtMatrix:
     """Samples of the continuous wavelet transform on a scale/position grid."""
 
     scales: np.ndarray
-    positions: np.ndarray
-    values: np.ndarray  # shape (n_scales, n_positions)
+    values: np.ndarray  # shape (n_scales, n_positions), positions 0..n-1
 
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=float)
-        self.positions = np.asarray(self.positions, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
         if np.any(np.diff(self.scales) <= 0):
             raise ValueError("scales must be strictly increasing")
-        if self.values.shape != (self.scales.size, self.positions.size):
+        if self.values.ndim != 2 or self.values.shape[0] != self.scales.size:
             raise ValueError("value matrix shape inconsistent with grids")
 
     @property
     def length(self) -> int:
-        return self.positions.size
+        return self.values.shape[1]
 
 
 @dataclass
 class MaximaLine:
     """Chain of modulus maxima across scales, ordered fine to coarse.
 
-    ``scale_indices`` are consecutive indices into the transform's scale
-    grid starting at 0 (the finest scale), so the line satisfies the
+    Entry ``i`` lies at index ``i`` of the transform's scale grid, so the
+    line covers consecutive scales from the finest and satisfies the
     completeness requirement for every scale it reaches.
     """
 
-    scale_indices: np.ndarray
-    scales: np.ndarray
     positions: np.ndarray
     moduli: np.ndarray
 
     def __post_init__(self):
-        self.scale_indices = np.asarray(self.scale_indices, dtype=np.int64)
-        self.scales = np.asarray(self.scales, dtype=float)
         self.positions = np.asarray(self.positions, dtype=np.int64)
         self.moduli = np.asarray(self.moduli, dtype=float)
-        n = self.scale_indices.size
-        if not (self.scales.size == self.positions.size == self.moduli.size == n):
+        if self.positions.size != self.moduli.size:
             raise ValueError("line fields must have equal lengths")
-        if n and (self.scale_indices[0] != 0 or np.any(np.diff(self.scale_indices) != 1)):
-            raise ValueError("line must cover consecutive scales from the finest")
         if np.any(self.moduli < 0):
             raise ValueError("moduli must be non-negative")
 
     def __len__(self) -> int:
-        return self.scale_indices.size
+        return self.positions.size
 
 
 def default_scale_grid(
@@ -184,7 +175,7 @@ def cwt(series: TimeSeries, wavelet: AnalyzingWavelet, scale_grid) -> CwtMatrix:
         kernel = wavelet(offsets / s) / s
         reversed_kernel = np.roll(kernel[::-1], 1)  # k[(-m) mod n]
         rows[i] = np.fft.irfft(spectrum * np.fft.rfft(reversed_kernel), n=n)
-    return CwtMatrix(scales=scale_grid, positions=np.arange(n), values=rows)
+    return CwtMatrix(scales=scale_grid, values=rows)
 
 
 def _local_maxima_circular(m: np.ndarray) -> np.ndarray:
@@ -289,39 +280,31 @@ def chain_maxima_lines(maxima: list, matrix: CwtMatrix, link_factor: float = 0.5
             new_heads.append(float(pos))
         alive = np.asarray(new_alive, dtype=np.int64)
         heads = np.asarray(new_heads, dtype=float)
-    lines = []
-    for positions, moduli in zip(line_positions, line_moduli):
-        k = len(positions)
-        lines.append(
-            MaximaLine(
-                scale_indices=np.arange(k),
-                scales=scales[:k],
-                positions=np.asarray(positions),
-                moduli=np.asarray(moduli),
-            )
-        )
-    return lines
+    return [
+        MaximaLine(positions=np.asarray(positions), moduli=np.asarray(moduli))
+        for positions, moduli in zip(line_positions, line_moduli)
+    ]
 
 
 @dataclass
 class PartitionFunction:
-    """Moment sums ``Z(q, s)`` over the surviving maxima lines at scale s."""
+    """Moment sums ``Z(q, s)`` over the surviving maxima lines at scale s.
+
+    Only ``log2 Z`` is kept: ``Z`` itself overflows at large |q|.
+    """
 
     q_grid: np.ndarray
     scales: np.ndarray
-    Z: np.ndarray  # shape (n_q, n_scales)
-    log2_Z: np.ndarray
+    log2_Z: np.ndarray  # shape (n_q, n_scales)
     line_counts: np.ndarray
-    fit_range: tuple | None = None
 
     def __post_init__(self):
         self.q_grid = np.asarray(self.q_grid, dtype=float)
         self.scales = np.asarray(self.scales, dtype=float)
-        self.Z = np.asarray(self.Z, dtype=float)
         self.log2_Z = np.asarray(self.log2_Z, dtype=float)
         self.line_counts = np.asarray(self.line_counts, dtype=np.int64)
-        if self.Z.shape != (self.q_grid.size, self.scales.size):
-            raise ValueError("Z shape inconsistent with grids")
+        if self.log2_Z.shape != (self.q_grid.size, self.scales.size):
+            raise ValueError("log2_Z shape inconsistent with grids")
 
 
 def _logsumexp(a: np.ndarray, axis=None):
@@ -365,11 +348,7 @@ def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
             "they are excluded from any fit range",
             stacklevel=2,
         )
-    with np.errstate(over="ignore"):
-        Z = np.exp2(log2_Z)
-    return PartitionFunction(
-        q_grid=q_grid, scales=scales, Z=Z, log2_Z=log2_Z, line_counts=counts
-    )
+    return PartitionFunction(q_grid=q_grid, scales=scales, log2_Z=log2_Z, line_counts=counts)
 
 
 @dataclass
@@ -385,9 +364,7 @@ class TauEstimate:
 
 def estimate_tau(pf: PartitionFunction, fit_range: tuple | None = None) -> TauEstimate:
     """Least-squares slope of log2 Z(q, s) against log2 s per moment order."""
-    if fit_range is None:
-        fit_range = pf.fit_range or (pf.scales.min(), pf.scales.max())
-    lo, hi = fit_range
+    lo, hi = fit_range if fit_range is not None else (pf.scales.min(), pf.scales.max())
     usable = (pf.scales >= lo) & (pf.scales <= hi) & (pf.line_counts > 0)
     if np.count_nonzero(usable) < 3:
         raise ValueError(

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcascade
 from wcascade.cascade import CascadeSpec, NormalNoise, SignedLognormal, synthesize_mixed
 from wcascade.cli import main
 from wcascade.dwt import dwt_inverse, load_pyramid
@@ -34,6 +37,16 @@ def read_tree(root):
     return {
         p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()
     }
+
+
+def run_cli(*argv):
+    """``python -m wcascade.cli`` in a fresh process, importing this checkout."""
+    env = dict(os.environ)
+    src = str(Path(wcascade.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "wcascade.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def write_cascade_panel(tmp_path, depth=14, seed=7, minutes_per_day=128):
@@ -255,12 +268,41 @@ def test_pipeline_report_and_recovery(tmp_path):
     assert abs(var_eta - 0.32) <= 0.05
 
 
-def test_pipeline_is_byte_deterministic(tmp_path):
-    panel = write_cascade_panel(tmp_path, depth=12, minutes_per_day=128)
-    out_a, out_b = tmp_path / "ra", tmp_path / "rb"
-    assert main(["pipeline", "--input", str(panel), "--out", str(out_a)]) == 0
+@pytest.fixture(scope="module")
+def pipeline_report(tmp_path_factory):
+    """Panel and ``pipeline`` report of a depth-12 cascade, shared by two tests."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    panel = write_cascade_panel(tmp, depth=12, minutes_per_day=128)
+    out = tmp / "report"
+    assert main(["pipeline", "--input", str(panel), "--out", str(out)]) == 0
+    return panel, out
+
+
+def test_pipeline_is_byte_deterministic(pipeline_report, tmp_path):
+    panel, out_a = pipeline_report
+    out_b = tmp_path / "rb"
     assert main(["pipeline", "--input", str(panel), "--out", str(out_b)]) == 0
     assert read_tree(out_a) == read_tree(out_b)
+
+
+def test_pipeline_artifacts_match_subcommands(pipeline_report, tmp_path):
+    # one writer per artifact: each subcommand rerun on the report's own
+    # path.csv or pyramid.json reproduces its files byte for byte
+    _, report = pipeline_report
+    expected = read_tree(report)
+    written = set()
+    for command, source in (
+        ("spectrum", "path.csv"),
+        ("multipliers", "pyramid.json"),
+        ("variances", "pyramid.json"),
+        ("collapse", "pyramid.json"),
+    ):
+        out = tmp_path / command
+        assert main([command, "--input", str(report / source), "--out", str(out)]) == 0
+        tree = read_tree(out)
+        assert tree == {name: expected.get(name) for name in tree}, command
+        written |= set(tree)
+    assert written == PIPELINE_FILES - {"path.csv", "pyramid.json"}
 
 
 def test_pipeline_constant_prices_exit_2(tmp_path):
@@ -276,17 +318,83 @@ def test_pipeline_constant_prices_exit_2(tmp_path):
 
 
 def test_installed_entry_point_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "wcascade.cli"],
-        capture_output=True,
-        text=True,
-    )
     # bare invocation without a command is a usage error
-    assert proc.returncode == 2
+    assert run_cli().returncode == 2
 
 
-def test_regression_renders_two_decimals():
-    from wcascade.cli import _write_variance_table
+def _series_with_last_row(tmp_path, row):
+    path = brownian_csv(tmp_path, n=4096)
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    return path
+
+
+def _series_with_corrupt_row(tmp_path):
+    path = brownian_csv(tmp_path, n=4096)
+    lines = path.read_text().splitlines()
+    lines[101] = "100,12x"  # after the header, so line 102 of the file
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+OVERFLOWING_LAW = {
+    "depth": 8,
+    "multiplier_law": {"kind": "folded_lognormal", "mean_log": 100, "var_log": 0.01},
+    "additive_law": {"kind": "zero"},
+}
+
+CONTRACT_CASES = {
+    "spectrum-nan": (
+        lambda t: ["spectrum", "--input", str(_series_with_last_row(t, "4096,nan"))],
+        2, "non-finite",
+    ),
+    "spectrum-corrupt-row": (
+        lambda t: ["spectrum", "--input", str(_series_with_corrupt_row(t))],
+        2, "line 102",
+    ),
+    "simulate-seed-negative": (
+        lambda t: ["simulate", "--config", str(write_config(t)), "--seed", "-1"],
+        2, "seed",
+    ),
+    "simulate-seed-2**64": (
+        lambda t: ["simulate", "--config", str(write_config(t)), "--seed", str(2**64)],
+        2, "seed",
+    ),
+    "simulate-depth-1e400": (
+        lambda t: ["simulate", "--config", str(write_config(t, {"depth": 1e400}))],
+        2, "invalid cascade config",
+    ),
+    "simulate-overflowing-law": (
+        lambda t: ["simulate", "--config", str(write_config(t, OVERFLOWING_LAW))],
+        4, "stage synthesize",
+    ),
+    "pipeline-bad-h-grid": (
+        lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
+                   "--h-grid", "bad"],
+        2, "--h-grid",
+    ),
+    "pipeline-bad-q-range": (
+        lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
+                   "--q-range=bad"],
+        2, "--q-range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_bad_input_exit_code_without_traceback(tmp_path, case):
+    make_argv, code, fragment = CONTRACT_CASES[case]
+    out = tmp_path / "out"
+    proc = run_cli(*make_argv(tmp_path), "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert len(errors) == 1 and fragment in errors[0], proc.stderr
+    assert not out.exists()  # flags and inputs are refused before any artifact
+
+
+def test_regression_renders_two_decimals(tmp_path):
+    from wcascade.cli import _write_variances
     from wcascade.empirics import TransitionVarianceFit
 
     fit = TransitionVarianceFit(
@@ -295,12 +403,7 @@ def test_regression_renders_two_decimals():
         var_w=0.1309, var_eta=0.3391, clamped=False,
         ratio_sq=0.47, identity_residual=0.0, n_bins=12,
     )
-    import pathlib
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        target = pathlib.Path(tmp) / "t.csv"
-        _write_variance_table(target, [fit])
-        row = target.read_text().splitlines()[1]
+    _write_variances(tmp_path, [fit], "csv")
+    row = (tmp_path / "variance_table.csv").read_text().splitlines()[1]
     assert row.split(",")[2] == "0.72"
     assert row.split(",")[3] == "0.13"

@@ -147,17 +147,13 @@ def test_bump_has_three_maxima_at_fine_scale():
 
 
 def test_maxima_constant_field_empty():
-    matrix = CwtMatrix(
-        scales=np.array([4.0]), positions=np.arange(16), values=np.zeros((1, 16))
-    )
+    matrix = CwtMatrix(scales=np.array([4.0]), values=np.zeros((1, 16)))
     assert find_modulus_maxima(matrix)[0].size == 0
 
 
 def test_maxima_plateau_rule():
     row = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.5, 0.0, 0.2, 0.0])
-    matrix = CwtMatrix(
-        scales=np.array([4.0]), positions=np.arange(row.size), values=row[None, :]
-    )
+    matrix = CwtMatrix(scales=np.array([4.0]), values=row[None, :])
     found = find_modulus_maxima(matrix, noise_floor=0.0)[0]
     # plateau [1,1,1] reported once at its left edge; plateau [0.5,0.5] too
     assert list(found) == [1, 5, 7, 10]
@@ -165,9 +161,7 @@ def test_maxima_plateau_rule():
 
 def test_maxima_rising_plateau_not_reported():
     row = np.array([0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
-    matrix = CwtMatrix(
-        scales=np.array([4.0]), positions=np.arange(row.size), values=row[None, :]
-    )
+    matrix = CwtMatrix(scales=np.array([4.0]), values=row[None, :])
     assert list(find_modulus_maxima(matrix, noise_floor=0.0)[0]) == [3]
 
 
@@ -210,11 +204,7 @@ def test_two_steps_give_two_complete_lines():
 
 
 def test_chain_empty_maxima():
-    matrix = CwtMatrix(
-        scales=np.array([4.0, 8.0]),
-        positions=np.arange(64),
-        values=np.zeros((2, 64)),
-    )
+    matrix = CwtMatrix(scales=np.array([4.0, 8.0]), values=np.zeros((2, 64)))
     assert chain_maxima_lines(find_modulus_maxima(matrix), matrix) == []
 
 
@@ -222,11 +212,9 @@ def test_chain_empty_maxima():
 # partition function and exponents
 
 
-def make_line(scales, moduli, position=0):
+def make_line(moduli, position=0):
     k = len(moduli)
     return MaximaLine(
-        scale_indices=np.arange(k),
-        scales=np.asarray(scales[:k], dtype=float),
         positions=np.full(k, position),
         moduli=np.asarray(moduli, dtype=float),
     )
@@ -234,26 +222,25 @@ def make_line(scales, moduli, position=0):
 
 def test_partition_single_line_powers():
     scales = np.array([4.0, 8.0, 16.0])
-    line = make_line(scales, [2.0, 1.0, 4.0])
+    line = make_line([2.0, 1.0, 4.0])
     q = np.array([-2.0, 0.0, 1.0, 3.0])
     pf = partition_function([line], q, scales)
     sups = np.array([2.0, 2.0, 4.0])  # running supremum
     for i in range(3):
-        assert np.allclose(pf.Z[:, i], sups[i] ** q)
+        assert np.allclose(np.exp2(pf.log2_Z[:, i]), sups[i] ** q)
     assert np.array_equal(pf.line_counts, [1, 1, 1])
 
 
 def test_partition_counts_at_q_zero():
-    scales = np.array([4.0, 8.0, 16.0])
     lines = [
-        make_line(scales, [1.0, 2.0, 3.0]),
-        make_line(scales, [5.0, 1.0]),
-        make_line(scales, [0.5]),
+        make_line([1.0, 2.0, 3.0]),
+        make_line([5.0, 1.0]),
+        make_line([0.5]),
     ]
     with pytest.warns(UserWarning):
         pf = partition_function(lines, np.array([0.0]), np.array([4.0, 8.0, 16.0, 32.0]))
     assert np.array_equal(pf.line_counts, [3, 2, 1, 0])
-    assert np.allclose(pf.Z[0, :3], [3.0, 2.0, 1.0])
+    assert np.allclose(np.exp2(pf.log2_Z[0, :3]), [3.0, 2.0, 1.0])
 
 
 def test_partition_synthetic_halving_count_recovers_linear_tau():
@@ -265,7 +252,7 @@ def test_partition_synthetic_halving_count_recovers_linear_tau():
     for i in range(n_scales):
         born = 2 ** (n_scales - i) - (2 ** (n_scales - i - 1) if i < n_scales - 1 else 0)
         for _ in range(born):
-            lines.append(make_line(scales, np.sqrt(scales[: i + 1])))
+            lines.append(make_line(np.sqrt(scales[: i + 1])))
     q = np.linspace(-5, 5, 21)
     pf = partition_function(lines, q, scales)
     counts = np.array([1024 // 2**i for i in range(n_scales)])
@@ -284,7 +271,6 @@ def test_estimate_tau_exact_decay():
     pf = PartitionFunction(
         q_grid=q,
         scales=scales,
-        Z=Z,
         log2_Z=np.log2(Z),
         line_counts=np.ones(4, dtype=int),
     )
@@ -294,11 +280,9 @@ def test_estimate_tau_exact_decay():
 
 def test_estimate_tau_needs_three_scales():
     scales = np.array([4.0, 8.0, 16.0])
-    Z = np.ones((1, 3))
     pf = PartitionFunction(
         q_grid=np.array([0.0]),
         scales=scales,
-        Z=Z,
         log2_Z=np.zeros((1, 3)),
         line_counts=np.array([1, 1, 0]),
     )
