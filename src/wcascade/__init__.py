@@ -7,15 +7,12 @@ from wcascade.cascade import (
     NormalNoise,
     PointMass,
     SignedLognormal,
-    ZeroNoise,
     synthesize_mixed,
-    synthesize_wcascade,
     theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
 from wcascade.dwt import (
     TimeSeries,
-    WaveletBasis,
     WaveletPyramid,
     dwt_forward,
     dwt_inverse,
@@ -38,7 +35,6 @@ from wcascade.empirics import (
 from wcascade.stats import (
     BinnedVariance,
     FitResult,
-    HistogramSpec,
     RegressionResult,
     binned_conditional_variance,
     fit_cauchy,
@@ -48,7 +44,6 @@ from wcascade.stats import (
     pearson_correlation,
 )
 from wcascade.wtmm import (
-    AnalyzingWavelet,
     CwtMatrix,
     MaximaLine,
     PartitionFunction,

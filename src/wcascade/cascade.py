@@ -14,8 +14,8 @@ stationary layer to layer.
 Randomness comes from a counter-based Philox stream keyed by the spec's
 seed.  Draws are consumed layer by layer; within a layer the factor block
 is drawn before the noise block, each laid out child-minor with the left
-child before the right.  A null noise law consumes no draws, so switching
-the noise off reproduces the pure cascade stream bit for bit.
+child before the right.  A noise law of variance 0 consumes no draws, so
+switching the noise off reproduces the pure cascade stream bit for bit.
 
 Closed forms for the scaling exponents and singular spectrum of the
 lognormal-factor cascade are provided as ground truth for estimator tests.
@@ -24,7 +24,7 @@ lognormal-factor cascade are provided as ground truth for estimator tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +37,7 @@ __all__ = [
     "PointMass",
     "CauchyFactor",
     "NormalNoise",
-    "ZeroNoise",
     "CascadeSpec",
-    "synthesize_wcascade",
     "synthesize_mixed",
     "theoretical_tau_lognormal",
     "theoretical_spectrum_lognormal",
@@ -80,9 +78,6 @@ class SignedLognormal:
         signs = rng.integers(0, 2, n) * 2.0 - 1.0
         return magnitudes * signs
 
-    def to_dict(self) -> dict:
-        return {"kind": "signed_lognormal", "mean_log": self.mean_log, "var_log": self.var_log}
-
 
 @dataclass
 class FoldedLognormal:
@@ -108,9 +103,6 @@ class FoldedLognormal:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.exp(rng.normal(self.mean_log, math.sqrt(self.var_log), n))
 
-    def to_dict(self) -> dict:
-        return {"kind": "folded_lognormal", "mean_log": self.mean_log, "var_log": self.var_log}
-
 
 @dataclass
 class PointMass:
@@ -127,9 +119,6 @@ class PointMass:
         if self.random_sign:
             return (rng.integers(0, 2, n) * 2.0 - 1.0) * abs(self.value)
         return np.full(n, float(self.value))
-
-    def to_dict(self) -> dict:
-        return {"kind": "point_mass", "value": self.value, "random_sign": self.random_sign}
 
 
 @dataclass
@@ -149,13 +138,10 @@ class CauchyFactor:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * rng.standard_cauchy(n)
 
-    def to_dict(self) -> dict:
-        return {"kind": "cauchy", "scale": self.scale}
-
 
 @dataclass
 class NormalNoise:
-    """Zero-mean normal additive term; variance 0 degenerates to no noise."""
+    """Zero-mean normal additive term; variance 0 means no noise."""
 
     variance: float
 
@@ -163,34 +149,8 @@ class NormalNoise:
         if self.variance < 0:
             raise ValueError("variance must be non-negative")
 
-    @property
-    def is_null(self) -> bool:
-        return self.variance == 0.0
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(self.variance), n)
-
-    def to_dict(self) -> dict:
-        return {"kind": "normal", "variance": self.variance}
-
-
-@dataclass
-class ZeroNoise:
-    """Point mass at zero: the additive term is absent."""
-
-    @property
-    def variance(self) -> float:
-        return 0.0
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.zeros(n)
-
-    def to_dict(self) -> dict:
-        return {"kind": "zero"}
 
 
 def multiplier_law_from_dict(data: dict):
@@ -208,12 +168,13 @@ def multiplier_law_from_dict(data: dict):
     raise ValueError(f"unknown multiplier law kind {kind!r}")
 
 
-def additive_law_from_dict(data: dict):
+def additive_law_from_dict(data: dict) -> NormalNoise:
+    """Parse a noise law; ``"zero"`` is the normal law of variance 0."""
     kind = data["kind"]
     if kind == "normal":
         return NormalNoise(float(data["variance"]))
     if kind == "zero":
-        return ZeroNoise()
+        return NormalNoise(0.0)
     raise ValueError(f"unknown additive law kind {kind!r}")
 
 
@@ -228,14 +189,12 @@ class CascadeSpec:
 
     depth: int
     multiplier_law: object
-    additive_law: object = None
+    additive_law: NormalNoise = field(default_factory=lambda: NormalNoise(0.0))
     root_detail: float = 1.0
     root_approx: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.additive_law is None:
-            self.additive_law = ZeroNoise()
         self.depth = int(self.depth)
         if self.depth < 1:
             raise ValueError("cascade depth must be >= 1")
@@ -244,16 +203,6 @@ class CascadeSpec:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not (math.isfinite(self.root_detail) and math.isfinite(self.root_approx)):
             raise ValueError("root coefficients must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "root_detail": self.root_detail,
-            "root_approx": self.root_approx,
-            "seed": int(self.seed),
-            "multiplier_law": self.multiplier_law.to_dict(),
-            "additive_law": self.additive_law.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CascadeSpec":
@@ -267,56 +216,40 @@ class CascadeSpec:
         )
 
 
-def _generate(spec: CascadeSpec):
+def synthesize_mixed(spec: CascadeSpec) -> WaveletPyramid:
+    """Cascade ``child = W * parent + eta * h_j``, layer by layer from the root.
+
+    With a noise law of variance 0 no noise is drawn, which leaves the pure
+    multiplicative cascade.  A layer that overflows to a non-finite value
+    is rejected with a ``ValueError`` naming it.
+    """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    use_noise = not spec.additive_law.is_null
+    use_noise = spec.additive_law.variance > 0.0
     layers = []
-    draws = []
     parents = np.array([spec.root_detail])
     # Layer-0 statistic: a single root coefficient has no spread, so its
     # magnitude stands in for the standard deviation.
     h = abs(spec.root_detail)
-    for _ in range(spec.depth):
-        n_children = 2 * parents.size
-        w = spec.multiplier_law.sample(rng, n_children)
-        children = w * np.repeat(parents, 2)
-        if use_noise:
-            eta = spec.additive_law.sample(rng, n_children)
-            children = children + eta * h
-        else:
-            eta = np.zeros(n_children)
+    for j in range(1, spec.depth + 1):
+        # Overflow shows up as inf or nan and is rejected below, so numpy
+        # need not warn about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = spec.multiplier_law.sample(rng, 2 * parents.size)
+            children = w * np.repeat(parents, 2)
+            if use_noise:
+                children += spec.additive_law.sample(rng, children.size) * h
+                h = float(children.std())
+        if not np.all(np.isfinite(children)):
+            raise ValueError(f"layer {j} contains non-finite values")
         layers.append(children)
-        draws.append((w, eta))
         parents = children
-        h = float(children.std())
-    pyramid = WaveletPyramid(
+    return WaveletPyramid(
         depth=spec.depth,
         root_approx=spec.root_approx,
         root_detail=spec.root_detail,
         layers=layers,
         rescaled=True,
     )
-    return pyramid, draws
-
-
-def synthesize_wcascade(spec: CascadeSpec, return_draws: bool = False):
-    """Pure multiplicative cascade; requires a null additive law."""
-    if not spec.additive_law.is_null:
-        raise ValueError(
-            "pure cascade requires a null additive law; use synthesize_mixed"
-        )
-    pyramid, draws = _generate(spec)
-    return (pyramid, draws) if return_draws else pyramid
-
-
-def synthesize_mixed(spec: CascadeSpec, return_draws: bool = False):
-    """Multiplicative cascade with the layer-scaled additive term.
-
-    With a null additive law the result is bit-identical to
-    :func:`synthesize_wcascade` of the same spec.
-    """
-    pyramid, draws = _generate(spec)
-    return (pyramid, draws) if return_draws else pyramid
 
 
 def theoretical_tau_lognormal(mean_log: float, var_log: float, q):

@@ -14,6 +14,7 @@ to exit codes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -202,15 +203,15 @@ def _write_multipliers(out: Path, result: tuple, fmt: str = "both") -> None:
 
 def _write_variances(out: Path, fits: list, fmt: str = "both") -> None:
     if fmt in ("json", "both"):
-        _write_json(out / "variances.json", [f.to_dict() for f in fits])
+        _write_json(out / "variances.json", [dataclasses.asdict(f) for f in fits])
     if fmt in ("csv", "both"):
         with open(out / "variance_table.csv", "w") as fh:
             fh.write("Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)\n")
-            for row in empirics.variance_table_rows(fits):
+            for f in fits:
                 fh.write(
-                    f"{row['Scale']},{row['side']},"
-                    f"{row['a']:.2f},{row['b']:.2f},{row['Std a']:.2f},{row['Std b']:.2f},"
-                    f"{row['Adj R2']:.2f},{row['Var(W)']:.2f},{row['Var(eta)']:.2f}\n"
+                    f"{f.parent_layer},{f.side},{f.slope:.2f},{f.intercept:.2f},"
+                    f"{f.stderr_slope:.2f},{f.stderr_intercept:.2f},"
+                    f"{f.adj_r2:.2f},{f.var_w:.2f},{f.var_eta:.2f}\n"
                 )
 
 
@@ -231,6 +232,14 @@ def _write_collapse(out: Path, result, fmt: str = "both") -> None:
             fh.write("h,distance\n")
             for h, d in zip(result.h_grid, result.distances):
                 fh.write(f"{float(h)!r},{float(d)!r}\n")
+
+
+def _variance_fits(pyramid) -> list:
+    """The variance stage of ``variances`` and ``pipeline``; no fit at all fails it."""
+    fits = _stage("variances", empirics.estimate_variances, pyramid)
+    if not fits:
+        raise AnalysisError("no transition had enough data for a variance fit")
+    return fits
 
 
 def _multiplier_report(pyramid) -> tuple:
@@ -310,9 +319,7 @@ def cmd_multipliers(args) -> int:
 
 
 def cmd_variances(args) -> int:
-    fits = _stage("variances", empirics.estimate_variances, _load_pyramid(args.input))
-    if not fits:
-        raise AnalysisError("no transition had enough data for a variance fit")
+    fits = _variance_fits(_load_pyramid(args.input))
     _write_variances(_out_dir(args), fits, args.format)
     return EXIT_OK
 
@@ -336,15 +343,28 @@ def cmd_pipeline(args) -> int:
     _, path = _load_panel(args.input, args.dt)
     if path.length < 1024:
         raise InputError(f"path too short for analysis ({path.length} < 1024)")
+    pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
+    spectrum = _stage("spectrum", wtmm.singular_spectrum, path, _wtmm_config(args))
+    multipliers = _stage("multipliers", _multiplier_report, pyramid)
+    fits = _variance_fits(pyramid)
+    collapse = _stage("collapse", empirics.collapse_H, pyramid, args.h_grid)
     out = _out_dir(args)
     _write_indexed_csv(out / "path.csv", "value", path.values)
-    pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
     save_pyramid(pyramid, out / "pyramid.json")
-    _write_spectrum(out, _stage("spectrum", wtmm.singular_spectrum, path, _wtmm_config(args)))
-    _write_multipliers(out, _stage("multipliers", _multiplier_report, pyramid))
-    _write_variances(out, _stage("variances", empirics.estimate_variances, pyramid))
-    _write_collapse(out, _stage("collapse", empirics.collapse_H, pyramid, args.h_grid))
+    _write_spectrum(out, spectrum)
+    _write_multipliers(out, multipliers)
+    _write_variances(out, fits)
+    _write_collapse(out, collapse)
     return EXIT_OK
+
+
+# Flags that more than one command takes, each declared once.
+_SHARED_FLAGS = {
+    "--dt": dict(type=int, default=1, help="return lag in grid steps"),
+    "--q-range": dict(type=_q_range, help="moment grid MIN:MAX:COUNT"),
+    "--scale-range": dict(type=_scale_range, help="fit window MIN:MAX in samples"),
+    "--h-grid": dict(type=_h_grid, default="0:1:0.01", help="exponent grid START:STOP:STEP"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_help=None, tables=True):
+    def add_common(p, input_help=None, tables=True, flags=()):
         if input_help:
             p.add_argument("--input", required=True, help=input_help)
         p.add_argument("--out", required=True, help="output directory")
@@ -366,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="both",
                 help="artifact format for analysis tables (default: both)",
             )
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
 
     p = sub.add_parser("simulate", help="synthesize a cascade pyramid and its path")
     p.add_argument("--config", required=True, help="cascade spec JSON file")
@@ -374,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="singular spectrum of a series")
-    add_common(p, "path CSV (index,value or one value per line)")
-    p.add_argument("--q-range", type=_q_range, help="moment grid MIN:MAX:COUNT")
-    p.add_argument("--scale-range", type=_scale_range, help="fit window MIN:MAX in samples")
+    add_common(
+        p, "path CSV (index,value or one value per line)", flags=("--q-range", "--scale-range")
+    )
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("check-spectrum", help="verify a spectrum file's Legendre duality")
@@ -392,25 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_variances)
 
     p = sub.add_parser("collapse", help="distribution-collapse exponent estimate")
-    add_common(p, "pyramid JSON file")
-    p.add_argument(
-        "--h-grid", type=_h_grid, default="0:1:0.01", help="exponent grid START:STOP:STEP"
-    )
+    add_common(p, "pyramid JSON file", flags=("--h-grid",))
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("ingest", help="deseasonalize a price panel into a path")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False)
-    p.add_argument("--dt", type=int, default=1, help="return lag in grid steps")
+    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False, flags=("--dt",))
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("pipeline", help="full panel-to-report analysis")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False)
-    p.add_argument("--dt", type=int, default=1, help="return lag in grid steps")
-    p.add_argument("--q-range", type=_q_range, help="moment grid MIN:MAX:COUNT")
-    p.add_argument("--scale-range", type=_scale_range, help="fit window MIN:MAX in samples")
-    p.add_argument(
-        "--h-grid", type=_h_grid, default="0:1:0.01", help="exponent grid START:STOP:STEP"
-    )
+    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False, flags=tuple(_SHARED_FLAGS))
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

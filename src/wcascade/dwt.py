@@ -1,4 +1,4 @@
-"""Periodic orthogonal wavelet transform between series and dyadic pyramids.
+"""Periodic Daubechies-4 wavelet transform between series and dyadic pyramids.
 
 A series of length ``L = 2**(depth+1)`` maps to a pyramid holding one
 approximation coefficient, one root detail coefficient and detail layers
@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "TimeSeries",
-    "WaveletBasis",
     "WaveletPyramid",
     "dwt_forward",
     "dwt_inverse",
@@ -34,13 +33,15 @@ __all__ = [
 ]
 
 # Daubechies 4-tap scaling filter, the (1 +/- sqrt 3) / (4 sqrt 2) family,
-# written out to full double precision.
-_DB4_LOW_PASS = (
+# written out to full double precision, and its alternating-flip wavelet
+# filter g[k] = (-1)**k h[3-k], which has two vanishing moments.
+_DB4_LOW_PASS = np.array([
     0.4829629131445341,
     0.8365163037378077,
     0.2241438680420134,
     -0.12940952255126034,
-)
+])
+_DB4_HIGH_PASS = ((-1.0) ** np.arange(4)) * _DB4_LOW_PASS[::-1]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -71,60 +72,6 @@ class TimeSeries:
     @property
     def length(self) -> int:
         return self.values.size
-
-
-@dataclass
-class WaveletBasis:
-    """Orthonormal two-channel filter pair for the pyramid transform.
-
-    The high-pass filter must be the alternating-flip mirror of the
-    low-pass filter, ``g[k] = (-1)**k h[M-1-k]``, and the pair must satisfy
-    the orthonormality and discrete vanishing-moment conditions; all are
-    checked at construction.
-    """
-
-    low_pass: np.ndarray
-    high_pass: np.ndarray
-    vanishing_moments: int
-
-    def __post_init__(self):
-        self.low_pass = np.asarray(self.low_pass, dtype=float)
-        self.high_pass = np.asarray(self.high_pass, dtype=float)
-        self.vanishing_moments = int(self.vanishing_moments)
-        _validate_filters(self.low_pass, self.high_pass, self.vanishing_moments)
-
-    @classmethod
-    def from_low_pass(cls, low_pass, vanishing_moments: int) -> "WaveletBasis":
-        """Build a basis from a scaling filter via the alternating flip."""
-        h = np.asarray(low_pass, dtype=float)
-        g = ((-1.0) ** np.arange(h.size)) * h[::-1]
-        return cls(h, g, vanishing_moments)
-
-    @classmethod
-    def daubechies4(cls) -> "WaveletBasis":
-        """The 4-tap Daubechies basis with two vanishing moments."""
-        return cls.from_low_pass(_DB4_LOW_PASS, vanishing_moments=2)
-
-
-def _validate_filters(h: np.ndarray, g: np.ndarray, n_moments: int) -> None:
-    if h.ndim != 1 or g.ndim != 1 or h.size != g.size:
-        raise ValueError("low-pass and high-pass filters must be equal-length vectors")
-    if h.size < 2 or h.size % 2 != 0:
-        raise ValueError("filter length must be a positive even number")
-    if n_moments < 1:
-        raise ValueError("vanishing_moments must be >= 1")
-    if abs(np.dot(h, h) - 1.0) > 1e-10:
-        raise ValueError("low-pass filter is not unit-norm")
-    for m in range(1, h.size // 2):
-        if abs(np.dot(h[: h.size - 2 * m], h[2 * m:])) > 1e-10:
-            raise ValueError("low-pass filter violates shift orthogonality")
-    expected_g = ((-1.0) ** np.arange(h.size)) * h[::-1]
-    if np.max(np.abs(g - expected_g)) > 1e-10:
-        raise ValueError("high-pass filter is not the alternating flip of the low-pass")
-    k = np.arange(h.size, dtype=float)
-    for n in range(n_moments):
-        if abs(np.dot(k**n, g)) > 1e-8:
-            raise ValueError(f"high-pass filter fails the order-{n} moment condition")
 
 
 @dataclass
@@ -214,19 +161,19 @@ def load_pyramid(path) -> WaveletPyramid:
         return WaveletPyramid.from_dict(json.load(fh))
 
 
-def _analysis_step(approx: np.ndarray, basis: WaveletBasis):
+def _analysis_step(approx: np.ndarray):
     """One periodic filter-bank split; keeps even-indexed outputs."""
     n = approx.size
     low = np.zeros(n // 2)
     high = np.zeros(n // 2)
-    for m, (hm, gm) in enumerate(zip(basis.low_pass, basis.high_pass)):
+    for m, (hm, gm) in enumerate(zip(_DB4_LOW_PASS, _DB4_HIGH_PASS)):
         shifted = np.roll(approx, -m)[::2]
         low += hm * shifted
         high += gm * shifted
     return low, high
 
 
-def _synthesis_step(low: np.ndarray, high: np.ndarray, basis: WaveletBasis):
+def _synthesis_step(low: np.ndarray, high: np.ndarray):
     """Adjoint of :func:`_analysis_step`; exact inverse by orthonormality."""
     n = 2 * low.size
     up_low = np.zeros(n)
@@ -234,23 +181,21 @@ def _synthesis_step(low: np.ndarray, high: np.ndarray, basis: WaveletBasis):
     up_low[::2] = low
     up_high[::2] = high
     out = np.zeros(n)
-    for m, (hm, gm) in enumerate(zip(basis.low_pass, basis.high_pass)):
+    for m, (hm, gm) in enumerate(zip(_DB4_LOW_PASS, _DB4_HIGH_PASS)):
         out += hm * np.roll(up_low, m) + gm * np.roll(up_high, m)
     return out
 
 
-def dwt_forward(series: TimeSeries, basis: WaveletBasis | None = None) -> WaveletPyramid:
+def dwt_forward(series: TimeSeries) -> WaveletPyramid:
     """Full periodic wavelet decomposition of a power-of-two series.
 
     Returns an unrescaled pyramid whose coefficients conserve the input
     energy (Parseval) and which :func:`dwt_inverse` maps back to the input.
     """
-    if basis is None:
-        basis = WaveletBasis.daubechies4()
     approx = series.values.copy()
     details = []  # finest level first
     while approx.size > 1:
-        approx, det = _analysis_step(approx, basis)
+        approx, det = _analysis_step(approx)
         details.append(det)
     root_detail = float(details[-1][0]) if details else 0.0
     layers = details[:-1][::-1]  # coarse (layer 1) to fine (layer depth)
@@ -263,22 +208,18 @@ def dwt_forward(series: TimeSeries, basis: WaveletBasis | None = None) -> Wavele
     )
 
 
-def dwt_inverse(pyramid: WaveletPyramid, basis: WaveletBasis | None = None) -> TimeSeries:
+def dwt_inverse(pyramid: WaveletPyramid) -> TimeSeries:
     """Reconstruct the series a pyramid expands.
 
     Rescaled pyramids are accepted; the ``2**(j/2)`` factor is removed
     internally before synthesis and the input is left untouched.
     """
-    if basis is None:
-        basis = WaveletBasis.daubechies4()
     working = pyramid
     if pyramid.rescaled:
         working = rescale(pyramid, "to_raw")
-    approx = _synthesis_step(
-        np.array([working.root_approx]), np.array([working.root_detail]), basis
-    )
+    approx = _synthesis_step(np.array([working.root_approx]), np.array([working.root_detail]))
     for layer in working.layers:
-        approx = _synthesis_step(approx, layer, basis)
+        approx = _synthesis_step(approx, layer)
     return TimeSeries(approx)
 
 

@@ -44,8 +44,15 @@ __all__ = [
     "multiplier_correlations",
     "collapse_H",
     "estimate_variances",
-    "variance_table_rows",
 ]
+
+# Parents below this fraction of their layer's spread are masked.
+_ZERO_TOL = 1e-6
+# A correlation row needs at least this many valid factor pairs.
+_MIN_PAIRS = 30
+# Variance fits bin parents by 0.2 h_j and keep bins of >= 100 children.
+_BIN_WIDTH = 0.2
+_MIN_COUNT = 100
 
 
 @dataclass
@@ -225,11 +232,11 @@ def _layer_spread(values: np.ndarray) -> float:
     return float(values.std()) if values.size > 1 else float(abs(values[0]))
 
 
-def extract_multipliers(pyramid: WaveletPyramid, zero_tol: float = 1e-6) -> MultiplierSet:
+def extract_multipliers(pyramid: WaveletPyramid) -> MultiplierSet:
     """Backward child/parent ratios for every layer transition.
 
     Requires a rescaled pyramid.  Parents with magnitude below
-    ``zero_tol * h_j`` (and exact zeros) are masked rather than producing
+    ``1e-6 * h_j`` (and exact zeros) are masked rather than producing
     infinities.
     """
     if not pyramid.rescaled:
@@ -238,7 +245,7 @@ def extract_multipliers(pyramid: WaveletPyramid, zero_tol: float = 1e-6) -> Mult
     for j in range(pyramid.depth):
         parents = _layer_values(pyramid, j)
         children = pyramid.layer(j + 1)
-        threshold = zero_tol * _layer_spread(parents)
+        threshold = _ZERO_TOL * _layer_spread(parents)
         valid = np.abs(parents) > threshold
         left = np.full(parents.size, np.nan)
         right = np.full(parents.size, np.nan)
@@ -271,11 +278,11 @@ class MultiplierCorrelations:
     with its two outgoing factors.  Layers with too few valid pairs, or
     with constant factors, are omitted with a warning.
 
-    By default the correlation is computed between log magnitudes.  The
-    raw ratios have Cauchy-like tails, so their sample Pearson coefficient
-    is dominated by a handful of extreme pairs and carries no stable
-    signal; the log-magnitude coefficient is the statistic that exposes
-    the dependence between neighbouring hierarchy levels.
+    The correlation is computed between log magnitudes.  The raw ratios
+    have Cauchy-like tails, so their sample Pearson coefficient is
+    dominated by a handful of extreme pairs and carries no stable signal;
+    the log-magnitude coefficient is the statistic that exposes the
+    dependence between neighbouring hierarchy levels.
     """
 
     successive: list
@@ -289,17 +296,16 @@ def _interleave(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _correlation_row(x, y, valid, layer: int, min_pairs: int, label: str, log_mag: bool):
-    if log_mag:
-        # log of a zero magnitude is -inf; treat such pairs as masked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.log(np.abs(x))
-            y = np.log(np.abs(y))
-        valid = valid & np.isfinite(x) & np.isfinite(y)
+def _correlation_row(x, y, valid, layer: int, label: str):
+    # log of a zero magnitude is -inf; treat such pairs as masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log(np.abs(x))
+        y = np.log(np.abs(y))
+    valid = valid & np.isfinite(x) & np.isfinite(y)
     n = int(np.count_nonzero(valid))
-    if n < min_pairs:
+    if n < _MIN_PAIRS:
         warnings.warn(
-            f"{label} at layer {layer}: only {n} valid pairs (< {min_pairs}); omitted",
+            f"{label} at layer {layer}: only {n} valid pairs (< {_MIN_PAIRS}); omitted",
             stacklevel=3,
         )
         return None
@@ -314,12 +320,7 @@ def _correlation_row(x, y, valid, layer: int, min_pairs: int, label: str, log_ma
     return CorrelationRow(layer=layer, r=r, n_pairs=n)
 
 
-def multiplier_correlations(
-    ms: MultiplierSet,
-    pyramid: WaveletPyramid,
-    min_pairs: int = 30,
-    log_magnitudes: bool = True,
-) -> MultiplierCorrelations:
+def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> MultiplierCorrelations:
     if len(ms.transitions) < 2:
         raise ValueError("need at least 2 layer transitions")
     successive = []
@@ -331,13 +332,7 @@ def multiplier_correlations(
         # Parent coefficient against each outgoing factor.
         parents = _layer_values(pyramid, j)
         row = _correlation_row(
-            np.concatenate([parents, parents]),
-            out_x2,
-            out_valid2,
-            j,
-            min_pairs,
-            "parent-vs-factor",
-            log_magnitudes,
+            np.concatenate([parents, parents]), out_x2, out_valid2, j, "parent-vs-factor"
         )
         if row is not None:
             parent_vs.append(row)
@@ -352,9 +347,7 @@ def multiplier_correlations(
             out_x2,
             np.concatenate([in_valid & outgoing.valid, in_valid & outgoing.valid]),
             j,
-            min_pairs,
             "successive-factor",
-            log_magnitudes,
         )
         if row is not None:
             successive.append(row)
@@ -464,23 +457,6 @@ class TransitionVarianceFit:
         self.n_bins = int(self.n_bins)
         self.clamped = bool(self.clamped)
 
-    def to_dict(self) -> dict:
-        return {
-            "parent_layer": self.parent_layer,
-            "side": self.side,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr_slope": self.stderr_slope,
-            "stderr_intercept": self.stderr_intercept,
-            "adj_r2": self.adj_r2,
-            "var_w": self.var_w,
-            "var_eta": self.var_eta,
-            "clamped": self.clamped,
-            "ratio_sq": self.ratio_sq,
-            "identity_residual": self.identity_residual,
-            "n_bins": self.n_bins,
-        }
-
 
 def _zero_variance_row(j: int, side: str, ratio_sq: float) -> TransitionVarianceFit:
     return TransitionVarianceFit(
@@ -500,17 +476,12 @@ def _zero_variance_row(j: int, side: str, ratio_sq: float) -> TransitionVariance
     )
 
 
-def estimate_variances(
-    pyramid: WaveletPyramid,
-    bin_width: float = 0.2,
-    min_count: int = 100,
-    min_layer_size: int = 256,
-) -> list:
+def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> list:
     """Per-transition, per-side variance decomposition fits.
 
-    Parents are binned with width ``bin_width * h_j``; bins holding at
-    least ``min_count`` children enter an ordinary least squares fit of the
-    conditional variance against the squared bin center.  Transitions whose
+    Parents are binned with width ``0.2 * h_j``; bins holding at least 100
+    children enter an ordinary least squares fit of the conditional
+    variance against the squared bin center.  Transitions whose
     parent layer is smaller than ``min_layer_size``, or with fewer than 3
     usable bins, are omitted (with a warning), except that an exactly
     deterministic transition reports zero variances directly.
@@ -545,7 +516,7 @@ def estimate_variances(
                 # transition in the message
                 warnings.simplefilter("ignore", UserWarning)
                 table = binned_conditional_variance(
-                    parents, kids, bin_width * h_j, min_count
+                    parents, kids, _BIN_WIDTH * h_j, _MIN_COUNT
                 )
             inc = table.included
             if int(np.count_nonzero(inc)) < 3:
@@ -578,24 +549,4 @@ def estimate_variances(
                     n_bins=int(np.count_nonzero(inc)),
                 )
             )
-    return rows
-
-
-def variance_table_rows(fits: list) -> list:
-    """Publication-style table rows for a list of transition fits."""
-    rows = []
-    for f in fits:
-        rows.append(
-            {
-                "Scale": f.parent_layer,
-                "side": f.side,
-                "a": f.slope,
-                "b": f.intercept,
-                "Std a": f.stderr_slope,
-                "Std b": f.stderr_intercept,
-                "Adj R2": f.adj_r2,
-                "Var(W)": f.var_w,
-                "Var(eta)": f.var_eta,
-            }
-        )
     return rows

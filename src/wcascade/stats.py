@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "HistogramSpec",
     "FitResult",
     "RegressionResult",
     "BinnedVariance",
@@ -32,34 +31,15 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass
-class HistogramSpec:
-    """Equal-width binning over the central ``coverage`` quantile range.
-
-    Explicit ``limits`` override the quantile rule.
-    """
-
-    n_bins: int = 101
-    coverage: float = 0.99
-    limits: tuple | None = None
-
-    def edges(self, samples: np.ndarray) -> np.ndarray:
-        if self.limits is not None:
-            lo, hi = self.limits
-        else:
-            tail = (1.0 - self.coverage) / 2.0
-            lo, hi = np.quantile(samples, [tail, 1.0 - tail])
-        if not hi > lo:
-            raise ValueError("histogram range is degenerate")
-        return np.linspace(lo, hi, self.n_bins + 1)
+# Scale fits bin the central 99% of the samples into 101 equal bins.
+_HIST_BINS = 101
+_HIST_TAIL = (1.0 - 0.99) / 2.0
 
 
 @dataclass
 class FitResult:
     family: str
     scale: float
-    location: float
     goodness: float  # sum of squared density residuals
 
 
@@ -135,7 +115,7 @@ _FAMILIES = {
 }
 
 
-def _fit_scale(samples, bins: HistogramSpec | None, family: str) -> FitResult:
+def _fit_scale(samples, family: str) -> FitResult:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 100:
         raise ValueError(f"scale fit needs >= 100 samples, got {samples.size}")
@@ -147,8 +127,10 @@ def _fit_scale(samples, bins: HistogramSpec | None, family: str) -> FitResult:
     iqr = q75 - q25
     if not iqr > 0:
         raise ValueError("interquartile range is zero; samples too concentrated")
-    bins = bins or HistogramSpec()
-    edges = bins.edges(samples)
+    lo, hi = np.quantile(samples, [_HIST_TAIL, 1.0 - _HIST_TAIL])
+    if not hi > lo:
+        raise ValueError("histogram range is degenerate")
+    edges = np.linspace(lo, hi, _HIST_BINS + 1)
     width = edges[1] - edges[0]
     counts, _ = np.histogram(samples, bins=edges)
     density = counts / (samples.size * width)
@@ -159,22 +141,22 @@ def _fit_scale(samples, bins: HistogramSpec | None, family: str) -> FitResult:
         return float(np.sum((density - model) ** 2))
 
     scale, goodness = _golden_section(sse, 1e-3 * iqr, 10.0 * iqr)
-    return FitResult(family=family, scale=scale, location=0.0, goodness=goodness)
+    return FitResult(family=family, scale=scale, goodness=goodness)
 
 
-def fit_cauchy(samples, bins: HistogramSpec | None = None) -> FitResult:
+def fit_cauchy(samples) -> FitResult:
     """Least-squares Cauchy scale against the sample histogram density."""
-    return _fit_scale(samples, bins, "cauchy")
+    return _fit_scale(samples, "cauchy")
 
 
-def fit_student_t2(samples, bins: HistogramSpec | None = None) -> FitResult:
+def fit_student_t2(samples) -> FitResult:
     """Least-squares scale of the two-degrees-of-freedom Student density."""
-    return _fit_scale(samples, bins, "student_t2")
+    return _fit_scale(samples, "student_t2")
 
 
-def fit_normal(samples, bins: HistogramSpec | None = None) -> FitResult:
+def fit_normal(samples) -> FitResult:
     """Least-squares scale of the centered normal density."""
-    return _fit_scale(samples, bins, "normal")
+    return _fit_scale(samples, "normal")
 
 
 def ols(x, y) -> RegressionResult:

@@ -34,7 +34,6 @@ from wcascade.dwt import TimeSeries
 from wcascade.stats import ols
 
 __all__ = [
-    "AnalyzingWavelet",
     "CwtMatrix",
     "MaximaLine",
     "PartitionFunction",
@@ -59,6 +58,15 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# Analyzing wavelet: second derivative of the Gaussian (two vanishing moments).
+_WAVELET_ORDER = 2
+# Finest scale of the grid, in samples; the coarsest is an eighth of the series.
+_MIN_SCALE = 4.0
+# Maxima below this fraction of a row's largest modulus are FFT roundoff.
+_NOISE_FLOOR = 1e-13
+# Largest move of a ridge line to the next row, as a fraction of its scale.
+_LINK_FACTOR = 0.5
+
 
 def gaussian_derivative_wavelet(order: int, x):
     """N-th derivative of exp(-x^2/2).
@@ -76,20 +84,6 @@ def gaussian_derivative_wavelet(order: int, x):
     sign = -1.0 if order % 2 else 1.0
     out = sign * he * np.exp(-0.5 * x * x)
     return out if out.ndim else float(out)
-
-
-@dataclass
-class AnalyzingWavelet:
-    """Gaussian-derivative analyzing wavelet of a given derivative order."""
-
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("wavelet order must be >= 1")
-
-    def __call__(self, x):
-        return gaussian_derivative_wavelet(self.order, x)
 
 
 @dataclass
@@ -136,26 +130,21 @@ class MaximaLine:
         return self.positions.size
 
 
-def default_scale_grid(
-    length: int,
-    voices_per_octave: int = 8,
-    min_scale: float = 4.0,
-    max_scale: float | None = None,
-) -> np.ndarray:
-    """Geometric scale grid with a fixed number of voices per octave."""
-    if max_scale is None:
-        max_scale = length / 8.0
-    if not 0 < min_scale < max_scale:
-        raise ValueError("need 0 < min_scale < max_scale")
-    n = int(math.floor(voices_per_octave * math.log2(max_scale / min_scale))) + 1
-    grid = min_scale * 2.0 ** (np.arange(n) / voices_per_octave)
+def default_scale_grid(length: int, voices_per_octave: int = 8) -> np.ndarray:
+    """Geometric scale grid from 4 samples to ``length / 8``."""
+    max_scale = length / 8.0
+    if not _MIN_SCALE < max_scale:
+        raise ValueError(f"series of length {length} is too short for a scale grid")
+    n = int(math.floor(voices_per_octave * math.log2(max_scale / _MIN_SCALE))) + 1
+    grid = _MIN_SCALE * 2.0 ** (np.arange(n) / voices_per_octave)
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
-def cwt(series: TimeSeries, wavelet: AnalyzingWavelet, scale_grid) -> CwtMatrix:
+def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
     """Continuous wavelet transform with periodic wrap and 1/s normalization.
 
-    ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)``, evaluated for every
+    ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the
+    ``order``-th Gaussian derivative, evaluated for every
     sample position by FFT cross-correlation.  Scales must lie in
     ``[2, L/4]`` where the discretized wavelet is well sampled and not yet
     wrap-dominated.
@@ -172,7 +161,7 @@ def cwt(series: TimeSeries, wavelet: AnalyzingWavelet, scale_grid) -> CwtMatrix:
     spectrum = np.fft.rfft(x)
     rows = np.empty((scale_grid.size, n))
     for i, s in enumerate(scale_grid):
-        kernel = wavelet(offsets / s) / s
+        kernel = gaussian_derivative_wavelet(order, offsets / s) / s
         reversed_kernel = np.roll(kernel[::-1], 1)  # k[(-m) mod n]
         rows[i] = np.fft.irfft(spectrum * np.fft.rfft(reversed_kernel), n=n)
     return CwtMatrix(scales=scale_grid, values=rows)
@@ -199,19 +188,19 @@ def _local_maxima_circular(m: np.ndarray) -> np.ndarray:
     return np.sort(change[keep])
 
 
-def find_modulus_maxima(matrix: CwtMatrix, noise_floor: float = 1e-13) -> list:
+def find_modulus_maxima(matrix: CwtMatrix) -> list:
     """Per-scale position arrays of the local maxima of ``|W(x, s)|``.
 
-    Maxima below ``noise_floor`` times the row's largest modulus are
-    discarded: they are FFT roundoff ripple on regions where the transform
-    vanishes identically, far below any genuine singularity response.
+    Maxima below 1e-13 times the row's largest modulus are discarded: they
+    are FFT roundoff ripple on regions where the transform vanishes
+    identically, far below any genuine singularity response.
     """
     out = []
     for row in matrix.values:
         m = np.abs(row)
         idx = _local_maxima_circular(m)
         if idx.size:
-            idx = idx[m[idx] > noise_floor * m.max()]
+            idx = idx[m[idx] > _NOISE_FLOOR * m.max()]
         out.append(idx)
     return out
 
@@ -221,25 +210,22 @@ def _circular_distance(a, b, n):
     return np.minimum(d, n - d)
 
 
-def chain_maxima_lines(maxima: list, matrix: CwtMatrix, link_factor: float = 0.5) -> list:
+def chain_maxima_lines(maxima: list, matrix: CwtMatrix) -> list:
     """Link per-scale maxima into ridge lines from fine to coarse scales.
 
     Greedy nearest-neighbour matching between the heads of live lines and
     the maxima of the next scale; the admissible move to the scale ``s``
-    row is ``|dx| <= max(1, link_factor * s)`` in circular distance.  The
-    default factor of half a scale accommodates the drift of real ridge
-    lines (which live in cones ``|x - x0| ~ s``) while staying below the
-    typical maxima spacing, so unrelated ridges are not glued together.  A
-    line that finds no continuation is closed and kept; maxima that appear
-    first at a coarser scale can never satisfy completeness and are
-    dropped.
+    row is ``|dx| <= max(1, s / 2)`` in circular distance.  Half a scale
+    accommodates the drift of real ridge lines (which live in cones
+    ``|x - x0| ~ s``) while staying below the typical maxima spacing, so
+    unrelated ridges are not glued together.  A line that finds no
+    continuation is closed and kept; maxima that appear first at a coarser
+    scale can never satisfy completeness and are dropped.
     """
     n = matrix.length
     scales = matrix.scales
     if len(maxima) != scales.size:
         raise ValueError("need one maxima list per scale")
-    if not link_factor > 0:
-        raise ValueError("link_factor must be positive")
     seeds = np.asarray(maxima[0], dtype=np.int64)
     line_positions = [[int(p)] for p in seeds]
     line_moduli = [[float(abs(matrix.values[0, p]))] for p in seeds]
@@ -252,7 +238,7 @@ def chain_maxima_lines(maxima: list, matrix: CwtMatrix, link_factor: float = 0.5
         if cands.size == 0:
             alive = np.empty(0, dtype=np.int64)
             break
-        radius = max(1.0, link_factor * scales[i])
+        radius = max(1.0, _LINK_FACTOR * scales[i])
         head_pos = heads
         idx = np.searchsorted(cands, head_pos)
         neighbor = np.stack([(idx - 1) % cands.size, idx % cands.size])
@@ -468,31 +454,21 @@ def legendre_spectrum(tau_est: TauEstimate) -> SingularSpectrum:
 class WtmmConfig:
     """Grids and fit window for the end-to-end spectrum estimate."""
 
-    wavelet_order: int = 2
     voices_per_octave: int = 8
-    min_scale: float = 4.0
-    max_scale: float | None = None  # defaults to L/8
     # The finest voice carries discretization bias that inflates negative
     # moments, so the default fit window starts one octave up.
-    fit_min_scale: float | None = None  # defaults to max(8, min_scale)
-    fit_max_scale: float | None = None  # defaults to min(1024, max_scale)
+    fit_min_scale: float | None = None  # defaults to 8 samples
+    fit_max_scale: float | None = None  # defaults to min(1024, L/8)
     q_min: float = -5.0
     q_max: float = 5.0
     n_q: int = 41
 
     def scale_grid(self, length: int) -> np.ndarray:
-        return default_scale_grid(
-            length, self.voices_per_octave, self.min_scale, self.max_scale
-        )
+        return default_scale_grid(length, self.voices_per_octave)
 
     def fit_window(self, length: int) -> tuple:
-        max_scale = self.max_scale if self.max_scale is not None else length / 8.0
-        lo = (
-            self.fit_min_scale
-            if self.fit_min_scale is not None
-            else max(8.0, self.min_scale)
-        )
-        hi = self.fit_max_scale if self.fit_max_scale is not None else min(1024.0, max_scale)
+        lo = self.fit_min_scale if self.fit_min_scale is not None else 2.0 * _MIN_SCALE
+        hi = self.fit_max_scale if self.fit_max_scale is not None else min(1024.0, length / 8.0)
         return (lo, hi)
 
     def q_grid(self) -> np.ndarray:
@@ -506,7 +482,7 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
         raise ValueError(
             f"series too short for spectrum estimation: {series.length} < 1024"
         )
-    matrix = cwt(series, AnalyzingWavelet(config.wavelet_order), config.scale_grid(series.length))
+    matrix = cwt(series, _WAVELET_ORDER, config.scale_grid(series.length))
     maxima = find_modulus_maxima(matrix)
     lines = chain_maxima_lines(maxima, matrix)
     pf = partition_function(lines, config.q_grid(), matrix.scales)

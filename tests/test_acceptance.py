@@ -17,7 +17,6 @@ from wcascade.cascade import (
     PointMass,
     SignedLognormal,
     synthesize_mixed,
-    synthesize_wcascade,
     theoretical_tau_lognormal,
 )
 from wcascade.cli import main as cli_main
@@ -104,7 +103,7 @@ def test_criterion_02_vanishing_moments_on_ramp():
 def test_criterion_03_monofractal_control():
     start = time.perf_counter()
     spec = CascadeSpec(depth=15, multiplier_law=PointMass(2.0**-0.5), seed=11)
-    series = dwt_inverse(synthesize_wcascade(spec))
+    series = dwt_inverse(synthesize_mixed(spec))
     spectrum = singular_spectrum(series)
     elapsed = time.perf_counter() - start
     q = spectrum.q_grid
@@ -130,7 +129,7 @@ def test_criterion_04_lognormal_cascade_vs_closed_form():
             multiplier_law=SignedLognormal(REF_MEAN_LOG, REF_VAR_LOG),
             seed=seed,
         )
-        spectrum = singular_spectrum(dwt_inverse(synthesize_wcascade(spec)))
+        spectrum = singular_spectrum(dwt_inverse(synthesize_mixed(spec)))
         taus.append(spectrum.tau)
         stderrs.append(spectrum.tau_stderr)
         q = spectrum.q_grid
@@ -197,7 +196,7 @@ def test_criterion_07_variance_estimator_recovery(calibrated_mixed_pyramid):
 
 
 def test_criterion_08_correlation_signs(calibrated_mixed_pyramid, reference_mixed):
-    pure = synthesize_wcascade(
+    pure = synthesize_mixed(
         CascadeSpec(depth=16, multiplier_law=CALIBRATED_W, seed=7)
     )
     corr_pure = multiplier_correlations(extract_multipliers(pure), pure)
@@ -237,7 +236,7 @@ def test_criterion_10_collapse_estimator():
         dwt_forward(TimeSeries(np.cumsum(rng.normal(size=2**16)))), "to_rescaled"
     )
     h_brownian = collapse_H(brownian, H_GRID).h
-    mono = synthesize_wcascade(
+    mono = synthesize_mixed(
         CascadeSpec(depth=14, multiplier_law=PointMass(2.0**-0.3), seed=41)
     )
     h_mono = collapse_H(mono, H_GRID).h

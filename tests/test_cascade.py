@@ -12,9 +12,8 @@ from wcascade.cascade import (
     NormalNoise,
     PointMass,
     SignedLognormal,
-    ZeroNoise,
+    additive_law_from_dict,
     synthesize_mixed,
-    synthesize_wcascade,
     theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
@@ -35,7 +34,7 @@ def pyramids_equal(a, b):
 
 def test_point_mass_unit_magnitudes():
     spec = CascadeSpec(depth=8, multiplier_law=PointMass(1.0), seed=4)
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     for j in range(1, 9):
         assert np.allclose(np.abs(pyramid.layer(j)), 1.0)
     assert pyramid.rescaled
@@ -43,30 +42,30 @@ def test_point_mass_unit_magnitudes():
 
 def test_same_seed_bit_identical():
     law = SignedLognormal.from_log2(-0.33, 0.02)
-    a = synthesize_wcascade(CascadeSpec(depth=10, multiplier_law=law, seed=99))
-    b = synthesize_wcascade(CascadeSpec(depth=10, multiplier_law=law, seed=99))
+    a = synthesize_mixed(CascadeSpec(depth=10, multiplier_law=law, seed=99))
+    b = synthesize_mixed(CascadeSpec(depth=10, multiplier_law=law, seed=99))
     assert pyramids_equal(a, b)
-    c = synthesize_wcascade(CascadeSpec(depth=10, multiplier_law=law, seed=100))
+    c = synthesize_mixed(CascadeSpec(depth=10, multiplier_law=law, seed=100))
     assert not pyramids_equal(a, c)
 
 
 def test_null_noise_reproduces_pure_stream():
+    # a zero-variance noise law draws nothing, so the Philox stream holds
+    # only the factor blocks (magnitudes, then signs) of child = W * parent
     law = SignedLognormal.from_log2(-0.33, 0.02)
-    pure = synthesize_wcascade(CascadeSpec(depth=10, multiplier_law=law, seed=7))
-    for noise in (ZeroNoise(), NormalNoise(0.0)):
-        mixed = synthesize_mixed(
-            CascadeSpec(depth=10, multiplier_law=law, additive_law=noise, seed=7)
-        )
-        assert pyramids_equal(pure, mixed)
-
-
-def test_pure_cascade_rejects_noise():
-    spec = CascadeSpec(
-        depth=4, multiplier_law=PointMass(1.0), additive_law=NormalNoise(0.1), seed=0
-    )
-    with pytest.raises(ValueError):
-        synthesize_wcascade(spec)
-    synthesize_mixed(spec)  # fine
+    rng = np.random.Generator(np.random.Philox(key=7))
+    parents = np.array([1.0])
+    pure = []
+    for _ in range(10):
+        n = 2 * parents.size
+        w = np.exp(rng.normal(law.mean_log, math.sqrt(law.var_log), n))
+        w *= rng.integers(0, 2, n) * 2.0 - 1.0
+        parents = w * np.repeat(parents, 2)
+        pure.append(parents)
+    for extra in ({}, {"additive_law": NormalNoise(0.0)},
+                  {"additive_law": additive_law_from_dict({"kind": "zero"})}):
+        mixed = synthesize_mixed(CascadeSpec(depth=10, multiplier_law=law, seed=7, **extra))
+        assert all(np.array_equal(a, b) for a, b in zip(pure, mixed.layers))
 
 
 def test_depth_validation():
@@ -83,7 +82,7 @@ def test_lognormal_log2_descent_rate():
     law = SignedLognormal.from_log2(mean_log2, var_log2)
     means = []
     for seed in range(reps):
-        pyramid = synthesize_wcascade(
+        pyramid = synthesize_mixed(
             CascadeSpec(depth=depth, multiplier_law=law, seed=seed)
         )
         means.append(np.log2(np.abs(pyramid.layer(depth))).mean())
@@ -95,7 +94,7 @@ def test_lognormal_log2_descent_rate():
 def test_point_mass_descent_exact_in_magnitude():
     h_c = 0.3
     spec = CascadeSpec(depth=12, multiplier_law=PointMass(2.0**-h_c), seed=13)
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     for j in range(6, 12):
         mean_ratio = np.abs(pyramid.layer(j)).mean() / np.abs(pyramid.layer(j + 1)).mean()
         assert abs(math.log2(mean_ratio) - h_c) < 1e-12
@@ -122,19 +121,24 @@ def test_mixed_layer_variance_ratio():
 
 def test_cauchy_factor_synthesis_runs():
     spec = CascadeSpec(depth=8, multiplier_law=CauchyFactor(0.6), seed=3)
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     assert np.all(np.isfinite(pyramid.layer(8)))
 
 
 def test_returned_draws_match_recursion():
+    # rebuild each layer from the Philox stream: factor block, then noise block
     law = FoldedLognormal.from_log2(-0.33, 0.02)
     spec = CascadeSpec(
         depth=6, multiplier_law=law, additive_law=NormalNoise(0.09), seed=44
     )
-    pyramid, draws = synthesize_mixed(spec, return_draws=True)
+    pyramid = synthesize_mixed(spec)
+    rng = np.random.Generator(np.random.Philox(key=44))
     parents = np.array([spec.root_detail])
     h = abs(spec.root_detail)
-    for j, (w, eta) in enumerate(draws, start=1):
+    for j in range(1, 7):
+        n = 2 * parents.size
+        w = np.exp(rng.normal(law.mean_log, math.sqrt(law.var_log), n))
+        eta = rng.normal(0.0, math.sqrt(0.09), n)
         children = w * np.repeat(parents, 2) + eta * h
         assert np.array_equal(children, pyramid.layer(j))
         parents = children
@@ -203,7 +207,17 @@ def test_spec_serialization_round_trip():
         root_approx=-1.0,
         seed=1234,
     )
-    again = CascadeSpec.from_dict(spec.to_dict())
+    again = CascadeSpec.from_dict(
+        {
+            "depth": 9,
+            "multiplier_law": {"kind": "folded_lognormal", "mean_log2": -0.33, "var_log2": 0.02},
+            "additive_law": {"kind": "normal", "variance": 0.09},
+            "root_detail": 2.0,
+            "root_approx": -1.0,
+            "seed": 1234,
+        }
+    )
+    assert again == spec
     assert pyramids_equal(synthesize_mixed(spec), synthesize_mixed(again))
 
 

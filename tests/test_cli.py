@@ -378,6 +378,11 @@ CONTRACT_CASES = {
                    "--q-range=bad"],
         2, "--q-range",
     ),
+    # a 1,024-point path: no transition has 3 bins of 100 children
+    "pipeline-no-variance-fit": (
+        lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=9))],
+        4, "no transition had enough data",
+    ),
 }
 
 
@@ -388,6 +393,7 @@ def test_bad_input_exit_code_without_traceback(tmp_path, case):
     proc = run_cli(*make_argv(tmp_path), "--out", str(out))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # numpy overflow is not leaked
     errors = [line for line in proc.stderr.splitlines() if "error" in line]
     assert len(errors) == 1 and fragment in errors[0], proc.stderr
     assert not out.exists()  # flags and inputs are refused before any artifact

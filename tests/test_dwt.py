@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from wcascade.dwt import (
+    _DB4_HIGH_PASS,
+    _DB4_LOW_PASS,
     TimeSeries,
-    WaveletBasis,
     WaveletPyramid,
     dwt_forward,
     dwt_inverse,
@@ -17,7 +18,7 @@ from wcascade.dwt import (
 )
 
 
-def analysis_matrix(length, basis):
+def analysis_matrix(length):
     """Dense orthonormal analysis matrix built level by level.
 
     Row order matches the pyramid flattening used by `flatten_pyramid`:
@@ -25,7 +26,7 @@ def analysis_matrix(length, basis):
     explicit periodic filter matrices and matrix products, independently of
     the pyramid filtering code.
     """
-    h, g = basis.low_pass, basis.high_pass
+    h, g = _DB4_LOW_PASS, _DB4_HIGH_PASS
     approx_rows = np.eye(length)
     detail_blocks = []
     while approx_rows.shape[0] > 1:
@@ -84,19 +85,17 @@ def test_linear_ramp_interior_details_vanish():
 
 
 def test_forward_matches_matrix_oracle():
-    basis = WaveletBasis.daubechies4()
     length = 1024
     rng = np.random.default_rng(7)
     x = rng.normal(size=length)
-    oracle = analysis_matrix(length, basis) @ x
-    mine = flatten_pyramid(dwt_forward(TimeSeries(x), basis))
+    oracle = analysis_matrix(length) @ x
+    mine = flatten_pyramid(dwt_forward(TimeSeries(x)))
     assert np.max(np.abs(mine - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
 def test_inverse_matches_matrix_oracle_column():
-    basis = WaveletBasis.daubechies4()
     length = 64
-    matrix = analysis_matrix(length, basis)
+    matrix = analysis_matrix(length)
     # unit detail at layer 1, position 0: third flattened coefficient
     p = WaveletPyramid(
         depth=5,
@@ -105,7 +104,7 @@ def test_inverse_matches_matrix_oracle_column():
         layers=[np.array([1.0, 0.0])] + [np.zeros(2 ** (j + 1)) for j in range(1, 5)],
         rescaled=False,
     )
-    series = dwt_inverse(p, basis)
+    series = dwt_inverse(p)
     assert np.max(np.abs(series.values - matrix.T[:, 2])) < 1e-12
 
 
@@ -145,19 +144,23 @@ def test_parseval(length):
     assert abs(np.sum(x**2) - energy) <= 1e-9 * np.sum(x**2)
 
 
-def test_haar_basis_round_trip():
-    basis = WaveletBasis.from_low_pass([1 / np.sqrt(2), 1 / np.sqrt(2)], 1)
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=128)
-    y = dwt_inverse(dwt_forward(TimeSeries(x), basis), basis)
-    assert np.max(np.abs(y.values - x)) < 1e-10
+def test_db4_filters_are_an_orthonormal_pair_with_two_vanishing_moments():
+    h, g = _DB4_LOW_PASS, _DB4_HIGH_PASS
+    assert abs(np.dot(h, h) - 1.0) <= 1e-10
+    assert abs(np.dot(h[:2], h[2:])) <= 1e-10  # orthogonal to its shift by 2
+    assert np.array_equal(g, [h[3], -h[2], h[1], -h[0]])  # alternating flip
+    k = np.arange(4.0)
+    assert abs(np.sum(g)) <= 1e-8 and abs(np.dot(k, g)) <= 1e-8
+    assert abs(np.dot(k**2, g)) > 0.1  # the moment of order 2 does not vanish
 
 
-def test_haar_annihilates_constants_only():
-    basis = WaveletBasis.from_low_pass([1 / np.sqrt(2), 1 / np.sqrt(2)], 1)
-    p = dwt_forward(TimeSeries(np.ones(16)), basis)
-    for layer in p.layers:
-        assert np.max(np.abs(layer)) < 1e-12
+def test_db4_annihilates_lines_but_not_parabolas():
+    length = 64
+    x = np.arange(length, dtype=float)
+    for poly, vanishes in ((np.full(length, 3.0), True), (x, True), (x**2, False)):
+        finest = dwt_forward(TimeSeries(poly)).layer(5)
+        interior = finest[: (length - 4) // 2 + 1]  # windows clear of the wrap
+        assert (np.max(np.abs(interior)) <= 1e-9 * np.max(poly)) == vanishes
 
 
 def test_rescale_layer_factor():
@@ -222,12 +225,6 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         WaveletPyramid(depth=2, root_approx=0, root_detail=0,
                        layers=[np.zeros(2), np.zeros(3)], rescaled=False)
-    with pytest.raises(ValueError):
-        WaveletBasis.from_low_pass([0.5, 0.5], 1)  # not unit norm
-    with pytest.raises(ValueError):
-        WaveletBasis(low_pass=[1 / np.sqrt(2), 1 / np.sqrt(2)],
-                     high_pass=[1 / np.sqrt(2), 1 / np.sqrt(2)],
-                     vanishing_moments=1)  # wrong mirror
 
 
 def test_scale_indexing():

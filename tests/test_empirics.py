@@ -1,5 +1,6 @@
 """Panel pipeline, factor extraction and layer diagnostics."""
 
+import json
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from wcascade.cascade import (
     PointMass,
     SignedLognormal,
     synthesize_mixed,
-    synthesize_wcascade,
 )
 from wcascade.dwt import TimeSeries, dwt_forward, rescale
 from wcascade.empirics import (
@@ -23,7 +23,6 @@ from wcascade.empirics import (
     estimate_variances,
     extract_multipliers,
     multiplier_correlations,
-    variance_table_rows,
 )
 from wcascade.stats import fit_normal, fit_student_t2
 
@@ -137,9 +136,14 @@ def test_extract_recovers_generator_draws():
     spec = CascadeSpec(
         depth=10, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=17
     )
-    pyramid, draws = synthesize_wcascade(spec, return_draws=True)
-    ms = extract_multipliers(pyramid)
-    for t, (w, _) in zip(ms.transitions, draws):
+    ms = extract_multipliers(synthesize_mixed(spec))
+    # the synthesis stream: one factor block per layer, magnitudes then signs
+    rng = np.random.Generator(np.random.Philox(key=17))
+    law = spec.multiplier_law
+    for t in ms.transitions:
+        n = 2 * t.left.size
+        w = np.exp(rng.normal(law.mean_log, math.sqrt(law.var_log), n))
+        w *= rng.integers(0, 2, n) * 2.0 - 1.0
         assert np.all(t.valid)
         assert np.max(np.abs(t.left - w[0::2])) < 1e-12
         assert np.max(np.abs(t.right - w[1::2])) < 1e-12
@@ -192,7 +196,7 @@ def test_pure_cascade_factor_correlations_vanish():
     spec = CascadeSpec(
         depth=14, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=23
     )
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     corr = multiplier_correlations(extract_multipliers(pyramid), pyramid)
     for row in corr.successive:
         if row.layer >= 12:
@@ -222,7 +226,7 @@ def test_deterministic_cascade_correlations_omitted():
     spec = CascadeSpec(
         depth=8, multiplier_law=PointMass(0.7, random_sign=False), seed=1
     )
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     with pytest.warns(UserWarning, match="constant factors"):
         corr = multiplier_correlations(extract_multipliers(pyramid), pyramid)
     assert corr.successive == []
@@ -230,7 +234,7 @@ def test_deterministic_cascade_correlations_omitted():
 
 def test_correlations_need_two_transitions():
     spec = CascadeSpec(depth=1, multiplier_law=PointMass(1.0), seed=1)
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     with pytest.raises(ValueError):
         multiplier_correlations(extract_multipliers(pyramid), pyramid)
 
@@ -247,13 +251,13 @@ def test_collapse_brownian_near_half():
 @pytest.mark.parametrize("h_c", [0.2, 0.3, 0.5])
 def test_collapse_recovers_monofractal_exponent(h_c):
     spec = CascadeSpec(depth=12, multiplier_law=PointMass(2.0**-h_c), seed=9)
-    result = collapse_H(synthesize_wcascade(spec), H_GRID)
+    result = collapse_H(synthesize_mixed(spec), H_GRID)
     assert abs(result.h - h_c) <= 0.05
 
 
 def test_collapse_boundary_flagged():
     spec = CascadeSpec(depth=10, multiplier_law=PointMass(2.0**-0.3), seed=9)
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     with pytest.warns(UserWarning, match="boundary"):
         result = collapse_H(pyramid, np.arange(0.45, 0.56, 0.01))
     assert result.boundary
@@ -261,7 +265,7 @@ def test_collapse_boundary_flagged():
 
 def test_collapse_needs_three_wide_layers():
     spec = CascadeSpec(depth=7, multiplier_law=PointMass(2.0**-0.3), seed=9)
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     with pytest.raises(ValueError):
         collapse_H(pyramid, H_GRID)  # layers of 64+ coefficients: only 6,7
 
@@ -296,7 +300,7 @@ def test_variance_pure_cascade_has_no_additive_part():
     spec = CascadeSpec(
         depth=14, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=8
     )
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     for f in estimate_variances(pyramid):
         if f.parent_layer >= 12:
             assert f.var_eta < 0.05
@@ -307,14 +311,16 @@ def test_variance_deterministic_cascade_is_zero():
     spec = CascadeSpec(
         depth=10, multiplier_law=PointMass(0.6, random_sign=False), seed=3
     )
-    pyramid = synthesize_wcascade(spec)
+    pyramid = synthesize_mixed(spec)
     fits = estimate_variances(pyramid)
     assert fits, "deterministic transitions should still be reported"
     for f in fits:
         assert f.var_w == 0.0 and f.var_eta == 0.0
 
 
-def test_variance_table_schema():
+def test_variance_table_schema(tmp_path):
+    from wcascade.cli import _write_variances
+
     var_log = 0.02 * LN2
     spec = CascadeSpec(
         depth=12,
@@ -322,7 +328,14 @@ def test_variance_table_schema():
         additive_law=NormalNoise(0.32),
         seed=2,
     )
-    rows = variance_table_rows(estimate_variances(synthesize_mixed(spec)))
-    assert rows
-    expected = ["Scale", "side", "a", "b", "Std a", "Std b", "Adj R2", "Var(W)", "Var(eta)"]
-    assert list(rows[0]) == expected
+    fits = estimate_variances(synthesize_mixed(spec))
+    assert fits
+    _write_variances(tmp_path, fits)
+    table = (tmp_path / "variance_table.csv").read_text().splitlines()
+    assert table[0] == "Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)"
+    assert table[1].split(",")[:2] == [str(fits[0].parent_layer), fits[0].side]
+    rows = json.loads((tmp_path / "variances.json").read_text())
+    assert list(rows[0]) == [
+        "parent_layer", "side", "slope", "intercept", "stderr_slope", "stderr_intercept",
+        "adj_r2", "var_w", "var_eta", "clamped", "ratio_sq", "identity_residual", "n_bins",
+    ]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wcascade.stats import (
-    HistogramSpec,
     binned_conditional_variance,
     fit_cauchy,
     fit_normal,
@@ -25,7 +24,7 @@ def test_fit_cauchy_recovers_reference_scale():
     samples = 0.6 * rng.standard_cauchy(100_000)
     fit = fit_cauchy(samples)
     assert abs(fit.scale - 0.6) <= 0.05
-    assert fit.family == "cauchy" and fit.location == 0.0
+    assert fit.family == "cauchy"
 
 
 def test_fit_cauchy_scale_equivariant():
@@ -81,11 +80,6 @@ def test_fit_rejects_bad_samples():
         fit_cauchy(np.ones(1000))
     with pytest.raises(ValueError):
         fit_cauchy(np.random.default_rng(0).normal(size=50))
-
-
-def test_histogram_spec_explicit_limits():
-    edges = HistogramSpec(n_bins=10, limits=(-1.0, 1.0)).edges(np.zeros(5))
-    assert edges[0] == -1.0 and edges[-1] == 1.0 and edges.size == 11
 
 
 def test_ols_exact_line():

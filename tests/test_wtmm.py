@@ -9,13 +9,12 @@ from wcascade.cascade import (
     CascadeSpec,
     PointMass,
     SignedLognormal,
-    synthesize_wcascade,
+    synthesize_mixed,
     theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
 from wcascade.dwt import TimeSeries, dwt_inverse
 from wcascade.wtmm import (
-    AnalyzingWavelet,
     CwtMatrix,
     MaximaLine,
     PartitionFunction,
@@ -64,7 +63,7 @@ def test_wavelet_order_validation():
     with pytest.raises(ValueError):
         gaussian_derivative_wavelet(0, 0.0)
     with pytest.raises(ValueError):
-        AnalyzingWavelet(0)
+        cwt(TimeSeries(np.arange(64.0)), 0, [4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +72,14 @@ def test_wavelet_order_validation():
 
 def test_cwt_constant_is_zero():
     series = TimeSeries(np.full(256, 3.7))
-    matrix = cwt(series, AnalyzingWavelet(2), [4.0, 8.0, 16.0])
+    matrix = cwt(series, 2, [4.0, 8.0, 16.0])
     assert np.max(np.abs(matrix.values)) < 1e-12
 
 
 def test_cwt_ramp_vanishes_away_from_wrap():
     length = 512
     series = TimeSeries(np.arange(length, dtype=float))
-    matrix = cwt(series, AnalyzingWavelet(2), [4.0, 8.0])
+    matrix = cwt(series, 2, [4.0, 8.0])
     # two vanishing moments annihilate the linear trend; only the periodic
     # wrap jump at position 0 responds
     inner = matrix.values[:, 128:384]
@@ -92,24 +91,23 @@ def test_cwt_impulse_matches_direct_evaluation():
     x0 = 100
     values = np.zeros(length)
     values[x0] = 1.0
-    wavelet = AnalyzingWavelet(2)
     for s in (4.0, 10.0):
-        matrix = cwt(TimeSeries(values), wavelet, [s])
+        matrix = cwt(TimeSeries(values), 2, [s])
         positions = np.arange(length)
         expected = np.zeros(length)
         for image in (-length, 0, length):
-            expected += wavelet((x0 + image - positions) / s) / s
+            expected += gaussian_derivative_wavelet(2, (x0 + image - positions) / s) / s
         assert np.max(np.abs(matrix.values[0] - expected)) < 1e-12
 
 
 def test_cwt_scale_validation():
     series = TimeSeries(np.zeros(128) + np.arange(128.0))
     with pytest.raises(ValueError):
-        cwt(series, AnalyzingWavelet(2), [1.5])
+        cwt(series, 2, [1.5])
     with pytest.raises(ValueError):
-        cwt(series, AnalyzingWavelet(2), [64.0])  # beyond L/4
+        cwt(series, 2, [64.0])  # beyond L/4
     with pytest.raises(ValueError):
-        cwt(series, AnalyzingWavelet(2), [8.0, 8.0])
+        cwt(series, 2, [8.0, 8.0])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ def test_maxima_match_brute_force_on_bump():
     length = 512
     x = np.arange(length, dtype=float)
     series = TimeSeries(np.exp(-0.5 * ((x - 256) / 16) ** 2))
-    matrix = cwt(series, AnalyzingWavelet(2), [4.0, 8.0])
+    matrix = cwt(series, 2, [4.0, 8.0])
     maxima = find_modulus_maxima(matrix)
     for row, found in zip(matrix.values, maxima):
         assert np.array_equal(found, brute_force_maxima(row))
@@ -138,7 +136,7 @@ def test_bump_has_three_maxima_at_fine_scale():
     length = 1024
     x = np.arange(length, dtype=float)
     series = TimeSeries(np.exp(-0.5 * ((x - 512) / 24) ** 2))
-    matrix = cwt(series, AnalyzingWavelet(2), [6.0])
+    matrix = cwt(series, 2, [6.0])
     maxima = find_modulus_maxima(matrix)[0]
     assert maxima.size == 3
     assert 512 in maxima  # center plus two symmetric flanks
@@ -154,7 +152,7 @@ def test_maxima_constant_field_empty():
 def test_maxima_plateau_rule():
     row = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.5, 0.0, 0.2, 0.0])
     matrix = CwtMatrix(scales=np.array([4.0]), values=row[None, :])
-    found = find_modulus_maxima(matrix, noise_floor=0.0)[0]
+    found = find_modulus_maxima(matrix)[0]
     # plateau [1,1,1] reported once at its left edge; plateau [0.5,0.5] too
     assert list(found) == [1, 5, 7, 10]
 
@@ -162,7 +160,7 @@ def test_maxima_plateau_rule():
 def test_maxima_rising_plateau_not_reported():
     row = np.array([0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     matrix = CwtMatrix(scales=np.array([4.0]), values=row[None, :])
-    assert list(find_modulus_maxima(matrix, noise_floor=0.0)[0]) == [3]
+    assert list(find_modulus_maxima(matrix)[0]) == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ def test_step_response_single_maximum_at_step():
     length = 2048
     values = np.zeros(length)
     values[700:1600] = 1.0
-    matrix = cwt(TimeSeries(values), AnalyzingWavelet(1), [4.0, 16.0, 64.0])
+    matrix = cwt(TimeSeries(values), 1, [4.0, 16.0, 64.0])
     for row_maxima in find_modulus_maxima(matrix):
         assert row_maxima.size == 2  # one per jump
     fine = find_modulus_maxima(matrix)[0]
@@ -189,7 +187,7 @@ def test_two_steps_give_two_complete_lines():
     values[length // 3: 2 * length // 3] = 1.0
     series = TimeSeries(values)
     grid = default_scale_grid(length)
-    matrix = cwt(series, AnalyzingWavelet(1), grid)
+    matrix = cwt(series, 1, grid)
     lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
     assert len(lines) == 2
     complete = [l for l in lines if len(l) == grid.size]
@@ -355,7 +353,7 @@ def test_brownian_path_peak_near_half():
 
 def test_monofractal_cascade_support_is_narrow():
     spec = CascadeSpec(depth=15, multiplier_law=PointMass(2.0**-0.5), seed=11)
-    series = dwt_inverse(synthesize_wcascade(spec))
+    series = dwt_inverse(synthesize_mixed(spec))
     spectrum = singular_spectrum(series)
     width = spectrum.support[1] - spectrum.support[0]
     assert width <= 0.15
@@ -366,7 +364,7 @@ def test_estimator_stable_under_scale_grid_refinement():
     spec = CascadeSpec(
         depth=13, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=3
     )
-    series = dwt_inverse(synthesize_wcascade(spec))
+    series = dwt_inverse(synthesize_mixed(spec))
     coarse = singular_spectrum(series, WtmmConfig(voices_per_octave=8))
     fine = singular_spectrum(series, WtmmConfig(voices_per_octave=16))
     mask = np.abs(coarse.q_grid) <= 3
