@@ -130,15 +130,6 @@ class WaveletPyramid:
             raise ValueError(f"layer index {j} outside 1..{self.depth}")
         return self.layers[j - 1]
 
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "rescaled": self.rescaled,
-            "root_approx": self.root_approx,
-            "root_detail": self.root_detail,
-            "layers": [layer.tolist() for layer in self.layers],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "WaveletPyramid":
         return cls(
@@ -151,9 +142,25 @@ class WaveletPyramid:
 
 
 def save_pyramid(pyramid: WaveletPyramid, path) -> None:
+    """Write ``{depth, rescaled, root_approx, root_detail, layers}`` as JSON.
+
+    Each layer goes through ``json.dumps``, which encodes in C (``json.dump``
+    to a file encodes in pure Python), and only one layer's text is held at
+    a time.  The bytes are those ``json.dump`` writes for the same dict.
+    """
+    head = json.dumps(
+        {
+            "depth": pyramid.depth,
+            "rescaled": pyramid.rescaled,
+            "root_approx": pyramid.root_approx,
+            "root_detail": pyramid.root_detail,
+        }
+    )
     with open(path, "w") as fh:
-        json.dump(pyramid.to_dict(), fh)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "layers": [')
+        for j, layer in enumerate(pyramid.layers):
+            fh.write((", " if j else "") + json.dumps(layer.tolist()))
+        fh.write("]}\n")
 
 
 def load_pyramid(path) -> WaveletPyramid:

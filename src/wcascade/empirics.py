@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,32 +96,74 @@ class ReturnPanel:
 
 
 def load_panel_csv(path) -> ReturnPanel:
-    """Read ``timestamp,ISSUE1,ISSUE2,...`` rows into a panel."""
+    """Read ``timestamp,ISSUE1,ISSUE2,...`` rows into a panel.
+
+    Blank lines are skipped.  A row with the wrong number of fields, or a
+    price that does not parse, is refused with its line number in the file.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"panel file {path} is empty") from None
-        if len(header) < 2 or header[0].strip().lower() != "timestamp":
-            raise ValueError("panel header must be 'timestamp,ISSUE1,...'")
-        issues = [name.strip() for name in header[1:]]
-        stamps = []
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
+    if len(header) < 2 or header[0].strip().lower() != "timestamp":
+        raise ValueError("panel header must be 'timestamp,ISSUE1,...'")
+    try:
+        stamps, prices = _read_panel_columns(path, len(header))
+    except ValueError:
+        # numpy numbers rows from 0 after the header; the row-by-row
+        # reader finds the offending file line and names it
+        stamps, prices = _read_panel_rows(path, len(header))
+    if stamps.size == 0:
+        raise ValueError(f"panel file {path} has no data rows")
+    stamps = np.char.replace(np.char.strip(stamps), " ", "T")
+    return ReturnPanel(
+        timestamps=stamps.astype("datetime64[s]"),
+        issues=[name.strip() for name in header[1:]],
+        prices=prices,
+    )
+
+
+def _read_panel_columns(path, n_fields: int) -> tuple:
+    """Stamp strings and prices of every data row, parsed by numpy."""
+    options = dict(delimiter=",", skiprows=1, comments=None, quotechar='"')
+    with warnings.catch_warnings():
+        # an empty file and skipped blank lines are handled by the caller
+        warnings.simplefilter("ignore", UserWarning)
+        prices = np.loadtxt(path, usecols=range(1, n_fields), ndmin=2, **options)
+        stamps = np.loadtxt(path, usecols=0, dtype=str, ndmin=1, **options)
+    # a column selection ignores surplus fields, so count the delimiters
+    commas = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            commas += chunk.count(b",")
+    if commas != (stamps.size + 1) * (n_fields - 1):
+        raise ValueError("a row has surplus fields")
+    return stamps, prices
+
+
+def _read_panel_rows(path, n_fields: int) -> tuple:
+    """Row-by-row reader: raises on the first bad line, naming it."""
+    stamps = []
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ValueError(f"row {line_no} has {len(row)} fields, expected {len(header)}")
-            stamps.append(row[0].strip().replace(" ", "T"))
-            rows.append([float(v) for v in row[1:]])
-    if not rows:
-        raise ValueError(f"panel file {path} has no data rows")
-    return ReturnPanel(
-        timestamps=np.array(stamps, dtype="datetime64[s]"),
-        issues=issues,
-        prices=np.array(rows, dtype=float),
-    )
+            line_no = reader.line_num
+            if len(row) != n_fields:
+                raise ValueError(f"row {line_no} has {len(row)} fields, expected {n_fields}")
+            values = []
+            for v in row[1:]:
+                try:
+                    values.append(float(v))
+                except ValueError:
+                    raise ValueError(f"line {line_no}: cannot parse price {v!r}") from None
+            stamps.append(row[0])
+            rows.append(values)
+    return np.array(stamps, dtype=str), np.array(rows, dtype=float).reshape(-1, n_fields - 1)
 
 
 def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
@@ -143,9 +187,14 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
     if not slot_idx:
         raise ValueError(f"no day is longer than the return lag dt={dt}")
     slots = np.concatenate(slot_idx)
-    returns = log_prices[slots] - log_prices[slots - dt]
-    tod = panel.minute_of_day[slots]
-    tod_values = np.unique(tod)
+    returns = log_prices[slots]
+    returns -= log_prices[slots - dt]
+    del log_prices
+    tod_values, slot_of_row = np.unique(panel.minute_of_day[slots], return_inverse=True)
+    # one row per issue, its returns grouped by time of day in row order
+    order = np.argsort(slot_of_row, kind="stable")
+    bounds = np.searchsorted(slot_of_row[order], np.arange(tod_values.size + 1))
+    grouped = np.take(returns.T, order, axis=1)
     n_issues = len(panel.issues)
     averaged = np.zeros(slots.size)
     for i in range(n_issues):
@@ -155,22 +204,22 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
             raise ValueError(
                 f"issue {panel.issues[i]!r} has degenerate returns (zero variance)"
             )
-        profile = np.empty(slots.size)
+        sigmas = np.empty(tod_values.size)
         fallbacks = []
-        for v in tod_values:
-            mask = tod == v
-            obs = r[mask]
+        for k, v in enumerate(tod_values):
+            obs = grouped[i, bounds[k]:bounds[k + 1]]
             sigma = float(obs.std()) if obs.size >= 2 else 0.0
             if sigma == 0.0:
                 sigma = global_std
                 fallbacks.append(int(v))
-            profile[mask] = sigma
+            sigmas[k] = sigma
         if fallbacks:
             warnings.warn(
                 f"issue {panel.issues[i]!r}: time-of-day bins {fallbacks} are too "
                 "sparse; using the global standard deviation there",
                 stacklevel=2,
             )
+        profile = sigmas[slot_of_row]
         normalized = r / profile
         spread = float(normalized.std())
         if spread == 0.0:
@@ -275,8 +324,9 @@ class MultiplierCorrelations:
 
     ``successive`` pairs each node's incoming factor with both of its
     outgoing factors; ``parent_vs_factor`` pairs each parent coefficient
-    with its two outgoing factors.  Layers with too few valid pairs, or
-    with constant factors, are omitted with a warning.
+    with its two outgoing factors.  Layers of fewer than 15 nodes cannot
+    give 30 pairs and are skipped; layers left with too few valid pairs
+    after masking, or with constant factors, are omitted with a warning.
 
     The correlation is computed between log magnitudes.  The raw ratios
     have Cauchy-like tails, so their sample Pearson coefficient is
@@ -328,6 +378,8 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
     for outgoing in ms.transitions:
         j = outgoing.parent_layer
         out_x2 = np.concatenate([outgoing.left, outgoing.right])
+        if out_x2.size < _MIN_PAIRS:
+            continue  # too few nodes to ever give enough pairs
         out_valid2 = np.concatenate([outgoing.valid, outgoing.valid])
         # Parent coefficient against each outgoing factor.
         parents = _layer_values(pyramid, j)
@@ -354,12 +406,39 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
     return MultiplierCorrelations(successive=successive, parent_vs_factor=parent_vs)
 
 
-def _ks_statistic_sorted(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic for pre-sorted samples."""
-    grid = np.concatenate([x, y])
-    fx = np.searchsorted(x, grid, side="right") / x.size
-    fy = np.searchsorted(y, grid, side="right") / y.size
-    return float(np.max(np.abs(fx - fy)))
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _own_ecdf(x: np.ndarray) -> np.ndarray:
+    """``searchsorted(x, x, side="right") / x.size`` for sorted ``x``, in O(n).
+
+    Each sample's count is the end of its run of equal values.
+    """
+    last_of_run = np.append(x[1:] != x[:-1], True)
+    counts = np.flatnonzero(last_of_run)
+    counts += 1
+    if counts.size < x.size:
+        counts = np.repeat(counts, np.diff(counts, prepend=0))
+    return counts / x.size
+
+
+def _ks_statistic(x, x_cdf, y, y_cdf) -> float:
+    """Two-sample KS statistic of sorted samples with their own ECDF values.
+
+    The ECDF difference peaks at a sample point, so it is evaluated on
+    each sample's points, one ``searchsorted`` into the other sample each.
+    """
+    return max(_max_ecdf_gap(x, x_cdf, y), _max_ecdf_gap(y, y_cdf, x))
+
+
+def _max_ecdf_gap(points, points_cdf, other) -> float:
+    gap = np.searchsorted(other, points, side="right") / other.size
+    gap -= points_cdf
+    return float(np.abs(gap, out=gap).max())
 
 
 @dataclass
@@ -396,17 +475,26 @@ def collapse_H(
         )
     sorted_layers = [np.sort(pyramid.layer(j)) for j in usable]
     log_scales = np.array([math.log(pyramid.scale(j)) for j in usable])
-    distances = np.empty(h_grid.size)
-    for k, h in enumerate(h_grid):
-        factors = np.exp(-h * log_scales)
+
+    def mean_distance(h: float) -> float:
+        scaled = [x * f for x, f in zip(sorted_layers, np.exp(-h * log_scales))]
+        own_cdf = [_own_ecdf(x) for x in scaled]
         total = 0.0
         n_pairs = 0
         for a in range(len(usable)):
-            xa = sorted_layers[a] * factors[a]
             for b in range(a + 1, len(usable)):
-                total += _ks_statistic_sorted(xa, sorted_layers[b] * factors[b])
+                total += _ks_statistic(scaled[a], own_cdf[a], scaled[b], own_cdf[b])
                 n_pairs += 1
-        distances[k] = total / n_pairs
+        return total / n_pairs
+
+    workers = min(h_grid.size, _usable_cpus())
+    if workers == 1:
+        distances = np.array([mean_distance(h) for h in h_grid])
+    else:
+        # searchsorted releases the GIL; each row sums its pairs in order,
+        # so the distances do not depend on the number of threads
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            distances = np.array(list(pool.map(mean_distance, h_grid)))
     best = int(np.argmin(distances))
     boundary = best in (0, h_grid.size - 1)
     if boundary:
@@ -481,10 +569,11 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
 
     Parents are binned with width ``0.2 * h_j``; bins holding at least 100
     children enter an ordinary least squares fit of the conditional
-    variance against the squared bin center.  Transitions whose
-    parent layer is smaller than ``min_layer_size``, or with fewer than 3
-    usable bins, are omitted (with a warning), except that an exactly
-    deterministic transition reports zero variances directly.
+    variance against the squared bin center.  Transitions whose parent
+    layer is smaller than ``min_layer_size`` are omitted, and so is a side
+    with fewer than 3 usable bins (with a warning if its children could
+    have filled 3 bins), except that an exactly deterministic transition
+    reports zero variances directly.
     """
     if not pyramid.rescaled:
         raise ValueError("variance estimation needs a rescaled pyramid")
@@ -522,7 +611,7 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
             if int(np.count_nonzero(inc)) < 3:
                 if table.conditional_variances.size and table.conditional_variances.max() == 0.0:
                     rows.append(_zero_variance_row(j, side, ratio_sq))
-                else:
+                elif kids.size >= 3 * _MIN_COUNT:  # too few children is no news
                     warnings.warn(
                         f"transition {j}->{j + 1} ({side}): fewer than 3 usable "
                         "bins; omitted",

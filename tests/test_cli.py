@@ -337,6 +337,14 @@ def _series_with_corrupt_row(tmp_path):
     return path
 
 
+def _panel_with_row(tmp_path, row):
+    path = write_cascade_panel(tmp_path, depth=10)
+    lines = path.read_text().splitlines()
+    lines[56] = lines[56].split(",")[0] + row  # line 57 of the file
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 OVERFLOWING_LAW = {
     "depth": 8,
     "multiplier_law": {"kind": "folded_lognormal", "mean_log": 100, "var_log": 0.01},
@@ -377,6 +385,22 @@ CONTRACT_CASES = {
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
                    "--q-range=bad"],
         2, "--q-range",
+    ),
+    "ingest-bad-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",12x"))],
+        2, "line 57: cannot parse price '12x'",
+    ),
+    "ingest-extra-field": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",1.0,2.0"))],
+        2, "row 57 has 3 fields, expected 2",
+    ),
+    "pipeline-bad-price": (
+        lambda t: ["pipeline", "--input", str(_panel_with_row(t, ",12x"))],
+        2, "line 57: cannot parse price '12x'",
+    ),
+    "pipeline-extra-field": (
+        lambda t: ["pipeline", "--input", str(_panel_with_row(t, ",1.0,2.0"))],
+        2, "row 57 has 3 fields, expected 2",
     ),
     # a 1,024-point path: no transition has 3 bins of 100 children
     "pipeline-no-variance-fit": (

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -14,7 +15,8 @@ from wcascade.cascade import (
     SignedLognormal,
     synthesize_mixed,
 )
-from wcascade.dwt import TimeSeries, dwt_forward, rescale
+from wcascade import empirics
+from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward, rescale
 from wcascade.empirics import (
     ReturnPanel,
     accumulate_path,
@@ -22,6 +24,7 @@ from wcascade.empirics import (
     deseasonalize_returns,
     estimate_variances,
     extract_multipliers,
+    load_panel_csv,
     multiplier_correlations,
 )
 from wcascade.stats import fit_normal, fit_student_t2
@@ -112,6 +115,81 @@ def test_lagged_returns_drop_short_days():
     assert out.size == 12 * 13
     with pytest.raises(ValueError):
         deseasonalize_returns(panel, dt=0)
+
+
+def masking_loop_deseasonalize(panel, dt):
+    """The per-slot masking form of ``deseasonalize_returns``, kept as a reference."""
+    log_prices = np.log(panel.prices)
+    starts = panel.day_starts
+    ends = np.concatenate([starts[1:], [panel.timestamps.size]])
+    slots = np.concatenate([np.arange(a + dt, b) for a, b in zip(starts, ends) if b - a > dt])
+    returns = log_prices[slots] - log_prices[slots - dt]
+    tod = panel.minute_of_day[slots]
+    averaged = np.zeros(slots.size)
+    for i in range(len(panel.issues)):
+        r = returns[:, i]
+        global_std = float(r.std())
+        profile = np.empty(slots.size)
+        for v in np.unique(tod):
+            mask = tod == v
+            obs = r[mask]
+            sigma = float(obs.std()) if obs.size >= 2 else 0.0
+            profile[mask] = sigma if sigma != 0.0 else global_std
+        normalized = r / profile
+        averaged += (normalized - normalized.mean()) / float(normalized.std())
+    return averaged / len(panel.issues)
+
+
+def test_deseasonalize_bit_equal_to_masking_loop():
+    rng = np.random.default_rng(8)
+    # uneven days; the one 30-minute day leaves its last slots sparse
+    days = [rng.normal(size=18 + day % 5) for day in range(40)] + [rng.normal(size=30)]
+    panel = build_panel(days, n_issues=3, issue_fn=lambda i, d: d * (1 + i) + 0.01 * i)
+    for dt in (1, 4):
+        with pytest.warns(UserWarning, match="sparse"):
+            out = deseasonalize_returns(panel, dt=dt)
+        assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+
+
+def write_rows(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_load_panel_fast_path_matches_row_reader(tmp_path):
+    rng = np.random.default_rng(9)
+    lines = ["timestamp, A ,B"]
+    for k in range(50):
+        a, b = rng.uniform(10, 200, 2).tolist()
+        stamp = f"2009-05-0{1 + k // 25} 10:{k % 25:02d}:00"
+        lines.append(f" {stamp} ,{a!r},\"{b!r}\"")
+        if k == 20:
+            lines.append("")  # blank lines are skipped
+    path = write_rows(tmp_path / "panel.csv", lines)
+    stamps, prices = empirics._read_panel_rows(path, 3)
+    fast_stamps, fast_prices = empirics._read_panel_columns(path, 3)
+    assert np.array_equal(fast_stamps, stamps)
+    assert np.array_equal(fast_prices, prices)
+    panel = load_panel_csv(path)
+    assert panel.issues == ["A", "B"]
+    assert np.array_equal(panel.prices, prices)
+    expected = [s.strip().replace(" ", "T") for s in stamps]
+    assert np.array_equal(panel.timestamps, np.array(expected, dtype="datetime64[s]"))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2009-05-01T10:02:00,12x,3.0", "line 4: cannot parse price '12x'"),
+        ("2009-05-01T10:02:00,3.0", "row 4 has 2 fields, expected 3"),
+        ("2009-05-01T10:02:00,3.0,4.0,", "row 4 has 4 fields, expected 3"),
+    ],
+)
+def test_load_panel_names_the_bad_line(tmp_path, row, message):
+    lines = ["timestamp,A,B", "2009-05-01T10:00:00,1.0,2.0", "", row,
+             "2009-05-01T10:03:00,1.0,2.0"]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_panel_csv(write_rows(tmp_path / "panel.csv", lines))
 
 
 def test_accumulate_basic_and_truncation():
@@ -232,11 +310,186 @@ def test_deterministic_cascade_correlations_omitted():
     assert corr.successive == []
 
 
+def caught_messages(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+def test_layers_too_small_for_a_row_are_skipped_silently():
+    spec = CascadeSpec(
+        depth=12,
+        multiplier_law=SignedLognormal.from_log2(-0.33, 0.02),
+        additive_law=NormalNoise(0.09),
+        seed=42,
+    )
+    pyramid = synthesize_mixed(spec)
+    ms = extract_multipliers(pyramid)
+    corr, messages = caught_messages(multiplier_correlations, ms, pyramid)
+    assert messages == []
+    # 2**(j+1) pairs reach 30 from layer 4 on
+    assert [r.layer for r in corr.parent_vs_factor] == list(range(4, 12))
+    assert [r.layer for r in corr.successive] == list(range(4, 12))
+    # layers that could qualify but lose pairs to masking still warn: 20 of
+    # layer 5's 32 coefficients set to zero leave 12 factors into it and
+    # 24 out of it
+    pyramid.layers[4][:20] = 0.0
+    _, messages = caught_messages(
+        multiplier_correlations, extract_multipliers(pyramid), pyramid
+    )
+    assert messages == [
+        f"{kind} at layer {j}: only {n} valid pairs (< 30); omitted"
+        for j, n in ((4, 12), (5, 24))
+        for kind in ("parent-vs-factor", "successive-factor")
+    ]
+
+
+def test_variance_sides_too_small_for_three_bins_are_skipped_silently():
+    spec = CascadeSpec(
+        depth=12,
+        multiplier_law=SignedLognormal.from_log2(-0.33, 0.02),
+        additive_law=NormalNoise(0.09),
+        seed=42,
+    )
+    fits, messages = caught_messages(estimate_variances, synthesize_mixed(spec))
+    # 256 children per side cannot fill 3 bins of 100; 512 could
+    assert not any("8->9" in m for m in messages)
+    assert any("9->10" in m for m in messages)
+    assert min(f.parent_layer for f in fits) > 8
+    # a deterministic transition is still reported as zero variances
+    parents = np.tile([1.0, -1.0], 128)
+    layers = [np.ones(2**j) for j in range(1, 8)] + [parents, np.repeat(0.7 * parents, 2)]
+    pyramid = WaveletPyramid(
+        depth=9, root_approx=0.0, root_detail=1.0, layers=layers, rescaled=True
+    )
+    fits, messages = caught_messages(estimate_variances, pyramid)
+    assert messages == []
+    assert [(f.parent_layer, f.side, f.var_w, f.var_eta) for f in fits] == [
+        (8, "left", 0.0, 0.0), (8, "right", 0.0, 0.0),
+    ]
+
+
 def test_correlations_need_two_transitions():
     spec = CascadeSpec(depth=1, multiplier_law=PointMass(1.0), seed=1)
     pyramid = synthesize_mixed(spec)
     with pytest.raises(ValueError):
         multiplier_correlations(extract_multipliers(pyramid), pyramid)
+
+
+def merge_reference_distances(pyramid, h_grid, min_layer_size=64):
+    """Mean pairwise KS distances, each pair merged and searched 4 times."""
+    usable = [j for j in range(1, pyramid.depth + 1) if 2**j >= min_layer_size]
+    sorted_layers = [np.sort(pyramid.layer(j)) for j in usable]
+    log_scales = np.array([math.log(pyramid.scale(j)) for j in usable])
+    distances = []
+    for h in h_grid:
+        factors = np.exp(-h * log_scales)
+        total = 0.0
+        n_pairs = 0
+        for a in range(len(usable)):
+            x = sorted_layers[a] * factors[a]
+            for b in range(a + 1, len(usable)):
+                y = sorted_layers[b] * factors[b]
+                grid = np.concatenate([x, y])
+                fx = np.searchsorted(x, grid, side="right") / x.size
+                fy = np.searchsorted(y, grid, side="right") / y.size
+                total += float(np.max(np.abs(fx - fy)))
+                n_pairs += 1
+        distances.append(total / n_pairs)
+    return np.array(distances)
+
+
+def quantized_pyramid():
+    """Random layers on a coarse grid, a third of them nudged up by one ulp.
+
+    Scaling merges some of those neighbours, so ties appear that the
+    unscaled layers do not have.
+    """
+    spec = CascadeSpec(
+        depth=11, multiplier_law=SignedLognormal.from_log2(-0.33, 0.3), seed=4
+    )
+    pyramid = synthesize_mixed(spec)
+    for i, layer in enumerate(pyramid.layers):
+        q = np.round(layer * 16.0) / 16.0
+        q[1::3] = np.nextafter(q[1::3], np.inf)
+        pyramid.layers[i] = q
+    return pyramid
+
+
+TIE_PYRAMIDS = {
+    "point-mass": lambda: synthesize_mixed(
+        CascadeSpec(depth=10, multiplier_law=PointMass(2.0**-0.3), seed=9)
+    ),
+    "quantized": quantized_pyramid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_PYRAMIDS))
+def test_collapse_bit_equal_to_pairwise_merge(name):
+    pyramid = TIE_PYRAMIDS[name]()
+    h_grid = np.arange(0.0, 1.005, 0.05)
+    result = collapse_H(pyramid, h_grid)
+    assert np.array_equal(result.distances, merge_reference_distances(pyramid, h_grid))
+
+
+def exact_preimage(target, factor):
+    """A double ``w`` with ``w * factor == target``, or None."""
+    w = target / factor
+    for _ in range(8):
+        if w * factor == target:
+            return w
+        w = np.nextafter(w, np.inf if w * factor < target else -np.inf)
+    return None
+
+
+def test_collapse_counts_ties_made_by_scaling():
+    # Layers 6-8 of a depth-8 pyramid, scaled at H = 0.5, all hold the same
+    # share of zeros and one value t; layer 6 holds t as two neighbouring
+    # doubles that only the scaling merges.  The layers then coincide.
+    factors = np.exp(-0.5 * np.log([8.0, 4.0, 2.0]))
+    for k in range(1, 1024):
+        v = 1.0 + k / 1024
+        t = v * factors[0]
+        if np.nextafter(v, np.inf) * factors[0] == t:
+            w7, w8 = exact_preimage(t, factors[1]), exact_preimage(t, factors[2])
+            if w7 is not None and w8 is not None:
+                break
+    layers = [np.ones(2**j) for j in range(1, 6)] + [np.zeros(2**j) for j in (6, 7, 8)]
+    layers[5][:2] = v, np.nextafter(v, np.inf)
+    layers[6][:4] = w7
+    layers[7][:8] = w8
+    pyramid = WaveletPyramid(
+        depth=8, root_approx=0.0, root_detail=1.0, layers=layers, rescaled=True
+    )
+    h_grid = np.array([0.0, 0.5, 1.0])
+    result = collapse_H(pyramid, h_grid)
+    assert result.distances[1] == 0.0 and result.h == 0.5
+    assert np.array_equal(result.distances, merge_reference_distances(pyramid, h_grid))
+
+
+@pytest.mark.parametrize("affinity", [False, True])
+def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
+    used = []
+
+    class RecordingPool(empirics.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            used.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(empirics, "ThreadPoolExecutor", RecordingPool)
+    pyramid = quantized_pyramid()
+    distances = {}
+    for cpus in (1, 2):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:  # a platform without an affinity call counts its CPUs
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        distances[cpus] = collapse_H(pyramid, H_GRID).distances
+    assert used == [2]
+    assert np.array_equal(distances[1], distances[2])
 
 
 def test_collapse_brownian_near_half():
