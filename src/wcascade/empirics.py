@@ -406,6 +406,13 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
     return MultiplierCorrelations(successive=successive, parent_vs_factor=parent_vs)
 
 
+# Each collapse thread holds a scaled copy of every usable layer, about
+# 2.5 MB on a depth-17 pyramid.  With four threads the `collapse` process
+# peaked at 74 MB there, as `simulate` does at that depth; eight took 84 MB.
+_MAX_COLLAPSE_THREADS = 4
+_GAP_BLOCK = 1 << 14  # sample points per searchsorted call
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -413,17 +420,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _own_ecdf(x: np.ndarray) -> np.ndarray:
+def _own_ecdf(x: np.ndarray, tie_free_cdf: np.ndarray) -> np.ndarray:
     """``searchsorted(x, x, side="right") / x.size`` for sorted ``x``, in O(n).
 
-    Each sample's count is the end of its run of equal values.
+    Each sample's count is the end of its run of equal values; a sample
+    without ties gets the shared ``tie_free_cdf``, ``arange(1, n + 1) / n``.
     """
     last_of_run = np.append(x[1:] != x[:-1], True)
+    if last_of_run.all():
+        return tie_free_cdf
     counts = np.flatnonzero(last_of_run)
     counts += 1
-    if counts.size < x.size:
-        counts = np.repeat(counts, np.diff(counts, prepend=0))
-    return counts / x.size
+    return np.repeat(counts, np.diff(counts, prepend=0)) / x.size
 
 
 def _ks_statistic(x, x_cdf, y, y_cdf) -> float:
@@ -436,9 +444,14 @@ def _ks_statistic(x, x_cdf, y, y_cdf) -> float:
 
 
 def _max_ecdf_gap(points, points_cdf, other) -> float:
-    gap = np.searchsorted(other, points, side="right") / other.size
-    gap -= points_cdf
-    return float(np.abs(gap, out=gap).max())
+    # block by block, so each thread's scratch stays small
+    largest = 0.0
+    for lo in range(0, points.size, _GAP_BLOCK):
+        block = slice(lo, lo + _GAP_BLOCK)
+        gap = np.searchsorted(other, points[block], side="right") / other.size
+        gap -= points_cdf[block]
+        largest = max(largest, float(np.abs(gap, out=gap).max()))
+    return largest
 
 
 @dataclass
@@ -475,10 +488,11 @@ def collapse_H(
         )
     sorted_layers = [np.sort(pyramid.layer(j)) for j in usable]
     log_scales = np.array([math.log(pyramid.scale(j)) for j in usable])
+    tie_free_cdfs = [np.arange(1, x.size + 1) / x.size for x in sorted_layers]
 
     def mean_distance(h: float) -> float:
         scaled = [x * f for x, f in zip(sorted_layers, np.exp(-h * log_scales))]
-        own_cdf = [_own_ecdf(x) for x in scaled]
+        own_cdf = [_own_ecdf(x, c) for x, c in zip(scaled, tie_free_cdfs)]
         total = 0.0
         n_pairs = 0
         for a in range(len(usable)):
@@ -487,14 +501,11 @@ def collapse_H(
                 n_pairs += 1
         return total / n_pairs
 
-    workers = min(h_grid.size, _usable_cpus())
-    if workers == 1:
-        distances = np.array([mean_distance(h) for h in h_grid])
-    else:
-        # searchsorted releases the GIL; each row sums its pairs in order,
-        # so the distances do not depend on the number of threads
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            distances = np.array(list(pool.map(mean_distance, h_grid)))
+    # searchsorted releases the GIL; each row sums its pairs in order,
+    # so the distances do not depend on the number of threads
+    workers = min(h_grid.size, _usable_cpus(), _MAX_COLLAPSE_THREADS)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        distances = np.array(list(pool.map(mean_distance, h_grid)))
     best = int(np.argmin(distances))
     boundary = best in (0, h_grid.size - 1)
     if boundary:

@@ -178,6 +178,29 @@ def test_load_panel_fast_path_matches_row_reader(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "header, first_price",
+    [
+        ('timestamp,"A,1",B', "1000.5"),  # a quoted comma fails the comma count
+        ("timestamp,A,B", "1_000.5"),  # float() reads it, numpy does not
+        ('timestamp,"A,1",B', "1_000.5"),
+    ],
+)
+def test_load_panel_row_reader_reads_what_numpy_refuses(tmp_path, header, first_price):
+    lines = [header, f"2009-05-01 10:00:00,{first_price},2.0", "",
+             "2009-05-01 10:01:00,3.0,4.25"]
+    path = write_rows(tmp_path / "panel.csv", lines)
+    with pytest.raises(ValueError):
+        empirics._read_panel_columns(path, 3)
+    panel = load_panel_csv(path)
+    assert panel.issues == (["A,1", "B"] if '"' in header else ["A", "B"])
+    assert np.array_equal(panel.prices, [[1000.5, 2.0], [3.0, 4.25]])
+    assert np.array_equal(
+        panel.timestamps,
+        np.array(["2009-05-01T10:00:00", "2009-05-01T10:01:00"], dtype="datetime64[s]"),
+    )
+
+
+@pytest.mark.parametrize(
     "row, message",
     [
         ("2009-05-01T10:02:00,12x,3.0", "line 4: cannot parse price '12x'"),
@@ -425,8 +448,11 @@ TIE_PYRAMIDS = {
 }
 
 
+@pytest.mark.parametrize("block", [None, 100])  # 100 splits layers mid-run of ties
 @pytest.mark.parametrize("name", sorted(TIE_PYRAMIDS))
-def test_collapse_bit_equal_to_pairwise_merge(name):
+def test_collapse_bit_equal_to_pairwise_merge(monkeypatch, name, block):
+    if block is not None:
+        monkeypatch.setattr(empirics, "_GAP_BLOCK", block)
     pyramid = TIE_PYRAMIDS[name]()
     h_grid = np.arange(0.0, 1.005, 0.05)
     result = collapse_H(pyramid, h_grid)
@@ -480,7 +506,7 @@ def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
     monkeypatch.setattr(empirics, "ThreadPoolExecutor", RecordingPool)
     pyramid = quantized_pyramid()
     distances = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 16):
         if affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
@@ -488,8 +514,9 @@ def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         distances[cpus] = collapse_H(pyramid, H_GRID).distances
-    assert used == [2]
+    assert used == [1, 2, empirics._MAX_COLLAPSE_THREADS]
     assert np.array_equal(distances[1], distances[2])
+    assert np.array_equal(distances[1], distances[16])
 
 
 def test_collapse_brownian_near_half():
