@@ -98,8 +98,9 @@ class ReturnPanel:
 def load_panel_csv(path) -> ReturnPanel:
     """Read ``timestamp,ISSUE1,ISSUE2,...`` rows into a panel.
 
-    Blank lines are skipped.  A row with the wrong number of fields, or a
-    price that does not parse, is refused with its line number in the file.
+    Blank lines are skipped.  A row with the wrong number of fields, a
+    timestamp that does not parse, or a price that does not parse or is
+    not finite and positive is refused with its line number in the file.
     """
     with open(path, newline="") as fh:
         try:
@@ -108,45 +109,32 @@ def load_panel_csv(path) -> ReturnPanel:
             raise ValueError(f"panel file {path} is empty") from None
     if len(header) < 2 or header[0].strip().lower() != "timestamp":
         raise ValueError("panel header must be 'timestamp,ISSUE1,...'")
+    n_fields = len(header)
+    row_type = [("stamp", "datetime64[s]"), ("price", float, (n_fields - 1,))]
     try:
-        stamps, prices = _read_panel_columns(path, len(header))
+        with warnings.catch_warnings():
+            # an empty body is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, dtype=row_type, skiprows=1, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1)
+        if rows.size == 0:
+            raise ValueError(f"panel file {path} has no data rows")
+        return ReturnPanel(
+            timestamps=rows["stamp"],
+            issues=[name.strip() for name in header[1:]],
+            prices=rows["price"],
+        )
     except ValueError:
-        # numpy numbers rows from 0 after the header; the row-by-row
-        # reader finds the offending file line and names it
-        stamps, prices = _read_panel_rows(path, len(header))
-    if stamps.size == 0:
-        raise ValueError(f"panel file {path} has no data rows")
-    stamps = np.char.replace(np.char.strip(stamps), " ", "T")
-    return ReturnPanel(
-        timestamps=stamps.astype("datetime64[s]"),
-        issues=[name.strip() for name in header[1:]],
-        prices=prices,
-    )
+        # numpy's row numbers skip the header and blank lines; name the file line
+        _raise_on_bad_line(path, n_fields)
+        raise
 
 
-def _read_panel_columns(path, n_fields: int) -> tuple:
-    """Stamp strings and prices of every data row, parsed by numpy."""
-    options = dict(delimiter=",", skiprows=1, comments=None, quotechar='"')
-    with warnings.catch_warnings():
-        # an empty file and skipped blank lines are handled by the caller
+def _raise_on_bad_line(path, n_fields: int) -> None:
+    """Raise on the first data line of the panel that cannot be read, naming it."""
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        # this pass only names a line; numpy's warnings belong to the first read
         warnings.simplefilter("ignore", UserWarning)
-        prices = np.loadtxt(path, usecols=range(1, n_fields), ndmin=2, **options)
-        stamps = np.loadtxt(path, usecols=0, dtype=str, ndmin=1, **options)
-    # a column selection ignores surplus fields, so count the delimiters
-    commas = 0
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            commas += chunk.count(b",")
-    if commas != (stamps.size + 1) * (n_fields - 1):
-        raise ValueError("a row has surplus fields")
-    return stamps, prices
-
-
-def _read_panel_rows(path, n_fields: int) -> tuple:
-    """Row-by-row reader: raises on the first bad line, naming it."""
-    stamps = []
-    rows = []
-    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -155,15 +143,20 @@ def _read_panel_rows(path, n_fields: int) -> tuple:
             line_no = reader.line_num
             if len(row) != n_fields:
                 raise ValueError(f"row {line_no} has {len(row)} fields, expected {n_fields}")
-            values = []
+            try:
+                np.datetime64(row[0], "s")
+            except ValueError:
+                raise ValueError(f"line {line_no}: cannot parse timestamp {row[0]!r}") from None
             for v in row[1:]:
                 try:
-                    values.append(float(v))
+                    price = float(v)
                 except ValueError:
-                    raise ValueError(f"line {line_no}: cannot parse price {v!r}") from None
-            stamps.append(row[0])
-            rows.append(values)
-    return np.array(stamps, dtype=str), np.array(rows, dtype=float).reshape(-1, n_fields - 1)
+                    price = None
+                # numpy's parser, unlike float(), refuses digit separators
+                if price is None or "_" in v:
+                    raise ValueError(f"line {line_no}: cannot parse price {v!r}")
+                if not (math.isfinite(price) and price > 0):
+                    raise ValueError(f"line {line_no}: price {v!r} is not finite and positive")
 
 
 def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:

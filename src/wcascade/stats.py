@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "FitResult",
@@ -105,6 +104,10 @@ def _student_t2_cdf(x, scale):
 
 
 def _normal_cdf(x, scale):
+    # scipy is imported here, not at the top: only the normal fit needs it,
+    # and it is most of the package's import time
+    from scipy.special import ndtr
+
     return ndtr(x / scale)
 
 

@@ -39,14 +39,16 @@ def read_tree(root):
     }
 
 
-def run_cli(*argv):
-    """``python -m wcascade.cli`` in a fresh process, importing this checkout."""
+def run_python(*args):
+    """``python *args`` in a fresh process, importing this checkout."""
     env = dict(os.environ)
     src = str(Path(wcascade.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "wcascade.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*argv):
+    return run_python("-m", "wcascade.cli", *argv)
 
 
 def write_cascade_panel(tmp_path, depth=14, seed=7, minutes_per_day=128):
@@ -322,6 +324,37 @@ def test_installed_entry_point_help():
     assert run_cli().returncode == 2
 
 
+# Runs each argv through main() in one process and prints, after each,
+# whether any scipy module is loaded.
+SCIPY_PROBE = """
+import json, sys
+from wcascade.cli import main
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code == 0, argv
+    print(any(name.partition(".")[0] == "scipy" for name in sys.modules))
+"""
+
+
+def test_only_the_normal_fit_loads_scipy(tmp_path):
+    config = write_config(tmp_path)
+    pyramid = str(tmp_path / "sim" / "pyramid.json")
+    commands = [
+        ["--help"],
+        ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")],
+        ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
+        ["variances", "--input", pyramid, "--out", str(tmp_path / "var")],
+        ["multipliers", "--input", pyramid, "--out", str(tmp_path / "mult")],
+    ]
+    proc = run_python("-c", SCIPY_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    # --help prints first; multipliers, which fits the normal law, is the control
+    assert proc.stdout.split()[-5:] == ["False", "False", "False", "False", "True"]
+
+
 def _series_with_last_row(tmp_path, row):
     path = brownian_csv(tmp_path, n=4096)
     with open(path, "a") as fh:
@@ -337,10 +370,10 @@ def _series_with_corrupt_row(tmp_path):
     return path
 
 
-def _panel_with_row(tmp_path, row):
+def _panel_with_row(tmp_path, row, stamp=None):
     path = write_cascade_panel(tmp_path, depth=10)
     lines = path.read_text().splitlines()
-    lines[56] = lines[56].split(",")[0] + row  # line 57 of the file
+    lines[56] = (stamp or lines[56].split(",")[0]) + row  # line 57 of the file
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -394,6 +427,31 @@ CONTRACT_CASES = {
         lambda t: ["ingest", "--input", str(_panel_with_row(t, ",1.0,2.0"))],
         2, "row 57 has 3 fields, expected 2",
     ),
+    "ingest-nan-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",nan"))],
+        2, "line 57: price 'nan' is not finite and positive",
+    ),
+    "ingest-inf-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",inf"))],
+        2, "line 57: price 'inf' is not finite and positive",
+    ),
+    "ingest-zero-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",0"))],
+        2, "line 57: price '0' is not finite and positive",
+    ),
+    "ingest-negative-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",-1.0"))],
+        2, "line 57: price '-1.0' is not finite and positive",
+    ),
+    "ingest-underscored-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",1_000.5"))],
+        2, "line 57: cannot parse price '1_000.5'",
+    ),
+    "ingest-bad-timestamp": (
+        lambda t: ["ingest", "--input",
+                   str(_panel_with_row(t, ",1.0", stamp="2009-13-45T10:01:00"))],
+        2, "line 57: cannot parse timestamp '2009-13-45T10:01:00'",
+    ),
     "pipeline-bad-price": (
         lambda t: ["pipeline", "--input", str(_panel_with_row(t, ",12x"))],
         2, "line 57: cannot parse price '12x'",
@@ -418,8 +476,9 @@ def test_bad_input_exit_code_without_traceback(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr  # numpy overflow is not leaked
-    errors = [line for line in proc.stderr.splitlines() if "error" in line]
-    assert len(errors) == 1 and fragment in errors[0], proc.stderr
+    # one line, after argparse's usage lines for a bad flag
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(lines) == 1 and "error" in lines[0] and fragment in lines[0], proc.stderr
     assert not out.exists()  # flags and inputs are refused before any artifact
 
 
