@@ -68,10 +68,6 @@ class SignedLognormal:
     def from_log2(cls, mean_log2: float, var_log2: float) -> "SignedLognormal":
         return cls(mean_log2 * _LN2, var_log2 * _LN2)
 
-    @property
-    def variance(self) -> float:
-        return math.exp(2.0 * self.mean_log + 2.0 * self.var_log)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Magnitude block first, then the sign block.
         magnitudes = np.exp(rng.normal(self.mean_log, math.sqrt(self.var_log), n))
@@ -94,12 +90,6 @@ class FoldedLognormal:
     def from_log2(cls, mean_log2: float, var_log2: float) -> "FoldedLognormal":
         return cls(mean_log2 * _LN2, var_log2 * _LN2)
 
-    @property
-    def variance(self) -> float:
-        second = math.exp(2.0 * self.mean_log + 2.0 * self.var_log)
-        mean = math.exp(self.mean_log + 0.5 * self.var_log)
-        return second - mean * mean
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.exp(rng.normal(self.mean_log, math.sqrt(self.var_log), n))
 
@@ -110,10 +100,6 @@ class PointMass:
 
     value: float
     random_sign: bool = True
-
-    @property
-    def variance(self) -> float:
-        return self.value * self.value if self.random_sign else 0.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.random_sign:
@@ -130,10 +116,6 @@ class CauchyFactor:
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-
-    @property
-    def variance(self) -> float:
-        return math.inf
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * rng.standard_cauchy(n)

@@ -4,16 +4,18 @@ Exit codes are a frozen contract: 0 success, 2 invalid input or config,
 3 I/O failure, 4 analysis failure.  Every command is deterministic given
 its config and seed; rerunning produces byte-identical artifacts.
 
-Each command reads its input through one loader (failures raise
+Each command reads its input through :func:`_read` (failures raise
 :class:`InputError`), runs the library through :func:`_stage` (failures
-raise :class:`AnalysisError`) and writes each artifact through the one
-writer that ``pipeline`` shares; :func:`main` alone maps the exceptions
-to exit codes.
+raise :class:`AnalysisError`) and hands its ``{name: content}`` files to
+:func:`_write_report`, which alone creates ``--out``, applies
+``--format`` and renders every report file except ``pyramid.json``;
+:func:`main` alone maps the exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -82,20 +84,28 @@ def _wtmm_config(args) -> wtmm.WtmmConfig:
     return config
 
 
-def _load_series(path) -> TimeSeries:
+def _read(what: str, fn, *args):
+    """Read one input; its failure becomes an InputError that names ``what``."""
+    try:
+        return fn(*args)
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"invalid {what}: {exc}") from exc
+
+
+def _series(path) -> TimeSeries:
     """One optional header line, then one number or ``index,value`` per line.
 
     The series is truncated to its most recent ``2**J`` samples.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     values = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
+        # a per-line try is the cheapest parse of a long series: a
+        # contextlib.suppress here doubles the time on 2**19 lines
         try:
             if len(fields) > 2:
                 raise ValueError
@@ -103,135 +113,100 @@ def _load_series(path) -> TimeSeries:
         except ValueError:
             if line_no == 1:
                 continue  # header
-            raise InputError(
-                f"{path} line {line_no}: expected a number or index,value, got {line!r}"
+            raise ValueError(
+                f"line {line_no}: expected a number or index,value, got {line!r}"
             ) from None
     if len(values) < 2:
-        raise InputError(f"{path} holds fewer than 2 numeric samples")
+        raise ValueError("fewer than 2 numeric samples")
     keep = 2 ** int(np.floor(np.log2(len(values))))
-    try:
-        return TimeSeries(np.asarray(values[-keep:]))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return TimeSeries(np.asarray(values[-keep:]))
 
 
-def _load_pyramid(path):
+def _pyramid(path):
     """A pyramid file, converted to the rescaled convention."""
-    try:
-        pyramid = load_pyramid(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed pyramid file {path}: {exc}") from exc
+    pyramid = load_pyramid(path)
     return pyramid if pyramid.rescaled else rescale(pyramid, "to_rescaled")
 
 
-def _load_spectrum(path) -> wtmm.SingularSpectrum:
-    try:
-        with open(path) as fh:
-            return wtmm.spectrum_from_dict(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed spectrum file {path}: {exc}") from exc
+def _spectrum(path) -> wtmm.SingularSpectrum:
+    """A ``spectrum.json`` file as written by :func:`_spectrum_files`."""
+    data = json.loads(Path(path).read_text())
+    spectrum = wtmm.SingularSpectrum(
+        q_grid=np.asarray(data["q"], dtype=float),
+        tau=np.asarray(data["tau"], dtype=float),
+        tau_stderr=np.asarray(data["tau_stderr"], dtype=float),
+        alpha=np.asarray(data["alpha"], dtype=float),
+        D=np.asarray(data["D"], dtype=float),
+        support=(float(data["support"][0]), float(data["support"][1])),
+        peak_alpha=float(data["peak_alpha"]),
+    )
+    columns = (spectrum.q_grid, spectrum.tau, spectrum.tau_stderr, spectrum.alpha, spectrum.D)
+    shapes = {c.shape for c in columns}
+    if len(shapes) != 1 or spectrum.q_grid.ndim != 1 or not spectrum.q_grid.size:
+        raise ValueError("q, tau, tau_stderr, alpha and D must be equal-length, non-empty lists")
+    return spectrum
 
 
-def _load_panel(path, dt: int) -> tuple:
+def _panel(path, dt: int) -> tuple:
     """Deseasonalized increments of a price panel and their accumulated path."""
-    try:
-        deltas = empirics.deseasonalize_returns(empirics.load_panel_csv(path), dt=dt)
-        return deltas, empirics.accumulate_path(deltas)
-    except OSError as exc:
-        raise InputError(f"cannot read panel: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"panel ingestion failed: {exc}") from exc
+    deltas = empirics.deseasonalize_returns(empirics.load_panel_csv(path), dt=dt)
+    return deltas, empirics.accumulate_path(deltas)
 
 
-def _load_spec(path, seed: int | None) -> cascade.CascadeSpec:
+def _spec(path, seed: int | None) -> cascade.CascadeSpec:
     """A cascade config; a ``--seed`` override is validated like the file's own."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if seed is not None:
-            data["seed"] = seed
-        return cascade.CascadeSpec.from_dict(data)
-    except OSError as exc:
-        raise InputError(f"cannot read config: {exc}") from exc
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise InputError(f"invalid cascade config: {exc}") from exc
+    data = json.loads(Path(path).read_text())
+    if seed is not None:
+        data["seed"] = seed
+    return cascade.CascadeSpec.from_dict(data)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _write_report(out, files: dict, fmt: str = "both") -> Path:
+    """Create ``out`` and write the ``{name: content}`` files that ``fmt`` selects.
+
+    ``fmt`` selects by suffix: ``json``, ``csv`` or ``both``.  A ``.json``
+    name takes a JSON value; a ``.csv`` name takes ``(header, rows)``, each
+    row's Python ints, strs and floats joined with ``str`` (for a float,
+    its ``repr``).
+    """
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        suffix = Path(name).suffix.lstrip(".")
+        if fmt not in (suffix, "both"):
+            continue
+        with open(out / name, "w") as fh:
+            if suffix == "json":
+                json.dump(content, fh, indent=2)
+                fh.write("\n")
+            else:
+                header, rows = content
+                fh.write(header + "\n")
+                for row in rows:
+                    fh.write(",".join(map(str, row)) + "\n")
     return out
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _indexed_csv(header: str, values) -> tuple:
+    return f"index,{header}", enumerate(map(float, values))
 
 
-def _write_indexed_csv(path: Path, header: str, values) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"index,{header}\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{float(v)!r}\n")
-
-
-def _write_spectrum(out: Path, spectrum, fmt: str = "both") -> None:
-    if fmt in ("json", "both"):
-        _write_json(out / "spectrum.json", wtmm.spectrum_to_dict(spectrum))
-    if fmt in ("csv", "both"):
-        wtmm.write_tau_csv(spectrum, out / "tau.csv")
-        wtmm.write_spectrum_csv(spectrum, out / "spectrum.csv")
-
-
-def _write_multipliers(out: Path, result: tuple, fmt: str = "both") -> None:
-    report, corr = result
-    if fmt in ("json", "both"):
-        _write_json(out / "multipliers.json", report)
-    if fmt in ("csv", "both"):
-        with open(out / "correlations.csv", "w") as fh:
-            fh.write("kind,layer,r,n_pairs\n")
-            for row in corr.successive:
-                fh.write(f"successive,{row.layer},{float(row.r)!r},{row.n_pairs}\n")
-            for row in corr.parent_vs_factor:
-                fh.write(f"parent_vs_factor,{row.layer},{float(row.r)!r},{row.n_pairs}\n")
-
-
-def _write_variances(out: Path, fits: list, fmt: str = "both") -> None:
-    if fmt in ("json", "both"):
-        _write_json(out / "variances.json", [dataclasses.asdict(f) for f in fits])
-    if fmt in ("csv", "both"):
-        with open(out / "variance_table.csv", "w") as fh:
-            fh.write("Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)\n")
-            for f in fits:
-                fh.write(
-                    f"{f.parent_layer},{f.side},{f.slope:.2f},{f.intercept:.2f},"
-                    f"{f.stderr_slope:.2f},{f.stderr_intercept:.2f},"
-                    f"{f.adj_r2:.2f},{f.var_w:.2f},{f.var_eta:.2f}\n"
-                )
-
-
-def _write_collapse(out: Path, result, fmt: str = "both") -> None:
-    if fmt in ("json", "both"):
-        _write_json(
-            out / "collapse.json",
-            {
-                "h": result.h,
-                "distance": result.distance,
-                "boundary": result.boundary,
-                "h_grid": result.h_grid.tolist(),
-                "distances": result.distances.tolist(),
-            },
-        )
-    if fmt in ("csv", "both"):
-        with open(out / "collapse.csv", "w") as fh:
-            fh.write("h,distance\n")
-            for h, d in zip(result.h_grid, result.distances):
-                fh.write(f"{float(h)!r},{float(d)!r}\n")
+def _spectrum_files(spectrum) -> dict:
+    q, tau, stderr = spectrum.q_grid.tolist(), spectrum.tau.tolist(), spectrum.tau_stderr.tolist()
+    alpha, D = spectrum.alpha.tolist(), spectrum.D.tolist()
+    return {
+        "spectrum.json": {
+            "q": q,
+            "tau": tau,
+            "tau_stderr": stderr,
+            "alpha": alpha,
+            "D": D,
+            "support": [spectrum.support[0], spectrum.support[1]],
+            "peak_alpha": spectrum.peak_alpha,
+        },
+        "tau.csv": ("q,tau,tau_stderr", zip(q, tau, stderr)),
+        "spectrum.csv": ("alpha,D", zip(alpha, D)),
+    }
 
 
 def _variance_fits(pyramid) -> list:
@@ -242,7 +217,32 @@ def _variance_fits(pyramid) -> list:
     return fits
 
 
-def _multiplier_report(pyramid) -> tuple:
+def _variance_files(fits: list) -> dict:
+    # the publication table's numeric columns, rendered to two decimals
+    cells = ("slope", "intercept", "stderr_slope", "stderr_intercept",
+             "adj_r2", "var_w", "var_eta")
+    table = [(f.parent_layer, f.side, *(f"{getattr(f, c):.2f}" for c in cells)) for f in fits]
+    return {
+        "variances.json": [dataclasses.asdict(f) for f in fits],
+        "variance_table.csv": ("Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)", table),
+    }
+
+
+def _collapse_files(result) -> dict:
+    h_grid, distances = result.h_grid.tolist(), result.distances.tolist()
+    return {
+        "collapse.json": {
+            "h": result.h,
+            "distance": result.distance,
+            "boundary": result.boundary,
+            "h_grid": h_grid,
+            "distances": distances,
+        },
+        "collapse.csv": ("h,distance", zip(h_grid, distances)),
+    }
+
+
+def _multiplier_files(pyramid) -> dict:
     ms = empirics.extract_multipliers(pyramid)
     corr = empirics.multiplier_correlations(ms, pyramid)
     fits = {}
@@ -256,49 +256,45 @@ def _multiplier_report(pyramid) -> tuple:
             ("student_t2", fit_student_t2),
             ("normal", fit_normal),
         ):
-            try:
+            entry[name] = None  # a fit that rejects the sample is reported as null
+            with contextlib.suppress(ValueError):
                 result = fitter(pooled)
                 entry[name] = {"scale": result.scale, "goodness": result.goodness}
-            except ValueError:
-                entry[name] = None
         fits[str(t.parent_layer)] = {"n_valid": int(pooled.size), "fits": entry}
-    report = {
-        "transitions": fits,
-        "successive_correlations": [
-            {"layer": r.layer, "r": r.r, "n_pairs": r.n_pairs} for r in corr.successive
-        ],
-        "parent_vs_factor_correlations": [
-            {"layer": r.layer, "r": r.r, "n_pairs": r.n_pairs}
-            for r in corr.parent_vs_factor
-        ],
-    }
-    return report, corr
+    report = {"transitions": fits}
+    rows = []
+    tables = {"successive": corr.successive, "parent_vs_factor": corr.parent_vs_factor}
+    for kind, table in tables.items():
+        report[f"{kind}_correlations"] = [
+            {"layer": r.layer, "r": r.r, "n_pairs": r.n_pairs} for r in table
+        ]
+        rows += [(kind, r.layer, float(r.r), r.n_pairs) for r in table]
+    return {"multipliers.json": report, "correlations.csv": ("kind,layer,r,n_pairs", rows)}
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args.config, args.seed)
+    spec = _read("cascade config", _spec, args.config, args.seed)
     pyramid = _stage("synthesize", cascade.synthesize_mixed, spec)
     path = _stage("reconstruct", dwt_inverse, pyramid)
-    out = _out_dir(args)
+    out = _write_report(args.out, {"path.csv": _indexed_csv("value", path.values)})
     save_pyramid(pyramid, out / "pyramid.json")
-    _write_indexed_csv(out / "path.csv", "value", path.values)
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    series = _load_series(args.input)
+    series = _read(f"series file {args.input}", _series, args.input)
     if series.length < 1024:
         raise InputError(f"series too short after truncation: {series.length} < 1024")
     config = _wtmm_config(args)
     spectrum = _stage("spectrum", wtmm.singular_spectrum, series, config)
     lo, hi = config.fit_window(series.length)
     print(f"fit scale range: [{lo:g}, {hi:g}] samples", file=sys.stderr)
-    _write_spectrum(_out_dir(args), spectrum, args.format)
+    _write_report(args.out, _spectrum_files(spectrum), args.format)
     return EXIT_OK
 
 
 def cmd_check_spectrum(args) -> int:
-    spectrum = _load_spectrum(args.input)
+    spectrum = _read(f"spectrum file {args.input}", _spectrum, args.input)
     error = wtmm.legendre_duality_error(spectrum)
     curvature = 0.0
     if spectrum.tau.size >= 3:
@@ -312,54 +308,68 @@ def cmd_check_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _read_pyramid(args):
+    return _read(f"pyramid file {args.input}", _pyramid, args.input)
+
+
 def cmd_multipliers(args) -> int:
-    result = _stage("multipliers", _multiplier_report, _load_pyramid(args.input))
-    _write_multipliers(_out_dir(args), result, args.format)
+    files = _stage("multipliers", _multiplier_files, _read_pyramid(args))
+    _write_report(args.out, files, args.format)
     return EXIT_OK
 
 
 def cmd_variances(args) -> int:
-    fits = _variance_fits(_load_pyramid(args.input))
-    _write_variances(_out_dir(args), fits, args.format)
+    fits = _variance_fits(_read_pyramid(args))
+    _write_report(args.out, _variance_files(fits), args.format)
     return EXIT_OK
 
 
 def cmd_collapse(args) -> int:
-    pyramid = _load_pyramid(args.input)
-    result = _stage("collapse", empirics.collapse_H, pyramid, args.h_grid)
-    _write_collapse(_out_dir(args), result, args.format)
+    result = _stage("collapse", empirics.collapse_H, _read_pyramid(args), args.h_grid)
+    _write_report(args.out, _collapse_files(result), args.format)
     return EXIT_OK
 
 
 def cmd_ingest(args) -> int:
-    deltas, path = _load_panel(args.input, args.dt)
-    out = _out_dir(args)
-    _write_indexed_csv(out / "deltas.csv", "delta", deltas)
-    _write_indexed_csv(out / "path.csv", "value", path.values)
+    deltas, path = _read("panel", _panel, args.input, args.dt)
+    files = {
+        "deltas.csv": _indexed_csv("delta", deltas),
+        "path.csv": _indexed_csv("value", path.values),
+    }
+    _write_report(args.out, files)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    _, path = _load_panel(args.input, args.dt)
+    _, path = _read("panel", _panel, args.input, args.dt)
     if path.length < 1024:
         raise InputError(f"path too short for analysis ({path.length} < 1024)")
     pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
     spectrum = _stage("spectrum", wtmm.singular_spectrum, path, _wtmm_config(args))
-    multipliers = _stage("multipliers", _multiplier_report, pyramid)
+    multipliers = _stage("multipliers", _multiplier_files, pyramid)
     fits = _variance_fits(pyramid)
     collapse = _stage("collapse", empirics.collapse_H, pyramid, args.h_grid)
-    out = _out_dir(args)
-    _write_indexed_csv(out / "path.csv", "value", path.values)
+    out = _write_report(
+        args.out,
+        {
+            "path.csv": _indexed_csv("value", path.values),
+            **_spectrum_files(spectrum),
+            **multipliers,
+            **_variance_files(fits),
+            **_collapse_files(collapse),
+        },
+    )
     save_pyramid(pyramid, out / "pyramid.json")
-    _write_spectrum(out, spectrum)
-    _write_multipliers(out, multipliers)
-    _write_variances(out, fits)
-    _write_collapse(out, collapse)
     return EXIT_OK
 
 
 # Flags that more than one command takes, each declared once.
 _SHARED_FLAGS = {
+    "--format": dict(
+        choices=("json", "csv", "both"),
+        default="both",
+        help="artifact format for analysis tables (default: both)",
+    ),
     "--dt": dict(type=int, default=1, help="return lag in grid steps"),
     "--q-range": dict(type=_q_range, help="moment grid MIN:MAX:COUNT"),
     "--scale-range": dict(type=_scale_range, help="fit window MIN:MAX in samples"),
@@ -375,29 +385,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, input_help=None, tables=True, flags=()):
+    def add_common(p, input_help=None, flags=()):
         if input_help:
             p.add_argument("--input", required=True, help=input_help)
         p.add_argument("--out", required=True, help="output directory")
-        if tables:
-            p.add_argument(
-                "--format",
-                choices=("json", "csv", "both"),
-                default="both",
-                help="artifact format for analysis tables (default: both)",
-            )
         for flag in flags:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
 
     p = sub.add_parser("simulate", help="synthesize a cascade pyramid and its path")
     p.add_argument("--config", required=True, help="cascade spec JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    add_common(p, tables=False)
+    add_common(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="singular spectrum of a series")
     add_common(
-        p, "path CSV (index,value or one value per line)", flags=("--q-range", "--scale-range")
+        p,
+        "path CSV (index,value or one value per line)",
+        flags=("--format", "--q-range", "--scale-range"),
     )
     p.set_defaults(fn=cmd_spectrum)
 
@@ -406,23 +411,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_spectrum)
 
     p = sub.add_parser("multipliers", help="backward factor statistics of a pyramid")
-    add_common(p, "pyramid JSON file")
+    add_common(p, "pyramid JSON file", flags=("--format",))
     p.set_defaults(fn=cmd_multipliers)
 
     p = sub.add_parser("variances", help="per-layer variance decomposition")
-    add_common(p, "pyramid JSON file")
+    add_common(p, "pyramid JSON file", flags=("--format",))
     p.set_defaults(fn=cmd_variances)
 
     p = sub.add_parser("collapse", help="distribution-collapse exponent estimate")
-    add_common(p, "pyramid JSON file", flags=("--h-grid",))
+    add_common(p, "pyramid JSON file", flags=("--format", "--h-grid"))
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("ingest", help="deseasonalize a price panel into a path")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False, flags=("--dt",))
+    add_common(p, "panel CSV (timestamp,ISSUE1,...)", flags=("--dt",))
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("pipeline", help="full panel-to-report analysis")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)", tables=False, flags=tuple(_SHARED_FLAGS))
+    add_common(
+        p,
+        "panel CSV (timestamp,ISSUE1,...)",
+        flags=("--dt", "--q-range", "--scale-range", "--h-grid"),
+    )
     p.set_defaults(fn=cmd_pipeline)
 
     return parser

@@ -99,8 +99,9 @@ def load_panel_csv(path) -> ReturnPanel:
     """Read ``timestamp,ISSUE1,ISSUE2,...`` rows into a panel.
 
     Blank lines are skipped.  A row with the wrong number of fields, a
-    timestamp that does not parse, or a price that does not parse or is
-    not finite and positive is refused with its line number in the file.
+    timestamp that does not parse or is not after the previous row's, or a
+    price that does not parse or is not finite and positive is refused
+    with its line number in the file.
     """
     with open(path, newline="") as fh:
         try:
@@ -137,6 +138,7 @@ def _raise_on_bad_line(path, n_fields: int) -> None:
         warnings.simplefilter("ignore", UserWarning)
         reader = csv.reader(fh)
         next(reader)
+        previous = None  # (stamp, line number) of the last data row
         for row in reader:
             if not row:
                 continue
@@ -144,9 +146,16 @@ def _raise_on_bad_line(path, n_fields: int) -> None:
             if len(row) != n_fields:
                 raise ValueError(f"row {line_no} has {len(row)} fields, expected {n_fields}")
             try:
-                np.datetime64(row[0], "s")
+                stamp = np.datetime64(row[0], "s")
             except ValueError:
-                raise ValueError(f"line {line_no}: cannot parse timestamp {row[0]!r}") from None
+                stamp = None
+            if stamp is None or np.isnat(stamp):  # an empty stamp parses, to NaT
+                raise ValueError(f"line {line_no}: cannot parse timestamp {row[0]!r}")
+            if previous is not None and not stamp > previous[0]:
+                raise ValueError(
+                    f"line {line_no}: timestamp {row[0]!r} is not after line {previous[1]}"
+                )
+            previous = (stamp, line_no)
             for v in row[1:]:
                 try:
                     price = float(v)

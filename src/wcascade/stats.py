@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class RegressionResult:
     stderr_intercept: float
     r2: float
     adj_r2: float
-    n: int
 
 
 @dataclass
@@ -58,19 +57,14 @@ class BinnedVariance:
     """Per-bin sample variance of a successor conditioned on its predecessor.
 
     Bins are half-open ``[k*width, (k+1)*width)``.  ``included`` marks bins
-    meeting ``min_count``; the full table is retained for the all-bins view.
+    holding at least ``min_count`` samples; the full table is retained for
+    the all-bins view.
     """
 
     bin_centers: np.ndarray
     bin_counts: np.ndarray
     conditional_variances: np.ndarray
-    bin_width: float
-    min_count: int
-    included: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.included is None:
-            self.included = self.bin_counts >= self.min_count
+    included: np.ndarray
 
 
 def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-8):
@@ -194,7 +188,6 @@ def ols(x, y) -> RegressionResult:
         stderr_intercept=stderr_intercept,
         r2=r2,
         adj_r2=adj_r2,
-        n=n,
     )
 
 
@@ -243,8 +236,7 @@ def binned_conditional_variance(
         bin_centers=centers,
         bin_counts=counts,
         conditional_variances=variances,
-        bin_width=float(bin_width),
-        min_count=int(min_count),
+        included=counts >= min_count,
     )
     if not np.any(result.included):
         warnings.warn(

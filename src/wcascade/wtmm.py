@@ -50,10 +50,6 @@ __all__ = [
     "legendre_spectrum",
     "singular_spectrum",
     "legendre_duality_error",
-    "spectrum_to_dict",
-    "spectrum_from_dict",
-    "write_tau_csv",
-    "write_spectrum_csv",
 ]
 
 _LN2 = math.log(2.0)
@@ -345,7 +341,6 @@ class TauEstimate:
     tau: np.ndarray
     stderr: np.ndarray
     r2: np.ndarray
-    fit_scales: np.ndarray
 
 
 def estimate_tau(pf: PartitionFunction, fit_range: tuple | None = None) -> TauEstimate:
@@ -370,7 +365,6 @@ def estimate_tau(pf: PartitionFunction, fit_range: tuple | None = None) -> TauEs
         tau=tau,
         stderr=stderr,
         r2=r2,
-        fit_scales=pf.scales[usable].copy(),
     )
 
 
@@ -501,41 +495,3 @@ def legendre_duality_error(spectrum: SingularSpectrum) -> float:
     q = spectrum.q_grid
     recovered = np.min(q[:, None] * spectrum.alpha[None, :] - spectrum.D[None, :], axis=1)
     return float(np.max(np.abs(recovered - spectrum.tau)))
-
-
-def spectrum_to_dict(spectrum: SingularSpectrum) -> dict:
-    return {
-        "q": spectrum.q_grid.tolist(),
-        "tau": spectrum.tau.tolist(),
-        "tau_stderr": spectrum.tau_stderr.tolist(),
-        "alpha": spectrum.alpha.tolist(),
-        "D": spectrum.D.tolist(),
-        "support": [spectrum.support[0], spectrum.support[1]],
-        "peak_alpha": spectrum.peak_alpha,
-    }
-
-
-def spectrum_from_dict(data: dict) -> SingularSpectrum:
-    return SingularSpectrum(
-        q_grid=np.asarray(data["q"], dtype=float),
-        tau=np.asarray(data["tau"], dtype=float),
-        tau_stderr=np.asarray(data["tau_stderr"], dtype=float),
-        alpha=np.asarray(data["alpha"], dtype=float),
-        D=np.asarray(data["D"], dtype=float),
-        support=(float(data["support"][0]), float(data["support"][1])),
-        peak_alpha=float(data["peak_alpha"]),
-    )
-
-
-def write_tau_csv(spectrum: SingularSpectrum, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("q,tau,tau_stderr\n")
-        for q, t, e in zip(spectrum.q_grid, spectrum.tau, spectrum.tau_stderr):
-            fh.write(f"{float(q)!r},{float(t)!r},{float(e)!r}\n")
-
-
-def write_spectrum_csv(spectrum: SingularSpectrum, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("alpha,D\n")
-        for a, d in zip(spectrum.alpha, spectrum.D):
-            fh.write(f"{float(a)!r},{float(d)!r}\n")

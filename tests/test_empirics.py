@@ -221,6 +221,13 @@ def test_load_panel_row_reader_reads_what_numpy_refuses(tmp_path, header, first_
         ("2009-05-01T10:02:00,0,3.0", "line 4: price '0' is not finite and positive"),
         ("2009-05-01T10:02:00,-1.0,3.0", "line 4: price '-1.0' is not finite and positive"),
         ("2009-13-45T10:01:00,1.0,2.0", "line 4: cannot parse timestamp '2009-13-45T10:01:00'"),
+        # an empty stamp parses to NaT
+        (",1.0,2.0", "line 4: cannot parse timestamp ''"),
+        ("2009-05-01T10:00:00,1.0,2.0",
+         "line 4: timestamp '2009-05-01T10:00:00' is not after line 2"),
+        # after 10:04, the next row's 10:03 is out of order
+        ("2009-05-01T10:04:00,1.0,2.0",
+         "line 5: timestamp '2009-05-01T10:03:00' is not after line 4"),
     ],
 )
 def test_load_panel_names_the_bad_line(tmp_path, row, message):
@@ -614,7 +621,7 @@ def test_variance_deterministic_cascade_is_zero():
 
 
 def test_variance_table_schema(tmp_path):
-    from wcascade.cli import _write_variances
+    from wcascade.cli import _variance_files, _write_report
 
     var_log = 0.02 * LN2
     spec = CascadeSpec(
@@ -625,7 +632,7 @@ def test_variance_table_schema(tmp_path):
     )
     fits = estimate_variances(synthesize_mixed(spec))
     assert fits
-    _write_variances(tmp_path, fits)
+    _write_report(tmp_path, _variance_files(fits))
     table = (tmp_path / "variance_table.csv").read_text().splitlines()
     assert table[0] == "Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)"
     assert table[1].split(",")[:2] == [str(fits[0].parent_layer), fits[0].side]

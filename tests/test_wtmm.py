@@ -295,7 +295,7 @@ def test_estimate_tau_needs_three_scales():
 def test_legendre_linear_tau_collapses_support():
     q = np.linspace(-4, 4, 33)
     h = 0.5
-    est = TauEstimate(q, h * q - 1, np.zeros_like(q), np.ones_like(q), q)
+    est = TauEstimate(q, h * q - 1, np.zeros_like(q), np.ones_like(q))
     spectrum = legendre_spectrum(est)
     assert np.allclose(spectrum.alpha, h, atol=1e-12)
     assert np.allclose(spectrum.D, 1.0, atol=1e-12)
@@ -307,7 +307,7 @@ def test_legendre_matches_analytic_pair_on_interior():
     m, v = -0.33 * LN2, 0.02 * LN2
     q = np.linspace(-5, 5, 41)
     tau = theoretical_tau_lognormal(m, v, q)
-    est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q), q)
+    est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q))
     spectrum = legendre_spectrum(est)
     analytic = theoretical_spectrum_lognormal(m, v, spectrum.alpha[1:-1])
     assert np.max(np.abs(spectrum.D[1:-1] - analytic.D)) < 1e-6
@@ -320,7 +320,7 @@ def test_legendre_duality_round_trip():
     m, v = -0.33 * LN2, 0.02 * LN2
     q = np.linspace(-5, 5, 41)
     tau = theoretical_tau_lognormal(m, v, q)
-    est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q), q)
+    est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q))
     spectrum = legendre_spectrum(est)
     curvature = np.max(np.abs(np.diff(tau, 2)))
     assert legendre_duality_error(spectrum) <= 4 * curvature
@@ -330,7 +330,7 @@ def test_legendre_flags_nonconcave_and_uses_hull():
     q = np.linspace(-2, 2, 9)
     tau = q / 2 - 1
     tau[4] -= 0.3  # dent makes the table non-concave
-    est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q), q)
+    est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q))
     with pytest.warns(UserWarning):
         spectrum = legendre_spectrum(est)
     assert spectrum.concavity_violation > 0
