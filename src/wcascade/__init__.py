@@ -45,7 +45,6 @@ from wcascade.stats import (
 )
 from wcascade.wtmm import (
     CwtMatrix,
-    MaximaLine,
     PartitionFunction,
     SingularSpectrum,
     WtmmConfig,

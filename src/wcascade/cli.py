@@ -9,7 +9,8 @@ Each command reads its input through :func:`_read` (failures raise
 raise :class:`AnalysisError`) and hands its ``{name: content}`` files to
 :func:`_write_report`, which alone creates ``--out``, applies
 ``--format`` and renders every report file except ``pyramid.json``;
-:func:`main` alone maps the exceptions to exit codes.
+:func:`main` alone maps the exceptions to exit codes, and prints each
+warning a command raises as one ``warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import contextlib
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -437,9 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.fn(args)
     except InputError as exc:
@@ -451,6 +458,8 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def entrypoint() -> None:

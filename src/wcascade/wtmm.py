@@ -35,7 +35,6 @@ from wcascade.stats import ols
 
 __all__ = [
     "CwtMatrix",
-    "MaximaLine",
     "PartitionFunction",
     "TauEstimate",
     "SingularSpectrum",
@@ -89,41 +88,9 @@ class CwtMatrix:
     scales: np.ndarray
     values: np.ndarray  # shape (n_scales, n_positions), positions 0..n-1
 
-    def __post_init__(self):
-        self.scales = np.asarray(self.scales, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.scales) <= 0):
-            raise ValueError("scales must be strictly increasing")
-        if self.values.ndim != 2 or self.values.shape[0] != self.scales.size:
-            raise ValueError("value matrix shape inconsistent with grids")
-
     @property
     def length(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class MaximaLine:
-    """Chain of modulus maxima across scales, ordered fine to coarse.
-
-    Entry ``i`` lies at index ``i`` of the transform's scale grid, so the
-    line covers consecutive scales from the finest and satisfies the
-    completeness requirement for every scale it reaches.
-    """
-
-    positions: np.ndarray
-    moduli: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.int64)
-        self.moduli = np.asarray(self.moduli, dtype=float)
-        if self.positions.size != self.moduli.size:
-            raise ValueError("line fields must have equal lengths")
-        if np.any(self.moduli < 0):
-            raise ValueError("moduli must be non-negative")
-
-    def __len__(self) -> int:
-        return self.positions.size
 
 
 def default_scale_grid(length: int, voices_per_octave: int = 8) -> np.ndarray:
@@ -181,7 +148,7 @@ def _local_maxima_circular(m: np.ndarray) -> np.ndarray:
     prev_vals = np.roll(run_vals, 1)
     next_vals = np.roll(run_vals, -1)
     keep = (run_vals > prev_vals) & (run_vals > next_vals)
-    return np.sort(change[keep])
+    return change[keep]
 
 
 def find_modulus_maxima(matrix: CwtMatrix) -> list:
@@ -217,55 +184,49 @@ def chain_maxima_lines(maxima: list, matrix: CwtMatrix) -> list:
     unrelated ridges are not glued together.  A line that finds no
     continuation is closed and kept; maxima that appear first at a coarser
     scale can never satisfy completeness and are dropped.
+
+    Line ``k`` is the array of its moduli, fine to coarse: it starts at
+    ``maxima[0][k]`` and its entry ``i`` lies at scale index ``i``.
     """
     n = matrix.length
     scales = matrix.scales
     if len(maxima) != scales.size:
         raise ValueError("need one maxima list per scale")
-    seeds = np.asarray(maxima[0], dtype=np.int64)
-    line_positions = [[int(p)] for p in seeds]
-    line_moduli = [[float(abs(matrix.values[0, p]))] for p in seeds]
-    heads = seeds.astype(float)
-    alive = np.arange(seeds.size)
+    heads = np.asarray(maxima[0], dtype=np.int64)
+    if heads.size == 0:
+        return []
+    alive = np.arange(heads.size)  # line ids, in the order the heads were accepted
+    line_ids = [alive]
+    moduli = [np.abs(matrix.values[0, heads])]
     for i in range(1, scales.size):
-        if alive.size == 0:
-            break
         cands = np.asarray(maxima[i], dtype=np.int64)
-        if cands.size == 0:
-            alive = np.empty(0, dtype=np.int64)
+        if alive.size == 0 or cands.size == 0:
             break
         radius = max(1.0, _LINK_FACTOR * scales[i])
-        head_pos = heads
-        idx = np.searchsorted(cands, head_pos)
-        neighbor = np.stack([(idx - 1) % cands.size, idx % cands.size])
+        idx = np.searchsorted(cands, heads)
         pair_line = np.tile(np.arange(alive.size), 2)
-        pair_cand = neighbor.reshape(-1)
-        dist = _circular_distance(head_pos[pair_line], cands[pair_cand], n)
+        pair_cand = np.concatenate([(idx - 1) % cands.size, idx % cands.size])
+        dist = _circular_distance(heads[pair_line], cands[pair_cand], n)
         ok = dist <= radius
         pair_line, pair_cand, dist = pair_line[ok], pair_cand[ok], dist[ok]
-        order = np.argsort(dist, kind="stable")
-        line_used = np.zeros(alive.size, dtype=bool)
-        cand_used = np.zeros(cands.size, dtype=bool)
-        new_alive = []
-        new_heads = []
-        for k in order:
-            li, ci = pair_line[k], pair_cand[k]
+        pair_lines, pair_cands = pair_line.tolist(), pair_cand.tolist()
+        line_used = [False] * alive.size
+        cand_used = [False] * cands.size
+        accepted = []
+        for k in np.argsort(dist, kind="stable").tolist():
+            li, ci = pair_lines[k], pair_cands[k]
             if line_used[li] or cand_used[ci]:
                 continue
-            line_used[li] = True
-            cand_used[ci] = True
-            line_id = alive[li]
-            pos = int(cands[ci])
-            line_positions[line_id].append(pos)
-            line_moduli[line_id].append(float(abs(matrix.values[i, pos])))
-            new_alive.append(line_id)
-            new_heads.append(float(pos))
-        alive = np.asarray(new_alive, dtype=np.int64)
-        heads = np.asarray(new_heads, dtype=float)
-    return [
-        MaximaLine(positions=np.asarray(positions), moduli=np.asarray(moduli))
-        for positions, moduli in zip(line_positions, line_moduli)
-    ]
+            line_used[li] = cand_used[ci] = True
+            accepted.append(k)
+        accepted = np.asarray(accepted, dtype=np.int64)
+        alive = alive[pair_line[accepted]]
+        heads = cands[pair_cand[accepted]]
+        line_ids.append(alive)
+        moduli.append(np.abs(matrix.values[i, heads]))
+    ids = np.concatenate(line_ids)
+    by_line = np.concatenate(moduli)[np.argsort(ids, kind="stable")]
+    return np.split(by_line, np.cumsum(np.bincount(ids))[:-1])
 
 
 @dataclass
@@ -298,31 +259,32 @@ def _logsumexp(a: np.ndarray, axis=None):
 def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
     """Build ``Z(q, s)`` from per-line running modulus suprema.
 
+    Each line is the array of its moduli, entry ``i`` at scale index ``i``.
     For each line alive at scale index i the contribution is
     ``sup_{i' <= i} modulus(i')`` raised to the power q, so ``Z(0, s)``
-    counts the lines alive at s.  Sums are accumulated in the log domain
-    for stability at large negative q.
+    counts the lines alive at s.  Sums are accumulated in the log domain,
+    over the lines in list order, for stability at large negative q.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     scales = np.asarray(scales, dtype=float)
     n_s = scales.size
-    sup_logs = [[] for _ in range(n_s)]
-    for line in lines:
-        if len(line) == 0:
-            continue
-        if np.any(line.moduli <= 0):
-            raise ValueError("maxima lines must have strictly positive moduli")
-        running = np.maximum.accumulate(np.log(line.moduli))
-        for i in range(min(len(line), n_s)):
-            sup_logs[i].append(running[i])
+    lengths = np.array([len(line) for line in lines], dtype=np.int64)
+    moduli = np.concatenate([np.empty(0), *lines])
+    if np.any(moduli <= 0):
+        raise ValueError("maxima lines must have strictly positive moduli")
+    # regroup by scale index; within a scale the lines stay in list order
+    depth = np.arange(moduli.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    per_scale = np.bincount(depth, minlength=n_s)
+    by_scale = np.split(np.log(moduli[np.argsort(depth, kind="stable")]), np.cumsum(per_scale)[:-1])
     log2_Z = np.full((q_grid.size, n_s), -np.inf)
-    counts = np.zeros(n_s, dtype=np.int64)
+    counts = per_scale[:n_s]
+    live, sup = lengths, np.full(lengths.size, -np.inf)
     for i in range(n_s):
-        if not sup_logs[i]:
-            continue
-        logs = np.asarray(sup_logs[i])
-        counts[i] = logs.size
-        log2_Z[:, i] = _logsumexp(q_grid[:, None] * logs[None, :], axis=1) / _LN2
+        if not counts[i]:
+            break
+        keep = live > i
+        live, sup = live[keep], np.maximum(sup[keep], by_scale[i])
+        log2_Z[:, i] = _logsumexp(q_grid[:, None] * sup[None, :], axis=1) / _LN2
     if np.any(counts == 0):
         empty = scales[counts == 0]
         warnings.warn(
@@ -343,9 +305,9 @@ class TauEstimate:
     r2: np.ndarray
 
 
-def estimate_tau(pf: PartitionFunction, fit_range: tuple | None = None) -> TauEstimate:
+def estimate_tau(pf: PartitionFunction, fit_range: tuple) -> TauEstimate:
     """Least-squares slope of log2 Z(q, s) against log2 s per moment order."""
-    lo, hi = fit_range if fit_range is not None else (pf.scales.min(), pf.scales.max())
+    lo, hi = fit_range
     usable = (pf.scales >= lo) & (pf.scales <= hi) & (pf.line_counts > 0)
     if np.count_nonzero(usable) < 3:
         raise ValueError(

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import wcascade
+from wcascade import wtmm
 from wcascade.cascade import CascadeSpec, NormalNoise, SignedLognormal, synthesize_mixed
 from wcascade.cli import main
-from wcascade.dwt import dwt_inverse, load_pyramid
+from wcascade.dwt import TimeSeries, dwt_inverse, load_pyramid
 
 REFERENCE_CONFIG = {
     "depth": 12,
@@ -210,6 +211,15 @@ def test_variances_command_table_format(tmp_path):
         assert "." in cell and len(cell.split(".")[1]) == 2
     data = json.loads((out / "variances.json").read_text())
     assert {"parent_layer", "side", "var_w", "var_eta"} <= set(data[0])
+
+
+def test_library_warnings_print_one_line_each(tmp_path):
+    # the reference pyramid's two widest transitions lack 3 bins of children
+    pyramid = simulate_pyramid(tmp_path)
+    proc = run_cli("variances", "--input", str(pyramid), "--out", str(tmp_path / "var"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: transition") for line in lines), lines
 
 
 def test_collapse_command(tmp_path):
@@ -591,13 +601,18 @@ def test_format_selects_the_both_files_by_suffix(pipeline_report, tmp_path, comm
     assert expected and read_tree(tmp_path / fmt) == expected
 
 
+def load_wcbench(name):
+    path = Path(__file__).resolve().parents[1] / "wcbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"wcbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_replay_opens_every_traced_span(tmp_path):
     # the benchmark's --trace 1 wraps package functions by name and reads
     # some of their argument names; a rename breaks it silently otherwise
-    replay_path = Path(__file__).resolve().parents[1] / "wcbench" / "replay.py"
-    spec = importlib.util.spec_from_file_location("wcbench_replay", replay_path)
-    replay = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay)
+    replay, layers = load_wcbench("replay"), load_wcbench("layers")
     pyramid = str(tmp_path / "sim" / "pyramid.json")
     commands = [
         ["pipeline", "--input", str(write_cascade_panel(tmp_path, depth=12)),
@@ -605,14 +620,22 @@ def test_traced_replay_opens_every_traced_span(tmp_path):
         ["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "sim")],
         ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
     ]
-    opened = set()
+    docs = []
     for i, argv in enumerate(commands):
         spans = tmp_path / f"spans{i}.json"
-        proc = run_python(str(replay_path), str(spans), *argv)
+        proc = run_python(replay.__file__, str(spans), *argv)
         assert proc.returncode == 0, proc.stderr
-        opened |= {span["name"] for span in json.loads(spans.read_text())["spans"]}
+        docs.append(json.loads(spans.read_text()))
+    opened = {span["name"] for doc in docs for span in doc["spans"]}
     traced = {f"{layer}.{name}" for layer, names in replay.TRACED.items() for name in names}
     assert traced and traced <= opened, sorted(traced - opened)
+    # the WTMM counters read the chaining result: one line per finest-scale maximum
+    metrics = layers.layer_metrics(docs[:1], 0.0, 0.0, 0.0)
+    path = TimeSeries(np.loadtxt(tmp_path / "report" / "path.csv", delimiter=",", skiprows=1)[:, 1])
+    finest = wtmm.default_scale_grid(path.length)[:1]
+    seeds = wtmm.find_modulus_maxima(wtmm.cwt(path, wtmm._WAVELET_ORDER, finest))[0]
+    assert seeds.size and metrics["wtmm.lines_count"] == seeds.size
+    assert 0 < metrics["wtmm.lines_complete_ratio"] <= 1
 
 
 def test_regression_renders_two_decimals(tmp_path):

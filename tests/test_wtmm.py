@@ -1,6 +1,7 @@
 """Modulus-maxima pipeline: stage-by-stage oracles and end-to-end checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from wcascade.cascade import (
 from wcascade.dwt import TimeSeries, dwt_inverse
 from wcascade.wtmm import (
     CwtMatrix,
-    MaximaLine,
     PartitionFunction,
     TauEstimate,
     WtmmConfig,
@@ -188,11 +188,12 @@ def test_two_steps_give_two_complete_lines():
     series = TimeSeries(values)
     grid = default_scale_grid(length)
     matrix = cwt(series, 1, grid)
-    lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
+    maxima = find_modulus_maxima(matrix)
+    lines = chain_maxima_lines(maxima, matrix)
     assert len(lines) == 2
-    complete = [l for l in lines if len(l) == grid.size]
+    complete = [k for k, l in enumerate(lines) if len(l) == grid.size]
     assert len(complete) == 2
-    finals = sorted(l.positions[0] for l in complete)
+    finals = sorted(maxima[0][k] for k in complete)  # line k starts at maxima[0][k]
     assert abs(finals[0] - length // 3) <= 3
     assert abs(finals[1] - 2 * length // 3) <= 3
     # completeness is monotone: alive-line counts never increase with scale
@@ -207,15 +208,135 @@ def test_chain_empty_maxima():
 
 
 # ---------------------------------------------------------------------------
+# chaining and partition function against a list-based reference
+
+
+def reference_chain_maxima_lines(maxima, matrix):
+    """Per-line list chaining: greedy matching that appends each accepted edge."""
+    n = matrix.length
+    scales = matrix.scales
+    seeds = np.asarray(maxima[0], dtype=np.int64)
+    line_moduli = [[float(abs(matrix.values[0, p]))] for p in seeds]
+    heads = seeds.astype(float)
+    alive = np.arange(seeds.size)
+    for i in range(1, scales.size):
+        if alive.size == 0:
+            break
+        cands = np.asarray(maxima[i], dtype=np.int64)
+        if cands.size == 0:
+            break
+        radius = max(1.0, 0.5 * scales[i])
+        idx = np.searchsorted(cands, heads)
+        neighbor = np.stack([(idx - 1) % cands.size, idx % cands.size])
+        pair_line = np.tile(np.arange(alive.size), 2)
+        pair_cand = neighbor.reshape(-1)
+        d = np.abs(heads[pair_line] - cands[pair_cand])
+        dist = np.minimum(d, n - d)
+        ok = dist <= radius
+        pair_line, pair_cand, dist = pair_line[ok], pair_cand[ok], dist[ok]
+        line_used = np.zeros(alive.size, dtype=bool)
+        cand_used = np.zeros(cands.size, dtype=bool)
+        new_alive = []
+        new_heads = []
+        for k in np.argsort(dist, kind="stable"):
+            li, ci = pair_line[k], pair_cand[k]
+            if line_used[li] or cand_used[ci]:
+                continue
+            line_used[li] = True
+            cand_used[ci] = True
+            pos = int(cands[ci])
+            line_moduli[alive[li]].append(float(abs(matrix.values[i, pos])))
+            new_alive.append(alive[li])
+            new_heads.append(float(pos))
+        alive = np.asarray(new_alive, dtype=np.int64)
+        heads = np.asarray(new_heads, dtype=float)
+    return [np.asarray(moduli) for moduli in line_moduli]
+
+
+def reference_partition_function(lines, q_grid, scales):
+    """Per-scale lists of running suprema, summed in line order."""
+    n_s = scales.size
+    sup_logs = [[] for _ in range(n_s)]
+    for line in lines:
+        running = np.maximum.accumulate(np.log(line))
+        for i in range(min(len(line), n_s)):
+            sup_logs[i].append(running[i])
+    log2_Z = np.full((q_grid.size, n_s), -np.inf)
+    counts = np.zeros(n_s, dtype=np.int64)
+    for i in range(n_s):
+        if sup_logs[i]:
+            logs = np.asarray(sup_logs[i])
+            counts[i] = logs.size
+            a = q_grid[:, None] * logs[None, :]
+            m = np.max(a, axis=1, keepdims=True)
+            log_z = m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))
+            log2_Z[:, i] = np.squeeze(log_z, axis=1) / LN2
+    return log2_Z, counts
+
+
+def assert_chaining_matches_reference(maxima, matrix):
+    maxima = [np.asarray(m, dtype=np.int64) for m in maxima]
+    q = WtmmConfig().q_grid()
+    lines = chain_maxima_lines(maxima, matrix)
+    expected = reference_chain_maxima_lines(maxima, matrix)
+    assert len(lines) == len(expected) == maxima[0].size
+    for line, ref in zip(lines, expected):
+        assert line.dtype == ref.dtype and line.tobytes() == ref.tobytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pf = partition_function(lines, q, matrix.scales)
+    log2_Z, counts = reference_partition_function(expected, q, matrix.scales)
+    assert pf.log2_Z.tobytes() == log2_Z.tobytes()
+    assert np.array_equal(pf.line_counts, counts)
+    assert (len(caught) == 1) == bool(np.any(counts == 0))
+    return lines
+
+
+def hand_built_matrix(n=64, n_scales=4, seed=0):
+    """Positive moduli on a 4 -> 32 sample grid; radii 4, 8, 16 above the finest row."""
+    rng = np.random.default_rng(seed)
+    scales = 4.0 * 2.0 ** np.arange(n_scales)
+    return CwtMatrix(scales=scales, values=rng.uniform(0.5, 2.0, size=(n_scales, n)))
+
+
+def test_chaining_matches_reference_on_cascade_path():
+    spec = CascadeSpec(
+        depth=13, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=3
+    )
+    series = dwt_inverse(synthesize_mixed(spec))
+    matrix = cwt(series, 2, default_scale_grid(series.length))
+    lines = assert_chaining_matches_reference(find_modulus_maxima(matrix), matrix)
+    lengths = {len(line) for line in lines}
+    assert min(lengths) < matrix.scales.size and max(lengths) == matrix.scales.size
+
+
+def test_chaining_matches_reference_with_empty_later_scale():
+    maxima = [[5, 20, 40], [6, 21], [], [30]]
+    lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
+    assert [len(line) for line in lines] == [2, 2, 1]
+
+
+def test_chaining_matches_reference_when_a_line_finds_no_continuation():
+    # 20 has no scale-8 maximum within 4 samples; 40 none at scale 16 within 8
+    maxima = [[5, 20, 40], [6, 41], [7], [8]]
+    lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
+    assert [len(line) for line in lines] == [4, 1, 2]
+
+
+def test_chaining_matches_reference_on_an_equal_distance_tie():
+    # at scale 8 line 1 (30 -> 29) is accepted before line 0 (10 -> 13), so
+    # the heads 29 and 13, both 8 samples from 21, tie in that order
+    maxima = [[10, 30], [13, 29], [21], [21]]
+    lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
+    assert [len(line) for line in lines] == [2, 4]
+
+
+# ---------------------------------------------------------------------------
 # partition function and exponents
 
 
-def make_line(moduli, position=0):
-    k = len(moduli)
-    return MaximaLine(
-        positions=np.full(k, position),
-        moduli=np.asarray(moduli, dtype=float),
-    )
+def make_line(moduli):
+    return np.asarray(moduli, dtype=float)
 
 
 def test_partition_single_line_powers():
