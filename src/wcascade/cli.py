@@ -35,6 +35,15 @@ EXIT_IO = 3
 EXIT_ANALYSIS = 4
 
 
+# Largest estimated allocation a command may make; a larger one is refused
+# before anything is allocated.  It admits a 2**21-point spectrum (a
+# 2.0 GiB transform matrix) and refuses a 2**22-point one (4.3 GiB).
+MEMORY_BUDGET = 3 * 2**30
+# `simulate`'s peak grew by 70-76 bytes per path sample from depth 17 to 19:
+# the pyramid, the path and the JSON text of a layer.
+_SIMULATE_BYTES_PER_SAMPLE = 80
+
+
 class InputError(Exception):
     """Invalid input data or configuration (exit 2)."""
 
@@ -77,12 +86,31 @@ def _h_grid(text: str) -> np.ndarray:
     return np.arange(start, stop + step / 2, step)
 
 
-def _wtmm_config(args) -> wtmm.WtmmConfig:
+def _simulate_bytes(depth: int) -> float:
+    # 2.0 ** 1000 is far over any budget; the cap keeps the float finite
+    return _SIMULATE_BYTES_PER_SAMPLE * 2.0 ** min(depth + 1, 1000)
+
+
+def _spectrum_bytes(length: int, config: wtmm.WtmmConfig) -> int:
+    """The transform matrix, one float64 row per scale: the spectrum's largest allocation."""
+    return config.scale_grid(length).size * length * 8
+
+
+def _within_budget(what: str, nbytes: float) -> None:
+    if nbytes > MEMORY_BUDGET:
+        raise InputError(
+            f"{what} would need more than the {MEMORY_BUDGET / 2**30:g} GiB memory budget"
+        )
+
+
+def _wtmm_config(args, length: int) -> wtmm.WtmmConfig:
+    """The spectrum settings, once a ``length``-point transform fits the memory budget."""
     config = wtmm.WtmmConfig()
     if args.q_range:
         config.q_min, config.q_max, config.n_q = args.q_range
     if args.scale_range:
         config.fit_min_scale, config.fit_max_scale = args.scale_range
+    _within_budget(f"spectrum of {length} samples", _spectrum_bytes(length, config))
     return config
 
 
@@ -276,6 +304,7 @@ def _multiplier_files(pyramid) -> dict:
 
 def cmd_simulate(args) -> int:
     spec = _read("cascade config", _spec, args.config, args.seed)
+    _within_budget(f"cascade depth {spec.depth}", _simulate_bytes(spec.depth))
     pyramid = _stage("synthesize", cascade.synthesize_mixed, spec)
     path = _stage("reconstruct", dwt_inverse, pyramid)
     out = _write_report(args.out, {"path.csv": _indexed_csv("value", path.values)})
@@ -287,7 +316,7 @@ def cmd_spectrum(args) -> int:
     series = _read(f"series file {args.input}", _series, args.input)
     if series.length < 1024:
         raise InputError(f"series too short after truncation: {series.length} < 1024")
-    config = _wtmm_config(args)
+    config = _wtmm_config(args, series.length)
     spectrum = _stage("spectrum", wtmm.singular_spectrum, series, config)
     lo, hi = config.fit_window(series.length)
     print(f"fit scale range: [{lo:g}, {hi:g}] samples", file=sys.stderr)
@@ -346,8 +375,9 @@ def cmd_pipeline(args) -> int:
     _, path = _read("panel", _panel, args.input, args.dt)
     if path.length < 1024:
         raise InputError(f"path too short for analysis ({path.length} < 1024)")
+    config = _wtmm_config(args, path.length)
     pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
-    spectrum = _stage("spectrum", wtmm.singular_spectrum, path, _wtmm_config(args))
+    spectrum = _stage("spectrum", wtmm.singular_spectrum, path, config)
     multipliers = _stage("multipliers", _multiplier_files, pyramid)
     fits = _variance_fits(pyramid)
     collapse = _stage("collapse", empirics.collapse_H, pyramid, args.h_grid)

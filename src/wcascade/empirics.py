@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from wcascade.dwt import TimeSeries, WaveletPyramid
 from wcascade.stats import binned_conditional_variance, ols, pearson_correlation
+from wcascade.threads import thread_map
 
 __all__ = [
     "ReturnPanel",
@@ -408,18 +407,7 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
     return MultiplierCorrelations(successive=successive, parent_vs_factor=parent_vs)
 
 
-# Each collapse thread holds a scaled copy of every usable layer, about
-# 2.5 MB on a depth-17 pyramid.  With four threads the `collapse` process
-# peaked at 74 MB there, as `simulate` does at that depth; eight took 84 MB.
-_MAX_COLLAPSE_THREADS = 4
 _GAP_BLOCK = 1 << 14  # sample points per searchsorted call
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _own_ecdf(x: np.ndarray, tie_free_cdf: np.ndarray) -> np.ndarray:
@@ -505,9 +493,7 @@ def collapse_H(
 
     # searchsorted releases the GIL; each row sums its pairs in order,
     # so the distances do not depend on the number of threads
-    workers = min(h_grid.size, _usable_cpus(), _MAX_COLLAPSE_THREADS)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        distances = np.array(list(pool.map(mean_distance, h_grid)))
+    distances = np.array(thread_map(mean_distance, h_grid))
     best = int(np.argmin(distances))
     boundary = best in (0, h_grid.size - 1)
     if boundary:

@@ -32,6 +32,7 @@ import numpy as np
 
 from wcascade.dwt import TimeSeries
 from wcascade.stats import ols
+from wcascade.threads import thread_map
 
 __all__ = [
     "CwtMatrix",
@@ -61,6 +62,10 @@ _MIN_SCALE = 4.0
 _NOISE_FLOOR = 1e-13
 # Largest move of a ridge line to the next row, as a fraction of its scale.
 _LINK_FACTOR = 0.5
+# exp(-x*x/2) underflows to exactly 0.0 for |x| > 38.61, so the kernel is
+# zero more than 39 scales away from its centre.
+_KERNEL_SUPPORT = 39.0
+_KERNEL_BLOCK = 1 << 14  # kernel samples per call, so a thread's scratch stays small
 
 
 def gaussian_derivative_wavelet(order: int, x):
@@ -103,6 +108,25 @@ def default_scale_grid(length: int, voices_per_octave: int = 8) -> np.ndarray:
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
+def _reversed_kernel(row: np.ndarray, order: int, s: float) -> None:
+    """Write ``psi(offset / s) / s`` at the reversed circular offsets into ``row``.
+
+    Entry ``m`` is the kernel's sample ``(-m) mod n``, at the signed offset
+    that sample has (``+n/2`` stays ``+n/2``).  Only offsets within
+    ``ceil(39 s)`` of zero are written; ``row`` must be zero elsewhere.
+    """
+    n = row.size
+    half = math.ceil(_KERNEL_SUPPORT * s)
+    spans = [(0, n)] if 2 * half >= n else [(0, half + 1), (n - half, n)]
+    for lo, hi in spans:
+        for start in range(lo, hi, _KERNEL_BLOCK):
+            m = np.arange(start, min(start + _KERNEL_BLOCK, hi))
+            offsets = ((-m) % n).astype(float)
+            offsets[offsets > n // 2] -= n
+            psi = gaussian_derivative_wavelet(order, offsets / s)
+            np.divide(psi, s, out=row[start : start + m.size])
+
+
 def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
     """Continuous wavelet transform with periodic wrap and 1/s normalization.
 
@@ -110,7 +134,8 @@ def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
     ``order``-th Gaussian derivative, evaluated for every
     sample position by FFT cross-correlation.  Scales must lie in
     ``[2, L/4]`` where the discretized wavelet is well sampled and not yet
-    wrap-dominated.
+    wrap-dominated.  The rows are computed on a few threads; no bit
+    depends on their number.
     """
     scale_grid = np.asarray(scale_grid, dtype=float)
     x = series.values
@@ -119,14 +144,18 @@ def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
         raise ValueError(f"scales must lie within [2, {n / 4:g}] samples")
     if np.any(np.diff(scale_grid) <= 0):
         raise ValueError("scales must be strictly increasing")
-    offsets = np.arange(n, dtype=float)
-    offsets[offsets > n // 2] -= n  # signed circular offsets
     spectrum = np.fft.rfft(x)
-    rows = np.empty((scale_grid.size, n))
-    for i, s in enumerate(scale_grid):
-        kernel = gaussian_derivative_wavelet(order, offsets / s) / s
-        reversed_kernel = np.roll(kernel[::-1], 1)  # k[(-m) mod n]
-        rows[i] = np.fft.irfft(spectrum * np.fft.rfft(reversed_kernel), n=n)
+    rows = np.zeros((scale_grid.size, n))
+
+    def transform_row(i: int) -> None:
+        row = rows[i]
+        _reversed_kernel(row, order, scale_grid[i])
+        # Keep this product verbatim.  Complex multiply is not bitwise
+        # commutative, and numpy runs it as `rfft(row) *= spectrum` when the
+        # temporary is at least 256 KiB but as written below that size.
+        np.fft.irfft(spectrum * np.fft.rfft(row), n=n, out=row)
+
+    thread_map(transform_row, range(scale_grid.size))
     return CwtMatrix(scales=scale_grid, values=rows)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wcascade
-from wcascade import wtmm
+from wcascade import cli, wtmm
 from wcascade.cascade import CascadeSpec, NormalNoise, SignedLognormal, synthesize_mixed
 from wcascade.cli import main
 from wcascade.dwt import TimeSeries, dwt_inverse, load_pyramid
@@ -373,6 +373,12 @@ def _series_with_last_row(tmp_path, row):
     return path
 
 
+def _zero_series(tmp_path, n):
+    path = tmp_path / "zeros.csv"
+    path.write_text("0\n" * n)
+    return path
+
+
 def _series_with_corrupt_row(tmp_path):
     path = brownian_csv(tmp_path, n=4096)
     lines = path.read_text().splitlines()
@@ -435,6 +441,15 @@ CONTRACT_CASES = {
     "simulate-depth-1e400": (
         lambda t: ["simulate", "--config", str(write_config(t, {"depth": 1e400}))],
         2, "invalid cascade config",
+    ),
+    # refused before anything is allocated: never run these without the check
+    "simulate-over-memory-budget": (
+        lambda t: ["simulate", "--config", str(write_config(t, {"depth": 25}))],
+        2, "cascade depth 25 would need more than the 3 GiB memory budget",
+    ),
+    "spectrum-over-memory-budget": (
+        lambda t: ["spectrum", "--input", str(_zero_series(t, 2**22))],
+        2, "spectrum of 4194304 samples would need more than the 3 GiB memory budget",
     ),
     "simulate-overflowing-law": (
         lambda t: ["simulate", "--config", str(write_config(t, OVERFLOWING_LAW))],
@@ -539,6 +554,16 @@ CONTRACT_CASES = {
         4, "no transition had enough data",
     ),
 }
+
+
+def test_memory_budget_admits_the_studied_sizes():
+    config = wtmm.WtmmConfig()
+    assert cli._simulate_bytes(17) < cli._simulate_bytes(24) <= cli.MEMORY_BUDGET
+    assert cli._simulate_bytes(25) > cli.MEMORY_BUDGET
+    assert cli._simulate_bytes(10**18) > cli.MEMORY_BUDGET
+    assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**21, config)
+    assert cli._spectrum_bytes(2**21, config) <= cli.MEMORY_BUDGET
+    assert cli._spectrum_bytes(2**22, config) > cli.MEMORY_BUDGET
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

@@ -16,7 +16,7 @@ from wcascade.cascade import (
     SignedLognormal,
     synthesize_mixed,
 )
-from wcascade import empirics
+from wcascade import empirics, threads
 from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward, rescale
 from wcascade.empirics import (
     ReturnPanel,
@@ -520,12 +520,12 @@ def test_collapse_counts_ties_made_by_scaling():
 def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
     used = []
 
-    class RecordingPool(empirics.ThreadPoolExecutor):
+    class RecordingPool(threads.ThreadPoolExecutor):
         def __init__(self, max_workers):
             used.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(empirics, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", RecordingPool)
     pyramid = quantized_pyramid()
     distances = {}
     for cpus in (1, 2, 16):
@@ -536,7 +536,7 @@ def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         distances[cpus] = collapse_H(pyramid, H_GRID).distances
-    assert used == [1, 2, empirics._MAX_COLLAPSE_THREADS]
+    assert used == [1, 2, threads.MAX_THREADS]
     assert np.array_equal(distances[1], distances[2])
     assert np.array_equal(distances[1], distances[16])
 

@@ -1,6 +1,7 @@
 """Modulus-maxima pipeline: stage-by-stage oracles and end-to-end checks."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from wcascade.cascade import (
     theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
+from wcascade import threads
 from wcascade.dwt import TimeSeries, dwt_inverse
 from wcascade.wtmm import (
     CwtMatrix,
@@ -30,6 +32,7 @@ from wcascade.wtmm import (
     legendre_spectrum,
     partition_function,
     singular_spectrum,
+    _reversed_kernel,
 )
 
 LN2 = math.log(2.0)
@@ -110,6 +113,88 @@ def test_cwt_scale_validation():
         cwt(series, 2, [8.0, 8.0])
 
 
+def rolled_kernel(order, s, n):
+    """The full-length kernel, reversed circularly: ``k[(-m) mod n]``."""
+    offsets = np.arange(n, dtype=float)
+    offsets[offsets > n // 2] -= n  # signed circular offsets
+    kernel = gaussian_derivative_wavelet(order, offsets / s) / s
+    return np.roll(kernel[::-1], 1)
+
+
+def dense_reference_cwt(series, order, scale_grid):
+    """The dense row loop that `cwt` replaced: full-length kernels, one product each."""
+    x = series.values
+    spectrum = np.fft.rfft(x)
+    rows = np.empty((len(scale_grid), x.size))
+    for i, s in enumerate(scale_grid):
+        rows[i] = np.fft.irfft(spectrum * np.fft.rfft(rolled_kernel(order, s, x.size)), n=x.size)
+    return rows
+
+
+def straddling_grid(n):
+    """Scales from 2 to n/4, with three around the switch to a full-length kernel at 39 s = n/2."""
+    switch = n / 78
+    near_switch = switch + np.array([-1, 0, 1]) / 39
+    return np.sort(np.concatenate([np.geomspace(2.0, n / 4, 9), near_switch]))
+
+
+def _random_walk(n):
+    return np.cumsum(np.random.default_rng(3).standard_normal(n))
+
+
+def _two_steps(n):
+    values = np.zeros(n)
+    values[n // 3: 2 * n // 3] = 1.0
+    return values
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", [2**10, 2**16])
+def test_reversed_kernel_matches_rolled_kernel_bit_for_bit(order, length):
+    # Beyond the support an odd-order rolled kernel holds -0.0 on one side
+    # where the row keeps +0.0; adding +0.0 to both maps -0.0 to +0.0.  The
+    # subnormal samples just inside the support must all be there.
+    for s in straddling_grid(length):
+        row = np.zeros(length)
+        _reversed_kernel(row, order, s)
+        row += 0.0
+        expected = rolled_kernel(order, s, length) + 0.0
+        assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+
+
+# 2**10 keeps the spectrum product below numpy's 256 KiB temporary-elision
+# threshold and 2**16 lies above it
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", [2**10, 2**16])
+@pytest.mark.parametrize("make_series", [_random_walk, _two_steps])
+def test_cwt_matches_dense_loop_bit_for_bit(order, length, make_series):
+    series = TimeSeries(make_series(length))
+    grid = straddling_grid(length)
+    values = cwt(series, order, grid).values
+    expected = dense_reference_cwt(series, order, grid)
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+def test_cwt_thread_count_changes_no_bit(monkeypatch):
+    used = []
+
+    class RecordingPool(threads.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            used.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", RecordingPool)
+    series = TimeSeries(_random_walk(4096))
+    grid = default_scale_grid(4096)
+    values = {}
+    for cpus in (1, 2, 16):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        values[cpus] = cwt(series, 2, grid).values
+    assert used == [1, 2, threads.MAX_THREADS]
+    assert np.array_equal(values[1].view(np.int64), values[2].view(np.int64))
+    assert np.array_equal(values[1].view(np.int64), values[16].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # modulus maxima
 
@@ -183,9 +268,7 @@ def test_step_response_single_maximum_at_step():
 
 def test_two_steps_give_two_complete_lines():
     length = 4096
-    values = np.zeros(length)
-    values[length // 3: 2 * length // 3] = 1.0
-    series = TimeSeries(values)
+    series = TimeSeries(_two_steps(length))
     grid = default_scale_grid(length)
     matrix = cwt(series, 1, grid)
     maxima = find_modulus_maxima(matrix)
