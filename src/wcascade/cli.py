@@ -39,8 +39,9 @@ EXIT_ANALYSIS = 4
 # before anything is allocated.  It admits a 2**21-point spectrum (a
 # 2.0 GiB transform matrix) and refuses a 2**22-point one (4.3 GiB).
 MEMORY_BUDGET = 3 * 2**30
-# `simulate`'s peak grew by 70-76 bytes per path sample from depth 17 to 19:
-# the pyramid, the path and the JSON text of a layer.
+# `simulate`'s peak grew by 72 bytes per path sample from depth 19 to 21
+# (108, 180 and 325 MB): the pyramid, the path and the JSON text of a
+# layer.  So depth 24 is estimated at 2.5 GiB and would peak near 2.3 GiB.
 _SIMULATE_BYTES_PER_SAMPLE = 80
 
 

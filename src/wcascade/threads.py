@@ -12,12 +12,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 # Each thread holds its own scratch, which glibc keeps in a per-thread
-# arena after the row is done: a scaled copy of every usable layer in
-# `collapse_H` (about 2.5 MB on a depth-17 pyramid) and the transforms of
-# one row in `cwt` (about 14 MB at 2**19 points).  With four collapse
-# threads the `collapse` process peaked at 74 MB on a depth-17 pyramid, as
+# arena after the row is done.  In `collapse_H` that is a scaled copy of
+# every usable layer, about 2.5 MB on a depth-17 pyramid: with four threads
+# the `collapse` process peaked at 74 MB on a depth-17 pyramid, as
 # `simulate` does at that depth; eight took 84 MB.
 MAX_THREADS = 4
+# In `cwt` it is the transforms of one row, about 16 MB at 2**19 points.
+# `spectrum` on a 2**19-point path peaked at 601 MB serially before the
+# rows were threaded, and at 613, 630, 646 and 662 MB on 1 to 4 threads.
+MAX_CWT_THREADS = 2
 
 
 def _usable_cpus() -> int:
@@ -27,8 +30,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def thread_map(fn, items) -> list:
-    """``[fn(item) for item in items]`` on ``min(len(items), usable CPUs, 4)`` threads."""
-    workers = max(1, min(len(items), _usable_cpus(), MAX_THREADS))
+def thread_map(fn, items, max_threads: int = MAX_THREADS) -> list:
+    """``[fn(item) for item in items]`` on ``min(len(items), usable CPUs, max_threads)`` threads."""
+    workers = max(1, min(len(items), _usable_cpus(), max_threads))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

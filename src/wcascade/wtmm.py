@@ -32,7 +32,7 @@ import numpy as np
 
 from wcascade.dwt import TimeSeries
 from wcascade.stats import ols
-from wcascade.threads import thread_map
+from wcascade.threads import MAX_CWT_THREADS, thread_map
 
 __all__ = [
     "CwtMatrix",
@@ -114,11 +114,11 @@ def _reversed_kernel(row: np.ndarray, order: int, s: float) -> None:
     Entry ``m`` is the kernel's sample ``(-m) mod n``, at the signed offset
     that sample has (``+n/2`` stays ``+n/2``).  Only offsets within
     ``ceil(39 s)`` of zero are written; ``row`` must be zero elsewhere.
+    Past ``n // 2`` the two spans cover the row, sharing only entry ``n/2``.
     """
     n = row.size
-    half = math.ceil(_KERNEL_SUPPORT * s)
-    spans = [(0, n)] if 2 * half >= n else [(0, half + 1), (n - half, n)]
-    for lo, hi in spans:
+    half = min(math.ceil(_KERNEL_SUPPORT * s), n // 2)
+    for lo, hi in [(0, half + 1), (n - half, n)]:
         for start in range(lo, hi, _KERNEL_BLOCK):
             m = np.arange(start, min(start + _KERNEL_BLOCK, hi))
             offsets = ((-m) % n).astype(float)
@@ -155,7 +155,7 @@ def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
         # temporary is at least 256 KiB but as written below that size.
         np.fft.irfft(spectrum * np.fft.rfft(row), n=n, out=row)
 
-    thread_map(transform_row, range(scale_grid.size))
+    thread_map(transform_row, range(scale_grid.size), MAX_CWT_THREADS)
     return CwtMatrix(scales=scale_grid, values=rows)
 
 

@@ -373,12 +373,6 @@ def _series_with_last_row(tmp_path, row):
     return path
 
 
-def _zero_series(tmp_path, n):
-    path = tmp_path / "zeros.csv"
-    path.write_text("0\n" * n)
-    return path
-
-
 def _series_with_corrupt_row(tmp_path):
     path = brownian_csv(tmp_path, n=4096)
     lines = path.read_text().splitlines()
@@ -446,10 +440,6 @@ CONTRACT_CASES = {
     "simulate-over-memory-budget": (
         lambda t: ["simulate", "--config", str(write_config(t, {"depth": 25}))],
         2, "cascade depth 25 would need more than the 3 GiB memory budget",
-    ),
-    "spectrum-over-memory-budget": (
-        lambda t: ["spectrum", "--input", str(_zero_series(t, 2**22))],
-        2, "spectrum of 4194304 samples would need more than the 3 GiB memory budget",
     ),
     "simulate-overflowing-law": (
         lambda t: ["simulate", "--config", str(write_config(t, OVERFLOWING_LAW))],
@@ -564,6 +554,20 @@ def test_memory_budget_admits_the_studied_sizes():
     assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**21, config)
     assert cli._spectrum_bytes(2**21, config) <= cli.MEMORY_BUDGET
     assert cli._spectrum_bytes(2**22, config) > cli.MEMORY_BUDGET
+
+
+def test_spectrum_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # a budget one byte short of a 4096-point transform stands in for a huge series
+    needed = cli._spectrum_bytes(4096, wtmm.WtmmConfig())
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", needed - 1)
+    out = tmp_path / "out"
+    argv = ["spectrum", "--input", str(brownian_csv(tmp_path, n=4096)), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("error: spectrum of 4096 samples would need more than the ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

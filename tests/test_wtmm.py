@@ -190,7 +190,7 @@ def test_cwt_thread_count_changes_no_bit(monkeypatch):
     for cpus in (1, 2, 16):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         values[cpus] = cwt(series, 2, grid).values
-    assert used == [1, 2, threads.MAX_THREADS]
+    assert used == [1, 2, threads.MAX_CWT_THREADS]
     assert np.array_equal(values[1].view(np.int64), values[2].view(np.int64))
     assert np.array_equal(values[1].view(np.int64), values[16].view(np.int64))
 
