@@ -115,8 +115,10 @@ def load_panel_csv(path) -> ReturnPanel:
         with warnings.catch_warnings():
             # an empty body is refused below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # numpy would read a blank after the stamp as a timezone suffix
             rows = np.loadtxt(path, dtype=row_type, skiprows=1, delimiter=",",
-                              quotechar='"', comments=None, ndmin=1)
+                              quotechar='"', comments=None, ndmin=1,
+                              converters={0: str.strip})
         if rows.size == 0:
             raise ValueError(f"panel file {path} has no data rows")
         return ReturnPanel(
@@ -599,13 +601,7 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
             continue
         ratio_sq = (h_j1 / h_j) ** 2
         for side, kids in sides:
-            with warnings.catch_warnings():
-                # the sparse-bin condition is re-reported below with the
-                # transition in the message
-                warnings.simplefilter("ignore", UserWarning)
-                table = binned_conditional_variance(
-                    parents, kids, _BIN_WIDTH * h_j, _MIN_COUNT
-                )
+            table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j, _MIN_COUNT)
             inc = table.included
             if int(np.count_nonzero(inc)) < 3:
                 if table.conditional_variances.size and table.conditional_variances.max() == 0.0:

@@ -13,7 +13,7 @@ Conventions frozen here because they move the estimates:
   psi((u - x)/s) du``, under which a local regularity exponent ``a`` shows
   up as modulus growth ``s**a``;
 * signals are treated as periodic, matching the discrete transform;
-* the scale grid is geometric (default 8 voices per octave from 4 samples
+* the scale grid is geometric (8 voices per octave from 4 samples
   to an eighth of the signal), and the power-law fit defaults to scales
   below 1024 samples where the scaling regime is clean;
 * a ridge line must reach all the way down to the finest scale of the grid
@@ -58,6 +58,8 @@ _LN2 = math.log(2.0)
 _WAVELET_ORDER = 2
 # Finest scale of the grid, in samples; the coarsest is an eighth of the series.
 _MIN_SCALE = 4.0
+# Geometric steps of the scale grid per doubling of the scale.
+_VOICES_PER_OCTAVE = 8
 # Maxima below this fraction of a row's largest modulus are FFT roundoff.
 _NOISE_FLOOR = 1e-13
 # Largest move of a ridge line to the next row, as a fraction of its scale.
@@ -98,13 +100,13 @@ class CwtMatrix:
         return self.values.shape[1]
 
 
-def default_scale_grid(length: int, voices_per_octave: int = 8) -> np.ndarray:
+def default_scale_grid(length: int) -> np.ndarray:
     """Geometric scale grid from 4 samples to ``length / 8``."""
     max_scale = length / 8.0
     if not _MIN_SCALE < max_scale:
         raise ValueError(f"series of length {length} is too short for a scale grid")
-    n = int(math.floor(voices_per_octave * math.log2(max_scale / _MIN_SCALE))) + 1
-    grid = _MIN_SCALE * 2.0 ** (np.arange(n) / voices_per_octave)
+    n = int(math.floor(_VOICES_PER_OCTAVE * math.log2(max_scale / _MIN_SCALE))) + 1
+    grid = _MIN_SCALE * 2.0 ** (np.arange(n) / _VOICES_PER_OCTAVE)
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
@@ -363,9 +365,11 @@ def estimate_tau(pf: PartitionFunction, fit_range: tuple) -> TauEstimate:
 class SingularSpectrum:
     """Scaling exponents and their Legendre transform.
 
-    ``alpha`` is the derivative of tau on the q grid (centered differences,
-    one-sided at the ends) and ``D = q * alpha - tau``; ``support`` is the
-    alpha range and ``peak_alpha`` the alpha at the q closest to zero.
+    ``tau`` is the least concave majorant of the fitted exponents and
+    ``tau_stderr`` the fits' standard errors.  ``alpha`` is the derivative
+    of tau on the q grid (centered differences, one-sided at the ends) and
+    ``D = q * alpha - tau``; ``support`` is the alpha range and
+    ``peak_alpha`` the alpha at the q closest to zero.
     """
 
     q_grid: np.ndarray
@@ -400,7 +404,8 @@ def legendre_spectrum(tau_est: TauEstimate) -> SingularSpectrum:
 
     Concavity violations beyond the fit noise are flagged with a warning
     and the transform is taken on the least concave majorant, which leaves
-    already-concave input untouched.
+    already-concave input untouched.  The majorant is what the result
+    stores as ``tau``, so ``(tau, alpha, D)`` is one Legendre pair.
     """
     q = np.asarray(tau_est.q_grid, dtype=float)
     tau = np.asarray(tau_est.tau, dtype=float)
@@ -424,7 +429,7 @@ def legendre_spectrum(tau_est: TauEstimate) -> SingularSpectrum:
     peak_alpha = float(alpha[np.argmin(np.abs(q))])
     return SingularSpectrum(
         q_grid=q,
-        tau=tau,
+        tau=hull,
         tau_stderr=np.asarray(tau_est.stderr, dtype=float),
         alpha=alpha,
         D=D,
@@ -439,7 +444,6 @@ def legendre_spectrum(tau_est: TauEstimate) -> SingularSpectrum:
 class WtmmConfig:
     """Grids and fit window for the end-to-end spectrum estimate."""
 
-    voices_per_octave: int = 8
     # The finest voice carries discretization bias that inflates negative
     # moments, so the default fit window starts one octave up.
     fit_min_scale: float | None = None  # defaults to 8 samples
@@ -449,7 +453,7 @@ class WtmmConfig:
     n_q: int = 41
 
     def scale_grid(self, length: int) -> np.ndarray:
-        return default_scale_grid(length, self.voices_per_octave)
+        return default_scale_grid(length)
 
     def fit_window(self, length: int) -> tuple:
         lo = self.fit_min_scale if self.fit_min_scale is not None else 2.0 * _MIN_SCALE

@@ -350,20 +350,55 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_only_the_normal_fit_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     config = write_config(tmp_path)
     pyramid = str(tmp_path / "sim" / "pyramid.json")
+    panel = str(write_cascade_panel(tmp_path, depth=12))
     commands = [
         ["--help"],
         ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")],
         ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
         ["variances", "--input", pyramid, "--out", str(tmp_path / "var")],
         ["multipliers", "--input", pyramid, "--out", str(tmp_path / "mult")],
+        ["pipeline", "--input", panel, "--out", str(tmp_path / "report"), "--h-grid", "0:1:0.25"],
     ]
     proc = run_python("-c", SCIPY_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
-    # --help prints first; multipliers, which fits the normal law, is the control
-    assert proc.stdout.split()[-5:] == ["False", "False", "False", "False", "True"]
+    # --help prints first; multipliers and pipeline fit the normal law
+    assert proc.stdout.split()[-(len(commands) - 1):] == ["False"] * (len(commands) - 1)
+
+
+def test_spectrum_file_passes_its_own_check(tmp_path):
+    # on this panel's path the fitted tau(q) is slightly non-concave, within
+    # fit noise, so the transform is taken on its concave envelope
+    panel = write_cascade_panel(tmp_path, depth=14)
+    assert main(["ingest", "--input", str(panel), "--out", str(tmp_path / "ing")]) == 0
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--input", str(tmp_path / "ing" / "path.csv"), "--out", str(out)]) == 0
+    assert main(["check-spectrum", "--input", str(out / "spectrum.json")]) == 0
+
+
+def _restamped_panel(tmp_path, name, restamp):
+    """The depth-10 cascade panel with every timestamp passed through ``restamp``."""
+    lines = write_cascade_panel(tmp_path, depth=10).read_text().splitlines()
+    rows = [line.split(",", 1) for line in lines[1:]]
+    path = tmp_path / name
+    path.write_text("\n".join([lines[0]] + [f"{restamp(stamp)},{rest}" for stamp, rest in rows]) + "\n")
+    return path
+
+
+def test_blank_padded_stamps_ingest_silently(tmp_path):
+    plain = write_cascade_panel(tmp_path, depth=10)
+    assert main(["ingest", "--input", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    padded = _restamped_panel(tmp_path, "padded.csv", lambda stamp: f" {stamp.replace('T', ' ')} ")
+    proc = run_cli("ingest", "--input", str(padded), "--out", str(tmp_path / "padded"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read_tree(tmp_path / "padded") == read_tree(tmp_path / "plain")
+    # a real timezone suffix still draws numpy's warning
+    zoned = _restamped_panel(tmp_path, "zoned.csv", lambda stamp: stamp + "Z")
+    proc = run_cli("ingest", "--input", str(zoned), "--out", str(tmp_path / "zoned"))
+    assert proc.returncode == 0
+    assert "warning: no explicit representation of timezones" in proc.stderr
 
 
 def _series_with_last_row(tmp_path, row):

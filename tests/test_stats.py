@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wcascade import stats
 from wcascade.stats import (
     binned_conditional_variance,
     fit_cauchy,
@@ -73,6 +74,20 @@ def test_t2_data_prefers_t2_over_normal():
     rng = np.random.default_rng(4)
     samples = sample_t2(rng, 80_000)
     assert fit_student_t2(samples).goodness < fit_normal(samples).goodness
+
+
+def test_normal_cdf_matches_scipy_reference(monkeypatch):
+    special = pytest.importorskip("scipy.special")
+    x = np.linspace(-40.0, 40.0, 400_001)
+    for scale in (0.37, 1.0, 2.5):
+        gap = np.abs(stats._normal_cdf(x, scale) - special.ndtr(x / scale))
+        assert gap.max() <= np.finfo(float).eps
+    # the fit's golden-section search stops within its 1e-8 relative tolerance
+    samples = 0.8 * np.random.default_rng(17).normal(size=50_000)
+    fit = fit_normal(samples)
+    monkeypatch.setitem(stats._FAMILIES, "normal", lambda x, scale: special.ndtr(x / scale))
+    reference = fit_normal(samples)
+    assert abs(fit.scale - reference.scale) <= 1e-7 * reference.scale
 
 
 def test_fit_rejects_bad_samples():
@@ -178,11 +193,3 @@ def test_binned_variance_edge_rule():
     lookup = dict(zip(np.round(table.bin_centers, 10), table.bin_counts))
     assert lookup[0.1] == 2 and lookup[0.3] == 1 and lookup[-0.1] == 1
     assert int(table.bin_counts.sum()) == 5
-
-
-def test_binned_variance_warns_when_all_sparse():
-    with pytest.warns(UserWarning):
-        table = binned_conditional_variance(
-            np.arange(10.0), np.arange(10.0), bin_width=0.5, min_count=100
-        )
-    assert not np.any(table.included)

@@ -15,7 +15,7 @@ from wcascade.cascade import (
     theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
-from wcascade import threads
+from wcascade import threads, wtmm
 from wcascade.dwt import TimeSeries, dwt_inverse
 from wcascade.wtmm import (
     CwtMatrix,
@@ -564,13 +564,14 @@ def test_monofractal_cascade_support_is_narrow():
     assert abs(spectrum.peak_alpha - 0.5) <= 0.075
 
 
-def test_estimator_stable_under_scale_grid_refinement():
+def test_estimator_stable_under_scale_grid_refinement(monkeypatch):
     spec = CascadeSpec(
         depth=13, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=3
     )
     series = dwt_inverse(synthesize_mixed(spec))
-    coarse = singular_spectrum(series, WtmmConfig(voices_per_octave=8))
-    fine = singular_spectrum(series, WtmmConfig(voices_per_octave=16))
+    coarse = singular_spectrum(series)
+    monkeypatch.setattr(wtmm, "_VOICES_PER_OCTAVE", 16)
+    fine = singular_spectrum(series)
     mask = np.abs(coarse.q_grid) <= 3
     gap = np.abs(coarse.tau[mask] - fine.tau[mask])
     allowance = coarse.tau_stderr[mask] + fine.tau_stderr[mask]
