@@ -36,8 +36,9 @@ EXIT_ANALYSIS = 4
 
 
 # Largest estimated allocation a command may make; a larger one is refused
-# before anything is allocated.  It admits a 2**21-point spectrum (a
-# 2.0 GiB transform matrix) and refuses a 2**22-point one (4.3 GiB).
+# before anything is allocated.  With the default fit window it admits a
+# 2**22-point spectrum (65 scales, a 2.03 GiB transform matrix) and refuses
+# a 2**23-point one (4.06 GiB).
 MEMORY_BUDGET = 3 * 2**30
 # `simulate`'s peak grew by 72 bytes per path sample from depth 19 to 21
 # (108, 180 and 325 MB): the pyramid, the path and the JSON text of a
@@ -125,32 +126,67 @@ def _read(what: str, fn, *args):
         raise InputError(f"invalid {what}: {exc}") from exc
 
 
-def _series(path) -> TimeSeries:
-    """One optional header line, then one number or ``index,value`` per line.
+def _sample(line: str) -> float:
+    """The value of a ``value`` or ``index,value`` line; the index is not read."""
+    fields = line.split(",")
+    if len(fields) > 2:
+        raise ValueError
+    return float(fields[-1])
 
-    The series is truncated to its most recent ``2**J`` samples.
-    """
+
+def _scanned_samples(lines: list) -> np.ndarray:
+    """The series one line at a time: the reference parse, which names a bad line."""
     values = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        fields = line.split(",")
-        # a per-line try is the cheapest parse of a long series: a
-        # contextlib.suppress here doubles the time on 2**19 lines
         try:
-            if len(fields) > 2:
-                raise ValueError
-            values.append(float(fields[-1]))
+            values.append(_sample(line))
         except ValueError:
             if line_no == 1:
                 continue  # header
             raise ValueError(
                 f"line {line_no}: expected a number or index,value, got {line!r}"
             ) from None
-    if len(values) < 2:
+    return np.asarray(values, dtype=float)
+
+
+def _table_samples(lines: list) -> np.ndarray:
+    """The series in one numpy call; any ValueError leaves it to the line scan.
+
+    On every field numpy accepts, its parse gives ``float``'s bits.  What it
+    refuses, ``float`` may still read (``1_0``, a non-ASCII digit, a
+    non-numeric index, a whitespace-only line), so its refusal is not final.
+    """
+    header = 0
+    if lines and lines[0].strip():
+        try:
+            _sample(lines[0])
+        except ValueError:
+            header = 1
+    if not any(lines[header:]):
+        raise ValueError  # numpy warns on input with no data
+    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=header)
+    if table.shape[1] > 2:
+        raise ValueError
+    return np.ascontiguousarray(table[:, -1])
+
+
+def _series(path) -> TimeSeries:
+    """One optional header line, then one number or ``index,value`` per line.
+
+    Blank lines are skipped.  The series is truncated to its most recent
+    ``2**J`` samples.
+    """
+    lines = Path(path).read_text().splitlines()
+    try:
+        values = _table_samples(lines)
+    except ValueError:
+        values = _scanned_samples(lines)
+    if values.size < 2:
         raise ValueError("fewer than 2 numeric samples")
-    keep = 2 ** int(np.floor(np.log2(len(values))))
-    return TimeSeries(np.asarray(values[-keep:]))
+    keep = 2 ** int(np.floor(np.log2(values.size)))
+    return TimeSeries(values[-keep:])
 
 
 def _pyramid(path):

@@ -13,9 +13,10 @@ Conventions frozen here because they move the estimates:
   psi((u - x)/s) du``, under which a local regularity exponent ``a`` shows
   up as modulus growth ``s**a``;
 * signals are treated as periodic, matching the discrete transform;
-* the scale grid is geometric (8 voices per octave from 4 samples
-  to an eighth of the signal), and the power-law fit defaults to scales
-  below 1024 samples where the scaling regime is clean;
+* the scale grid is geometric (8 voices per octave from 4 samples),
+  and the power-law fit defaults to scales below 1024 samples where the
+  scaling regime is clean; the grid stops at the fit window's top (at
+  most an eighth of the signal), since no coarser scale enters the fit;
 * a ridge line must reach all the way down to the finest scale of the grid
   to be counted, and the supremum entering the partition function at scale
   ``s`` is taken over the line's points at scales up to ``s``, which keeps
@@ -336,14 +337,20 @@ class TauEstimate:
     r2: np.ndarray
 
 
-def estimate_tau(pf: PartitionFunction, fit_range: tuple) -> TauEstimate:
-    """Least-squares slope of log2 Z(q, s) against log2 s per moment order."""
+def _fit_scales(scales: np.ndarray, fit_range: tuple, reached=True) -> np.ndarray:
+    """Mask of the ``reached`` scales inside ``fit_range``; fewer than 3 is an error."""
     lo, hi = fit_range
-    usable = (pf.scales >= lo) & (pf.scales <= hi) & (pf.line_counts > 0)
+    usable = (scales >= lo) & (scales <= hi) & reached
     if np.count_nonzero(usable) < 3:
         raise ValueError(
             f"fit range [{lo:g}, {hi:g}] leaves fewer than 3 usable scales"
         )
+    return usable
+
+
+def estimate_tau(pf: PartitionFunction, fit_range: tuple) -> TauEstimate:
+    """Least-squares slope of log2 Z(q, s) against log2 s per moment order."""
+    usable = _fit_scales(pf.scales, fit_range, pf.line_counts > 0)
     log_s = np.log2(pf.scales[usable])
     tau = np.empty(pf.q_grid.size)
     stderr = np.empty(pf.q_grid.size)
@@ -453,7 +460,9 @@ class WtmmConfig:
     n_q: int = 41
 
     def scale_grid(self, length: int) -> np.ndarray:
-        return default_scale_grid(length)
+        """The default grid up to the fit window's top: coarser rows never enter the fit."""
+        grid = default_scale_grid(length)
+        return grid[grid <= self.fit_window(length)[1] * (1 + 1e-12)]
 
     def fit_window(self, length: int) -> tuple:
         lo = self.fit_min_scale if self.fit_min_scale is not None else 2.0 * _MIN_SCALE
@@ -471,11 +480,14 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
         raise ValueError(
             f"series too short for spectrum estimation: {series.length} < 1024"
         )
-    matrix = cwt(series, _WAVELET_ORDER, config.scale_grid(series.length))
+    grid = config.scale_grid(series.length)
+    fit_range = config.fit_window(series.length)
+    _fit_scales(grid, fit_range)  # refused before the transform is computed
+    matrix = cwt(series, _WAVELET_ORDER, grid)
     maxima = find_modulus_maxima(matrix)
     lines = chain_maxima_lines(maxima, matrix)
     pf = partition_function(lines, config.q_grid(), matrix.scales)
-    tau_est = estimate_tau(pf, config.fit_window(series.length))
+    tau_est = estimate_tau(pf, fit_range)
     return legendre_spectrum(tau_est)
 
 

@@ -168,6 +168,30 @@ def test_spectrum_q_and_scale_flags(tmp_path):
     assert not (out / "tau.csv").exists()  # json-only format
 
 
+@pytest.mark.parametrize(
+    "scale_range, code",
+    [("4:4.5", 4), ("8:nan", 4), ("8:-inf", 4),
+     ("4:8", 0), ("8:512", 0), ("8:1e9", 0), ("8:inf", 0)],
+)
+def test_every_scale_range_exits_cleanly(tmp_path, capsys, scale_range, code):
+    series = brownian_csv(tmp_path, n=4096)
+    out = tmp_path / "out"
+    argv = ["spectrum", "--input", str(series), "--out", str(out), "--scale-range", scale_range]
+    assert main(argv) == code
+    if code:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "leaves fewer than 3 usable scales" in lines[0], lines
+        assert not out.exists()
+
+
+def test_scale_range_past_an_eighth_fits_the_whole_grid(tmp_path):
+    series = str(brownian_csv(tmp_path, n=4096))
+    for top in ("512", "1e9"):  # 512 = L/8, the grid's last scale
+        argv = ["spectrum", "--input", series, "--out", str(tmp_path / top), "--scale-range"]
+        assert main(argv + [f"8:{top}"]) == 0
+    assert read_tree(tmp_path / "512") == read_tree(tmp_path / "1e9")
+
+
 def test_spectrum_empty_input_exits_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -416,6 +440,81 @@ def _series_with_corrupt_row(tmp_path):
     return path
 
 
+def reference_series_values(text):
+    """The line-by-line series parse that the numpy parse must match."""
+    values = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) > 2:
+                raise ValueError
+            values.append(float(fields[-1]))
+        except ValueError:
+            if line_no == 1:
+                continue  # header
+            raise ValueError(
+                f"line {line_no}: expected a number or index,value, got {line!r}"
+            ) from None
+    if len(values) < 2:
+        raise ValueError("fewer than 2 numeric samples")
+    keep = 2 ** int(np.floor(np.log2(len(values))))
+    return TimeSeries(np.asarray(values[-keep:])).values
+
+
+_SAMPLES = ["0.1", "-2.5e-3", "1E5", "+.5", "5.", "-0", " 7.25 ", "1e-400", "4.9e-324",
+            "0.1000000000000000055511151231257827021181583404541015625",
+            "123456789012345678901234567890", repr(math.pi), f"{math.e:.25e}"]
+_ROWS = [f"{i},{v}" for i, v in enumerate(_SAMPLES * 3)]
+
+# files numpy parses in one call (a non-finite sample is refused after it)
+NUMPY_SERIES = {
+    "header": "index,value\n" + "\n".join(_ROWS) + "\n",
+    "no-header": "\n".join(_ROWS),
+    "values-only": "value\n" + "\n".join(_SAMPLES * 3) + "\n",
+    "blank-lines": "index,value\n\n" + "\n\n".join(_ROWS) + "\n\n",
+    "crlf": "index,value\r\n" + "\r\n".join(_ROWS) + "\r\n",
+    "three-field-header": "a,b,c\n" + "\n".join(_ROWS),
+    # str.splitlines also breaks lines at \v; the lines go to numpy already split
+    "vertical-tab": "index,value\n" + "\n".join(_ROWS).replace("\n", "\v", 3),
+    "non-finite": "index,value\n" + "\n".join(_ROWS + ["99,nan"]),
+}
+# files the line scan reads, or refuses naming a line
+SCANNED_SERIES = {
+    "no-data": "index,value\n\n",
+    "header-on-line-2": "\nindex,value\n" + "\n".join(_ROWS),
+    "three-fields": "index,value\n" + "\n".join(_ROWS[:9] + ["9,1.0,2.0"] + _ROWS[9:]),
+    "three-fields-everywhere": "a,b,c\n" + "\n".join(r + ",0" for r in _ROWS),
+    "whitespace-line": "index,value\n" + "\n  \n".join(_ROWS),
+    "underscores": "index,value\n" + "\n".join(_ROWS + ["99,1_000.5"]),
+    "text-index": "index,value\n" + "\n".join(f"t{r}" for r in _ROWS),
+    "mixed-fields": "\n".join(_ROWS + _SAMPLES),
+    "empty-field": "index,value\n" + "\n".join(_ROWS + ["99,"]),
+}
+
+
+def _outcome(parse, text):
+    try:
+        return "values", parse(text).view(np.int64).tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted({**NUMPY_SERIES, **SCANNED_SERIES}))
+def test_series_parse_matches_the_line_scan(tmp_path, monkeypatch, name):
+    text = {**NUMPY_SERIES, **SCANNED_SERIES}[name]
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    if name in NUMPY_SERIES:
+        def no_scan(lines):
+            raise AssertionError("the line scan ran")
+
+        monkeypatch.setattr(cli, "_scanned_samples", no_scan)
+    got = _outcome(lambda _: cli._series(path).values, text)
+    assert got == _outcome(reference_series_values, text)
+
+
 def _edited_panel(tmp_path, edit):
     """The depth-10 cascade panel, its list of lines changed in place by ``edit``."""
     path = write_cascade_panel(tmp_path, depth=10)
@@ -458,6 +557,15 @@ CONTRACT_CASES = {
     "spectrum-corrupt-row": (
         lambda t: ["spectrum", "--input", str(_series_with_corrupt_row(t))],
         2, "line 102",
+    ),
+    # refused before the transform: the window holds no scale of the grid
+    "spectrum-scale-range-below-grid": (
+        lambda t: ["spectrum", "--input", str(brownian_csv(t, n=4096)), "--scale-range", "1:3"],
+        4, "stage spectrum: fit range [1, 3] leaves fewer than 3 usable scales",
+    ),
+    "spectrum-scale-range-reversed": (
+        lambda t: ["spectrum", "--input", str(brownian_csv(t, n=4096)), "--scale-range", "8:5"],
+        4, "stage spectrum: fit range [8, 5] leaves fewer than 3 usable scales",
     ),
     "simulate-seed-negative": (
         lambda t: ["simulate", "--config", str(write_config(t)), "--seed", "-1"],
@@ -586,8 +694,13 @@ def test_memory_budget_admits_the_studied_sizes():
     assert cli._simulate_bytes(17) < cli._simulate_bytes(24) <= cli.MEMORY_BUDGET
     assert cli._simulate_bytes(25) > cli.MEMORY_BUDGET
     assert cli._simulate_bytes(10**18) > cli.MEMORY_BUDGET
-    assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**21, config)
-    assert cli._spectrum_bytes(2**21, config) <= cli.MEMORY_BUDGET
+    # the default grid stops at the fit window's top, 1024 samples: 65 scales
+    assert cli._spectrum_bytes(2**22, config) == 65 * 2**22 * 8
+    assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**22, config)
+    assert cli._spectrum_bytes(2**22, config) <= cli.MEMORY_BUDGET
+    assert cli._spectrum_bytes(2**23, config) > cli.MEMORY_BUDGET
+    # a wider fit window extends the grid again, up to L/8
+    config.fit_max_scale = 2.0**19
     assert cli._spectrum_bytes(2**22, config) > cli.MEMORY_BUDGET
 
 

@@ -578,6 +578,75 @@ def test_estimator_stable_under_scale_grid_refinement(monkeypatch):
     assert np.all(gap <= allowance)
 
 
+def _cascade_path(depth=14):
+    spec = CascadeSpec(
+        depth=depth, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=3
+    )
+    return dwt_inverse(synthesize_mixed(spec))
+
+
+def _wave_packet(n=4096):
+    """A period-16 packet: its ridge lines die near scale 25, where a faint
+    period-n wave (too faint to seed lines) takes over the coarse rows."""
+    x = np.arange(n)
+    packet = np.exp(-0.5 * ((x - n / 2) / 60) ** 2) * np.sin(2 * np.pi * x / 16)
+    return TimeSeries(packet + 1e-10 * np.sin(2 * np.pi * x / n))
+
+
+def full_grid_reference(series, config):
+    """The partition function and spectrum with every scale up to L/8 transformed."""
+    matrix = cwt(series, wtmm._WAVELET_ORDER, default_scale_grid(series.length))
+    lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
+    pf = partition_function(lines, config.q_grid(), matrix.scales)
+    return pf, legendre_spectrum(estimate_tau(pf, config.fit_window(series.length)))
+
+
+@pytest.mark.parametrize(
+    "make_series, fit_max_scale, n_scales",
+    [
+        (_cascade_path, None, 65),  # the default window's top, 1024 of L/8 = 2048
+        (_cascade_path, 300.0, 50),  # between the grid's 279.2 and 304.4
+        (_cascade_path, 2048.0, 73),  # L/8: the whole grid
+        (_wave_packet, 64.0, 33),  # lines die inside the window
+    ],
+)
+def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n_scales):
+    series = make_series()
+    config = WtmmConfig(fit_max_scale=fit_max_scale)
+    grid = config.scale_grid(series.length)
+    assert grid.size == n_scales
+    assert np.array_equal(grid, default_scale_grid(series.length)[:n_scales])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pf_full, expected = full_grid_reference(series, config)
+        matrix = cwt(series, wtmm._WAVELET_ORDER, grid)
+        lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
+        pf = partition_function(lines, config.q_grid(), grid)
+        spectrum = singular_spectrum(series, config)
+    assert pf.log2_Z.tobytes() == pf_full.log2_Z[:, :n_scales].tobytes()
+    assert np.array_equal(pf.line_counts, pf_full.line_counts[:n_scales])
+    for field in ("tau", "tau_stderr", "alpha", "D", "fit_r2"):
+        assert getattr(spectrum, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+def test_lines_dying_inside_the_window_still_warn():
+    with pytest.warns(UserWarning, match=r"no maxima lines reach scales [0-9.]+\.\.64;"):
+        singular_spectrum(_wave_packet(), WtmmConfig(fit_max_scale=64.0))
+
+
+@pytest.mark.parametrize("fit_range", [(1.0, 3.0), (8.0, 5.0), (4.0, 4.5)])
+def test_fit_window_without_three_scales_is_refused_before_the_transform(
+    monkeypatch, fit_range
+):
+    def no_transform(*args):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(wtmm, "cwt", no_transform)
+    config = WtmmConfig(fit_min_scale=fit_range[0], fit_max_scale=fit_range[1])
+    with pytest.raises(ValueError, match="leaves fewer than 3 usable scales"):
+        singular_spectrum(TimeSeries(_random_walk(4096)), config)
+
+
 def test_singular_spectrum_rejects_short_series():
     with pytest.raises(ValueError):
         singular_spectrum(TimeSeries(np.arange(512.0)))
