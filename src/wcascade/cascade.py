@@ -49,8 +49,8 @@ _LN2 = math.log(2.0)
 
 
 @dataclass
-class SignedLognormal:
-    """|W| lognormal with an independent fair random sign (zero mean).
+class FoldedLognormal:
+    """Always-positive lognormal factor; log |W| is normal.
 
     ``mean_log`` and ``var_log`` parametrize ``log |W|`` in natural-log
     units; :meth:`from_log2` accepts base-2 parameters and converts both by
@@ -65,33 +65,20 @@ class SignedLognormal:
             raise ValueError("var_log must be non-negative")
 
     @classmethod
-    def from_log2(cls, mean_log2: float, var_log2: float) -> "SignedLognormal":
-        return cls(mean_log2 * _LN2, var_log2 * _LN2)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # Magnitude block first, then the sign block.
-        magnitudes = np.exp(rng.normal(self.mean_log, math.sqrt(self.var_log), n))
-        signs = rng.integers(0, 2, n) * 2.0 - 1.0
-        return magnitudes * signs
-
-
-@dataclass
-class FoldedLognormal:
-    """Always-positive lognormal factor; log |W| is normal."""
-
-    mean_log: float
-    var_log: float
-
-    def __post_init__(self):
-        if self.var_log < 0:
-            raise ValueError("var_log must be non-negative")
-
-    @classmethod
     def from_log2(cls, mean_log2: float, var_log2: float) -> "FoldedLognormal":
         return cls(mean_log2 * _LN2, var_log2 * _LN2)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.exp(rng.normal(self.mean_log, math.sqrt(self.var_log), n))
+
+
+class SignedLognormal(FoldedLognormal):
+    """|W| lognormal with an independent fair random sign (zero mean)."""
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # Magnitude block first, then the sign block.
+        magnitudes = super().sample(rng, n)
+        return magnitudes * (rng.integers(0, 2, n) * 2.0 - 1.0)
 
 
 @dataclass

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -44,6 +45,11 @@ MEMORY_BUDGET = 3 * 2**30
 # (108, 180 and 325 MB): the pyramid, the path and the JSON text of a
 # layer.  So depth 24 is estimated at 2.5 GiB and would peak near 2.3 GiB.
 _SIMULATE_BYTES_PER_SAMPLE = 80
+# Per q value besides its log2_Z row: the fit's arrays and the report's floats
+# (a 4096-point spectrum traced 535 bytes per q, 456 of them its 57 log2_Z cells).
+_SPECTRUM_BYTES_PER_Q = 256
+# Per H value: the grid, its distances and thread_map's future (traced 1.75 kB).
+_COLLAPSE_BYTES_PER_H = 2048
 
 
 class InputError(Exception):
@@ -65,9 +71,12 @@ def _stage(name: str, fn, *args):
 def _q_range(text: str) -> tuple:
     try:
         lo, hi, n = text.split(":")
-        return float(lo), float(hi), int(n)
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX:COUNT, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 3):
+        raise argparse.ArgumentTypeError(f"need finite MIN < MAX and COUNT >= 3, got {text!r}")
+    return lo, hi, n
 
 
 def _scale_range(text: str) -> tuple:
@@ -83,8 +92,11 @@ def _h_grid(text: str) -> np.ndarray:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected START:STOP:STEP, got {text!r}") from None
-    if step <= 0 or stop <= start:
-        raise argparse.ArgumentTypeError(f"need STOP > START and STEP > 0, got {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop) and start < stop and 0 < step < math.inf):
+        raise argparse.ArgumentTypeError(f"need finite STOP > START and STEP > 0, got {text!r}")
+    points = (stop + step / 2 - start) / step  # np.arange's length, before rounding up
+    what = f"an H grid of {points:.3g} points"
+    _within_budget(what, points * _COLLAPSE_BYTES_PER_H, argparse.ArgumentTypeError)
     return np.arange(start, stop + step / 2, step)
 
 
@@ -94,15 +106,14 @@ def _simulate_bytes(depth: int) -> float:
 
 
 def _spectrum_bytes(length: int, config: wtmm.WtmmConfig) -> int:
-    """The transform matrix, one float64 row per scale: the spectrum's largest allocation."""
-    return config.scale_grid(length).size * length * 8
+    """The transform matrix, one float64 row per scale, then log2_Z and the report per q."""
+    n_scales = config.scale_grid(length).size
+    return n_scales * length * 8 + config.n_q * (n_scales * 8 + _SPECTRUM_BYTES_PER_Q)
 
 
-def _within_budget(what: str, nbytes: float) -> None:
+def _within_budget(what: str, nbytes: float, error=InputError) -> None:
     if nbytes > MEMORY_BUDGET:
-        raise InputError(
-            f"{what} would need more than the {MEMORY_BUDGET / 2**30:g} GiB memory budget"
-        )
+        raise error(f"{what} would need more than the {MEMORY_BUDGET / 2**30:g} GiB memory budget")
 
 
 def _wtmm_config(args, length: int) -> wtmm.WtmmConfig:
@@ -126,67 +137,67 @@ def _read(what: str, fn, *args):
         raise InputError(f"invalid {what}: {exc}") from exc
 
 
-def _sample(line: str) -> float:
-    """The value of a ``value`` or ``index,value`` line; the index is not read."""
+def _is_header(line: str) -> bool:
+    """Line 1 is a header unless it is blank or one number or ``index,value``."""
     fields = line.split(",")
-    if len(fields) > 2:
-        raise ValueError
-    return float(fields[-1])
-
-
-def _scanned_samples(lines: list) -> np.ndarray:
-    """The series one line at a time: the reference parse, which names a bad line."""
-    values = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            values.append(_sample(line))
-        except ValueError:
-            if line_no == 1:
-                continue  # header
-            raise ValueError(
-                f"line {line_no}: expected a number or index,value, got {line!r}"
-            ) from None
-    return np.asarray(values, dtype=float)
-
-
-def _table_samples(lines: list) -> np.ndarray:
-    """The series in one numpy call; any ValueError leaves it to the line scan.
-
-    On every field numpy accepts, its parse gives ``float``'s bits.  What it
-    refuses, ``float`` may still read (``1_0``, a non-ASCII digit, a
-    non-numeric index, a whitespace-only line), so its refusal is not final.
-    """
-    header = 0
-    if lines and lines[0].strip():
-        try:
-            _sample(lines[0])
-        except ValueError:
-            header = 1
-    if not any(lines[header:]):
-        raise ValueError  # numpy warns on input with no data
-    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=header)
-    if table.shape[1] > 2:
-        raise ValueError
-    return np.ascontiguousarray(table[:, -1])
+    try:
+        float(fields[-1])
+    except ValueError:
+        return bool(line.strip())
+    return len(fields) > 2
 
 
 def _series(path) -> TimeSeries:
     """One optional header line, then one number or ``index,value`` per line.
 
-    Blank lines are skipped.  The series is truncated to its most recent
-    ``2**J`` samples.
+    numpy reads the file: every line has the same number of fields, each in
+    numpy's float syntax.  Blank lines are skipped.  The series is truncated
+    to its most recent ``2**J`` samples.
     """
-    lines = Path(path).read_text().splitlines()
+    with open(path) as fh:
+        header = int(_is_header(fh.readline()))
     try:
-        values = _table_samples(lines)
+        with warnings.catch_warnings():
+            # a file without samples is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=header)
+        if table.shape[1] > 2:
+            raise ValueError(f"{table.shape[1]} fields per line, expected at most 2")
     except ValueError:
-        values = _scanned_samples(lines)
-    if values.size < 2:
+        # numpy's row numbers skip the header and blank lines; name the file line
+        _raise_on_bad_line(path, header)
+        raise
+    if table.shape[0] < 2:
         raise ValueError("fewer than 2 numeric samples")
-    keep = 2 ** int(np.floor(np.log2(values.size)))
-    return TimeSeries(values[-keep:])
+    keep = 1 << (table.shape[0].bit_length() - 1)
+    return TimeSeries(table[-keep:, -1])
+
+
+def _raise_on_bad_line(path, header: int) -> None:
+    """Raise on the first line of the series that numpy cannot read, naming it."""
+    width = None  # the field count of the first sample line
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line_no <= header or not line:
+                continue
+            fields = line.split(",")
+            width = width or len(fields)
+            if len(fields) > 2 or not all(map(_numpy_float, fields)):
+                raise ValueError(f"line {line_no}: expected a number or index,value, got {line!r}")
+            if len(fields) != width:
+                expected = ("a number", "index,value")[width - 1]
+                raise ValueError(f"line {line_no}: expected {expected} as above, got {line!r}")
+
+
+def _numpy_float(field: str) -> bool:
+    """Whether numpy's parser reads ``field``: ``float``'s syntax in ASCII, without ``_``."""
+    text = field.strip()
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
 
 
 def _pyramid(path):
@@ -198,20 +209,14 @@ def _pyramid(path):
 def _spectrum(path) -> wtmm.SingularSpectrum:
     """A ``spectrum.json`` file as written by :func:`_spectrum_files`."""
     data = json.loads(Path(path).read_text())
-    spectrum = wtmm.SingularSpectrum(
-        q_grid=np.asarray(data["q"], dtype=float),
-        tau=np.asarray(data["tau"], dtype=float),
-        tau_stderr=np.asarray(data["tau_stderr"], dtype=float),
-        alpha=np.asarray(data["alpha"], dtype=float),
-        D=np.asarray(data["D"], dtype=float),
-        support=(float(data["support"][0]), float(data["support"][1])),
-        peak_alpha=float(data["peak_alpha"]),
-    )
-    columns = (spectrum.q_grid, spectrum.tau, spectrum.tau_stderr, spectrum.alpha, spectrum.D)
-    shapes = {c.shape for c in columns}
-    if len(shapes) != 1 or spectrum.q_grid.ndim != 1 or not spectrum.q_grid.size:
+    columns = [np.asarray(data[k], dtype=float) for k in ("q", "tau", "tau_stderr", "alpha", "D")]
+    support = (float(data["support"][0]), float(data["support"][1]))
+    peak_alpha = float(data["peak_alpha"])
+    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1 or not columns[0].size:
         raise ValueError("q, tau, tau_stderr, alpha and D must be equal-length, non-empty lists")
-    return spectrum
+    if not all(np.all(np.isfinite(c)) for c in (*columns, support, peak_alpha)):
+        raise ValueError("the spectrum holds a non-finite value")
+    return wtmm.SingularSpectrum(*columns, support=support, peak_alpha=peak_alpha)
 
 
 def _panel(path, dt: int) -> tuple:

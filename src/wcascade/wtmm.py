@@ -282,12 +282,6 @@ class PartitionFunction:
             raise ValueError("log2_Z shape inconsistent with grids")
 
 
-def _logsumexp(a: np.ndarray, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else float(out)
-
-
 def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
     """Build ``Z(q, s)`` from per-line running modulus suprema.
 
@@ -316,7 +310,10 @@ def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
             break
         keep = live > i
         live, sup = live[keep], np.maximum(sup[keep], by_scale[i])
-        log2_Z[:, i] = _logsumexp(q_grid[:, None] * sup[None, :], axis=1) / _LN2
+        for k, q in enumerate(q_grid):  # one row at a time: memory does not grow with n_q
+            terms = q * sup
+            peak = terms.max()
+            log2_Z[k, i] = (peak + np.log(np.sum(np.exp(terms - peak)))) / _LN2
     if np.any(counts == 0):
         empty = scales[counts == 0]
         warnings.warn(
@@ -486,9 +483,13 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
     matrix = cwt(series, _WAVELET_ORDER, grid)
     maxima = find_modulus_maxima(matrix)
     lines = chain_maxima_lines(maxima, matrix)
-    pf = partition_function(lines, config.q_grid(), matrix.scales)
-    tau_est = estimate_tau(pf, fit_range)
-    return legendre_spectrum(tau_est)
+    # overflow at extreme q shows up as inf or nan and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pf = partition_function(lines, config.q_grid(), matrix.scales)
+        spectrum = legendre_spectrum(estimate_tau(pf, fit_range))
+    if not all(np.all(np.isfinite(v)) for v in (spectrum.tau, spectrum.alpha, spectrum.D)):
+        raise ValueError("tau, alpha or D is not finite; narrow the q range")
+    return spectrum
 
 
 def legendre_duality_error(spectrum: SingularSpectrum) -> float:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -468,29 +469,38 @@ _SAMPLES = ["0.1", "-2.5e-3", "1E5", "+.5", "5.", "-0", " 7.25 ", "1e-400", "4.9
             "123456789012345678901234567890", repr(math.pi), f"{math.e:.25e}"]
 _ROWS = [f"{i},{v}" for i, v in enumerate(_SAMPLES * 3)]
 
-# files numpy parses in one call (a non-finite sample is refused after it)
+# files numpy reads in one call (a non-finite sample is refused after it)
 NUMPY_SERIES = {
     "header": "index,value\n" + "\n".join(_ROWS) + "\n",
     "no-header": "\n".join(_ROWS),
     "values-only": "value\n" + "\n".join(_SAMPLES * 3) + "\n",
     "blank-lines": "index,value\n\n" + "\n\n".join(_ROWS) + "\n\n",
     "crlf": "index,value\r\n" + "\r\n".join(_ROWS) + "\r\n",
+    "cr-only": "index,value\r" + "\r".join(_ROWS) + "\r",
+    "no-final-newline": "index,value\n" + "\n".join(_ROWS),
     "three-field-header": "a,b,c\n" + "\n".join(_ROWS),
-    # str.splitlines also breaks lines at \v; the lines go to numpy already split
-    "vertical-tab": "index,value\n" + "\n".join(_ROWS).replace("\n", "\v", 3),
     "non-finite": "index,value\n" + "\n".join(_ROWS + ["99,nan"]),
 }
-# files the line scan reads, or refuses naming a line
+# files numpy refuses, where the line scan names the line of the reference parse
 SCANNED_SERIES = {
     "no-data": "index,value\n\n",
     "header-on-line-2": "\nindex,value\n" + "\n".join(_ROWS),
     "three-fields": "index,value\n" + "\n".join(_ROWS[:9] + ["9,1.0,2.0"] + _ROWS[9:]),
     "three-fields-everywhere": "a,b,c\n" + "\n".join(r + ",0" for r in _ROWS),
-    "whitespace-line": "index,value\n" + "\n  \n".join(_ROWS),
-    "underscores": "index,value\n" + "\n".join(_ROWS + ["99,1_000.5"]),
-    "text-index": "index,value\n" + "\n".join(f"t{r}" for r in _ROWS),
-    "mixed-fields": "\n".join(_ROWS + _SAMPLES),
     "empty-field": "index,value\n" + "\n".join(_ROWS + ["99,"]),
+}
+# files that float() reads line by line but numpy refuses: (text, the line named)
+REFUSED_SERIES = {
+    "whitespace-line": ("index,value\n" + "\n  \n".join(_ROWS), 3),
+    "text-index": ("index,value\n" + "\n".join(f"t{r}" for r in _ROWS), 2),
+    "mixed-fields": ("\n".join(_ROWS + _SAMPLES), len(_ROWS) + 1),
+    "underscores": ("index,value\n" + "\n".join(_ROWS + ["99,1_000.5"]), len(_ROWS) + 2),
+    "non-ascii-digit": ("index,value\n" + "\n".join(_ROWS + ["99,\u0663.5"]), len(_ROWS) + 2),
+    **{
+        name: ("index,value\n" + "\n".join(_ROWS).replace("\n", sep, 3), 2)
+        for name, sep in [("vertical-tab", "\v"), ("form-feed", "\f"), ("fs-line-breaks", "\x1c"),
+                          ("gs-line-breaks", "\x1d"), ("rs-line-breaks", "\x1e")]
+    },
 }
 
 
@@ -501,18 +511,50 @@ def _outcome(parse, text):
         return "error", str(exc)
 
 
-@pytest.mark.parametrize("name", sorted({**NUMPY_SERIES, **SCANNED_SERIES}))
+@pytest.mark.parametrize("name", sorted({**NUMPY_SERIES, **SCANNED_SERIES, **REFUSED_SERIES}))
 def test_series_parse_matches_the_line_scan(tmp_path, monkeypatch, name):
-    text = {**NUMPY_SERIES, **SCANNED_SERIES}[name]
+    text, line_no = REFUSED_SERIES.get(name, ({**NUMPY_SERIES, **SCANNED_SERIES}.get(name), None))
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode())
     if name in NUMPY_SERIES:
-        def no_scan(lines):
+        def no_scan(path, header):
             raise AssertionError("the line scan ran")
 
-        monkeypatch.setattr(cli, "_scanned_samples", no_scan)
+        monkeypatch.setattr(cli, "_raise_on_bad_line", no_scan)
     got = _outcome(lambda _: cli._series(path).values, text)
-    assert got == _outcome(reference_series_values, text)
+    expected = _outcome(reference_series_values, text)
+    if line_no is None:
+        assert got == expected
+    else:  # float() reads it line by line; numpy refuses it and the scan names the line
+        assert expected[0] == "values" and got[0] == "error", (expected, got)
+        assert got[1].startswith(f"line {line_no}: "), got
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_SERIES))
+def test_series_outside_numpy_syntax_exits_2(tmp_path, capsys, name):
+    text, line_no = REFUSED_SERIES[name]
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    out = tmp_path / "out"
+    assert main(["spectrum", "--input", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: invalid series file {path}: line {line_no}: "), lines
+    assert not out.exists()
+
+
+def test_series_parse_holds_no_object_per_line(tmp_path):
+    path = brownian_csv(tmp_path, n=2**16)
+    tracemalloc.start()
+    try:
+        series = cli._series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.length == 2**16
+    # a str per line alone would exceed the file's size
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def _edited_panel(tmp_path, edit):
@@ -597,6 +639,29 @@ CONTRACT_CASES = {
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
                    "--q-range=bad"],
         2, "--q-range",
+    ),
+    **{
+        f"spectrum-q-range-{q_range}": (
+            lambda t, q_range=q_range: ["spectrum", "--input", str(brownian_csv(t, n=4096)),
+                                        f"--q-range={q_range}"],
+            2, "argument --q-range: need finite MIN < MAX and COUNT >= 3",
+        )
+        for q_range in ["nan:1:5", "0:inf:5", "1:0:5", "0:1:2"]
+    },
+    # refused before anything is allocated: never run these without the check
+    "spectrum-q-range-over-memory-budget": (
+        lambda t: ["spectrum", "--input", str(brownian_csv(t, n=4096)),
+                   "--q-range=0:1:100000000000"],
+        2, "spectrum of 4096 samples would need more than the 3 GiB memory budget",
+    ),
+    "collapse-h-grid-over-memory-budget": (
+        lambda t: ["collapse", "--input", str(t / "pyramid.json"), "--h-grid", "0:1:1e-15"],
+        2, "argument --h-grid: an H grid of 1e+15 points would need more than the 3 GiB",
+    ),
+    "spectrum-overflowing-q-range": (
+        lambda t: ["spectrum", "--input", str(brownian_csv(t, n=4096)),
+                   "--q-range=-1e308:1e308:5"],
+        4, "stage spectrum: tau, alpha or D is not finite",
     ),
     "ingest-bad-price": (
         lambda t: ["ingest", "--input", str(_panel_with_row(t, ",12x"))],
@@ -695,13 +760,17 @@ def test_memory_budget_admits_the_studied_sizes():
     assert cli._simulate_bytes(25) > cli.MEMORY_BUDGET
     assert cli._simulate_bytes(10**18) > cli.MEMORY_BUDGET
     # the default grid stops at the fit window's top, 1024 samples: 65 scales
-    assert cli._spectrum_bytes(2**22, config) == 65 * 2**22 * 8
+    per_q = 65 * 8 + cli._SPECTRUM_BYTES_PER_Q
+    assert cli._spectrum_bytes(2**22, config) == 65 * 2**22 * 8 + 41 * per_q
     assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**22, config)
     assert cli._spectrum_bytes(2**22, config) <= cli.MEMORY_BUDGET
     assert cli._spectrum_bytes(2**23, config) > cli.MEMORY_BUDGET
     # a wider fit window extends the grid again, up to L/8
     config.fit_max_scale = 2.0**19
     assert cli._spectrum_bytes(2**22, config) > cli.MEMORY_BUDGET
+    # a long q grid counts too, whatever the series' length
+    assert cli._spectrum_bytes(4096, wtmm.WtmmConfig(n_q=10**8)) > cli.MEMORY_BUDGET
+    assert cli._h_grid("0:1:1e-6").size == 10**6 + 1
 
 
 def test_spectrum_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -725,7 +794,7 @@ def test_bad_input_exit_code_without_traceback(tmp_path, case):
     proc = run_cli(*make_argv(tmp_path), "--out", str(out))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "RuntimeWarning" not in proc.stderr  # numpy overflow is not leaked
+    assert "encountered in" not in proc.stderr  # numpy overflow is not leaked
     # one line, after argparse's usage lines for a bad flag
     lines = [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))]
     assert len(lines) == 1 and "error" in lines[0] and fragment in lines[0], proc.stderr
@@ -746,6 +815,8 @@ SHORT_ALPHA = {"q": [-1.0, 0.0, 1.0], "tau": [-2.0, -1.0, 0.0], "tau_stderr": [0
         (json.dumps({**SHORT_ALPHA, "q": [], "tau": [], "tau_stderr": [], "alpha": [], "D": []}),
          "error: invalid spectrum file "),
         (json.dumps({**SHORT_ALPHA, "support": []}), "error: invalid spectrum file "),
+        (json.dumps({**SHORT_ALPHA, "alpha": [1.0, 1.0, math.nan]}),
+         "error: invalid spectrum file "),
     ],
 )
 def test_check_spectrum_bad_file_exits_2(tmp_path, capsys, content, fragment):

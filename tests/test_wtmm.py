@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -650,3 +651,27 @@ def test_fit_window_without_three_scales_is_refused_before_the_transform(
 def test_singular_spectrum_rejects_short_series():
     with pytest.raises(ValueError):
         singular_spectrum(TimeSeries(np.arange(512.0)))
+
+
+def test_overflowing_q_range_is_refused_without_a_warning():
+    config = WtmmConfig(q_min=-1e308, q_max=1e308, n_q=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tau, alpha or D is not finite"):
+            singular_spectrum(TimeSeries(_random_walk(4096)), config)
+
+
+def test_partition_memory_does_not_grow_with_the_q_count():
+    rng = np.random.default_rng(3)
+    lines = [np.exp(rng.normal(size=8)) for _ in range(4000)]
+    scales = default_scale_grid(2**10)[:8]
+    peaks = []
+    for n_q in (5, 405):
+        tracemalloc.start()
+        try:
+            partition_function(lines, np.linspace(-5.0, 5.0, n_q), scales)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 400 more q values add their rows of log2_Z, not an (n_q, lines) temporary
+    assert peaks[1] - peaks[0] < 400 * 8 * 8 + 2**16, peaks
