@@ -53,8 +53,8 @@ from wcascade.wtmm import (
     default_scale_grid,
     estimate_tau,
     find_modulus_maxima,
-    gaussian_derivative_wavelet,
     legendre_spectrum,
+    mexican_hat,
     partition_function,
     singular_spectrum,
 )

@@ -61,8 +61,8 @@ class FoldedLognormal:
     var_log: float
 
     def __post_init__(self):
-        if self.var_log < 0:
-            raise ValueError("var_log must be non-negative")
+        if not (math.isfinite(self.mean_log) and 0 <= self.var_log < math.inf):
+            raise ValueError("mean_log must be finite and var_log finite and non-negative")
 
     @classmethod
     def from_log2(cls, mean_log2: float, var_log2: float) -> "FoldedLognormal":
@@ -88,6 +88,10 @@ class PointMass:
     value: float
     random_sign: bool = True
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("value must be finite")
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.random_sign:
             return (rng.integers(0, 2, n) * 2.0 - 1.0) * abs(self.value)
@@ -101,8 +105,8 @@ class CauchyFactor:
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * rng.standard_cauchy(n)
@@ -115,8 +119,8 @@ class NormalNoise:
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError("variance must be finite and non-negative")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(self.variance), n)

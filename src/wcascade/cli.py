@@ -38,13 +38,17 @@ EXIT_ANALYSIS = 4
 
 # Largest estimated allocation a command may make; a larger one is refused
 # before anything is allocated.  With the default fit window it admits a
-# 2**22-point spectrum (65 scales, a 2.03 GiB transform matrix) and refuses
-# a 2**23-point one (4.06 GiB).
+# 2**22-point spectrum (65 scales: a 2.03 GiB transform matrix, 2.53 GiB in
+# all) and refuses a 2**23-point one (5.06 GiB).
 MEMORY_BUDGET = 3 * 2**30
 # `simulate`'s peak grew by 72 bytes per path sample from depth 19 to 21
 # (108, 180 and 325 MB): the pyramid, the path and the JSON text of a
 # layer.  So depth 24 is estimated at 2.5 GiB and would peak near 2.3 GiB.
 _SIMULATE_BYTES_PER_SAMPLE = 80
+# `spectrum`'s peak RSS beyond the transform matrix grew 124 bytes per
+# sample from 2**19 to 2**21 points (95, 158 and 281 MiB over matrices of
+# 260, 520 and 1040 MiB, on lognormal cascade paths).
+_SPECTRUM_BYTES_PER_SAMPLE = 128
 # Per q value besides its log2_Z row: the fit's arrays and the report's floats
 # (a 4096-point spectrum traced 535 bytes per q, 456 of them its 57 log2_Z cells).
 _SPECTRUM_BYTES_PER_Q = 256
@@ -106,9 +110,10 @@ def _simulate_bytes(depth: int) -> float:
 
 
 def _spectrum_bytes(length: int, config: wtmm.WtmmConfig) -> int:
-    """The transform matrix, one float64 row per scale, then log2_Z and the report per q."""
+    """Per sample a transform column and the rest of the peak, per q a log2_Z row and report."""
     n_scales = config.scale_grid(length).size
-    return n_scales * length * 8 + config.n_q * (n_scales * 8 + _SPECTRUM_BYTES_PER_Q)
+    return (length * (n_scales * 8 + _SPECTRUM_BYTES_PER_SAMPLE)
+            + config.n_q * (n_scales * 8 + _SPECTRUM_BYTES_PER_Q))
 
 
 def _within_budget(what: str, nbytes: float, error=InputError) -> None:
@@ -183,21 +188,11 @@ def _raise_on_bad_line(path, header: int) -> None:
                 continue
             fields = line.split(",")
             width = width or len(fields)
-            if len(fields) > 2 or not all(map(_numpy_float, fields)):
+            if len(fields) > 2 or any(empirics.numpy_float(f) is None for f in fields):
                 raise ValueError(f"line {line_no}: expected a number or index,value, got {line!r}")
             if len(fields) != width:
                 expected = ("a number", "index,value")[width - 1]
                 raise ValueError(f"line {line_no}: expected {expected} as above, got {line!r}")
-
-
-def _numpy_float(field: str) -> bool:
-    """Whether numpy's parser reads ``field``: ``float``'s syntax in ASCII, without ``_``."""
-    text = field.strip()
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return text.isascii() and "_" not in text
 
 
 def _pyramid(path):

@@ -158,15 +158,21 @@ def _raise_on_bad_line(path, n_fields: int) -> None:
                 )
             previous = (stamp, line_no)
             for v in row[1:]:
-                try:
-                    price = float(v)
-                except ValueError:
-                    price = None
-                # numpy's parser, unlike float(), refuses digit separators
-                if price is None or "_" in v:
+                price = numpy_float(v)
+                if price is None:
                     raise ValueError(f"line {line_no}: cannot parse price {v!r}")
                 if not (math.isfinite(price) and price > 0):
                     raise ValueError(f"line {line_no}: price {v!r} is not finite and positive")
+
+
+def numpy_float(field: str) -> float | None:
+    """``field``'s value if numpy's parser reads it (``float``'s syntax in ASCII, without ``_``)."""
+    text = field.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if text.isascii() and "_" not in text else None
 
 
 def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Wavelet transform modulus maxima estimation of the singular spectrum.
 
-The pipeline is: continuous wavelet transform with a Gaussian-derivative
+The pipeline is: continuous wavelet transform with the Mexican hat as
 analyzing wavelet, detection of the local maxima of the transform modulus
 at every scale, chaining of those maxima into ridge lines across scales,
 the moment partition function built from per-line modulus suprema, a
@@ -41,7 +41,7 @@ __all__ = [
     "TauEstimate",
     "SingularSpectrum",
     "WtmmConfig",
-    "gaussian_derivative_wavelet",
+    "mexican_hat",
     "default_scale_grid",
     "cwt",
     "find_modulus_maxima",
@@ -55,8 +55,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Analyzing wavelet: second derivative of the Gaussian (two vanishing moments).
-_WAVELET_ORDER = 2
 # Finest scale of the grid, in samples; the coarsest is an eighth of the series.
 _MIN_SCALE = 4.0
 # Geometric steps of the scale grid per doubling of the scale.
@@ -69,24 +67,12 @@ _LINK_FACTOR = 0.5
 # zero more than 39 scales away from its centre.
 _KERNEL_SUPPORT = 39.0
 _KERNEL_BLOCK = 1 << 14  # kernel samples per call, so a thread's scratch stays small
+_PARTITION_BLOCK = 1 << 16  # (q, line) terms per block of the partition sums
 
 
-def gaussian_derivative_wavelet(order: int, x):
-    """N-th derivative of exp(-x^2/2).
-
-    Evaluated through the probabilists' Hermite polynomials,
-    ``d^N/dx^N exp(-x^2/2) = (-1)^N He_N(x) exp(-x^2/2)``; the result has
-    exactly ``order`` vanishing moments.
-    """
-    if order < 1:
-        raise ValueError("wavelet order must be >= 1")
-    x = np.asarray(x, dtype=float)
-    coeffs = np.zeros(order + 1)
-    coeffs[order] = 1.0
-    he = np.polynomial.hermite_e.hermeval(x, coeffs)
-    sign = -1.0 if order % 2 else 1.0
-    out = sign * he * np.exp(-0.5 * x * x)
-    return out if out.ndim else float(out)
+def mexican_hat(x):
+    """``(x^2 - 1) exp(-x^2/2)``, the Mexican hat up to sign: even, two vanishing moments."""
+    return (x * x - 1.0) * np.exp(-0.5 * x * x)
 
 
 @dataclass
@@ -111,33 +97,28 @@ def default_scale_grid(length: int) -> np.ndarray:
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
-def _reversed_kernel(row: np.ndarray, order: int, s: float) -> None:
-    """Write ``psi(offset / s) / s`` at the reversed circular offsets into ``row``.
+def _kernel_row(row: np.ndarray, s: float) -> None:
+    """Write the circularly reversed kernel ``psi(offset / s) / s`` into ``row``.
 
-    Entry ``m`` is the kernel's sample ``(-m) mod n``, at the signed offset
-    that sample has (``+n/2`` stays ``+n/2``).  Only offsets within
-    ``ceil(39 s)`` of zero are written; ``row`` must be zero elsewhere.
-    Past ``n // 2`` the two spans cover the row, sharing only entry ``n/2``.
+    ``psi`` is even, so reversing leaves the kernel as it is: entry ``m``
+    holds the sample at circular distance ``min(m, n - m)``.  Only distances
+    up to ``ceil(39 s)`` are written; ``row`` must be zero elsewhere.
     """
     n = row.size
     half = min(math.ceil(_KERNEL_SUPPORT * s), n // 2)
-    for lo, hi in [(0, half + 1), (n - half, n)]:
-        for start in range(lo, hi, _KERNEL_BLOCK):
-            m = np.arange(start, min(start + _KERNEL_BLOCK, hi))
-            offsets = ((-m) % n).astype(float)
-            offsets[offsets > n // 2] -= n
-            psi = gaussian_derivative_wavelet(order, offsets / s)
-            np.divide(psi, s, out=row[start : start + m.size])
+    for start in range(0, half + 1, _KERNEL_BLOCK):
+        offsets = np.arange(start, min(start + _KERNEL_BLOCK, half + 1), dtype=float)
+        np.divide(mexican_hat(offsets / s), s, out=row[start : start + offsets.size])
+    row[n - half :] = row[half:0:-1]
 
 
-def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
+def cwt(series: TimeSeries, scale_grid) -> CwtMatrix:
     """Continuous wavelet transform with periodic wrap and 1/s normalization.
 
-    ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the
-    ``order``-th Gaussian derivative, evaluated for every
-    sample position by FFT cross-correlation.  Scales must lie in
-    ``[2, L/4]`` where the discretized wavelet is well sampled and not yet
-    wrap-dominated.  The rows are computed on a few threads; no bit
+    ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the Mexican
+    hat, evaluated for every sample position by FFT cross-correlation.
+    Scales must lie in ``[2, L/4]`` where the discretized wavelet is well
+    sampled and not yet wrap-dominated.  The rows are computed on a few threads; no bit
     depends on their number.
     """
     scale_grid = np.asarray(scale_grid, dtype=float)
@@ -152,13 +133,15 @@ def cwt(series: TimeSeries, order: int, scale_grid) -> CwtMatrix:
 
     def transform_row(i: int) -> None:
         row = rows[i]
-        _reversed_kernel(row, order, scale_grid[i])
+        _kernel_row(row, scale_grid[i])
         # Keep this product verbatim.  Complex multiply is not bitwise
         # commutative, and numpy runs it as `rfft(row) *= spectrum` when the
         # temporary is at least 256 KiB but as written below that size.
         np.fft.irfft(spectrum * np.fft.rfft(row), n=n, out=row)
 
-    thread_map(transform_row, range(scale_grid.size), MAX_CWT_THREADS)
+    # Coarse rows first: fine first, glibc kept each thread's last freed FFT
+    # buffers (12 MB at 2**19 points), which the later stages cannot reuse.
+    thread_map(transform_row, range(scale_grid.size - 1, -1, -1), MAX_CWT_THREADS)
     return CwtMatrix(scales=scale_grid, values=rows)
 
 
@@ -282,6 +265,14 @@ class PartitionFunction:
             raise ValueError("log2_Z shape inconsistent with grids")
 
 
+def _log2_power_sums(q: np.ndarray, log_sup: np.ndarray) -> np.ndarray:
+    """``log2 sum_j exp(q_k log_sup_j)`` per ``q_k``, shifted by each row's largest term."""
+    terms = np.multiply.outer(q, log_sup)
+    peak = terms.max(axis=1)
+    terms -= peak[:, None]
+    return (peak + np.log(np.sum(np.exp(terms, out=terms), axis=1))) / _LN2
+
+
 def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
     """Build ``Z(q, s)`` from per-line running modulus suprema.
 
@@ -302,6 +293,7 @@ def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
     depth = np.arange(moduli.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     per_scale = np.bincount(depth, minlength=n_s)
     by_scale = np.split(np.log(moduli[np.argsort(depth, kind="stable")]), np.cumsum(per_scale)[:-1])
+    del moduli, depth  # the q blocks below reuse their memory
     log2_Z = np.full((q_grid.size, n_s), -np.inf)
     counts = per_scale[:n_s]
     live, sup = lengths, np.full(lengths.size, -np.inf)
@@ -310,10 +302,9 @@ def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
             break
         keep = live > i
         live, sup = live[keep], np.maximum(sup[keep], by_scale[i])
-        for k, q in enumerate(q_grid):  # one row at a time: memory does not grow with n_q
-            terms = q * sup
-            peak = terms.max()
-            log2_Z[k, i] = (peak + np.log(np.sum(np.exp(terms - peak)))) / _LN2
+        rows = max(1, _PARTITION_BLOCK // sup.size)
+        for k in range(0, q_grid.size, rows):  # memory does not grow with n_q
+            log2_Z[k : k + rows, i] = _log2_power_sums(q_grid[k : k + rows], sup)
     if np.any(counts == 0):
         empty = scales[counts == 0]
         warnings.warn(
@@ -480,7 +471,7 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
     grid = config.scale_grid(series.length)
     fit_range = config.fit_window(series.length)
     _fit_scales(grid, fit_range)  # refused before the transform is computed
-    matrix = cwt(series, _WAVELET_ORDER, grid)
+    matrix = cwt(series, grid)
     maxima = find_modulus_maxima(matrix)
     lines = chain_maxima_lines(maxima, matrix)
     # overflow at extreme q shows up as inf or nan and is refused below

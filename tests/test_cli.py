@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -360,6 +361,17 @@ def test_installed_entry_point_help():
     assert run_cli().returncode == 2
 
 
+def test_every_exported_name_exists():
+    # a rename must not leave a stale name in a module's __all__
+    modules = [
+        importlib.import_module(f"wcascade.{info.name}")
+        for info in pkgutil.iter_modules(wcascade.__path__)
+    ]
+    exported = [(module, name) for module in modules for name in getattr(module, "__all__", [])]
+    assert len({module for module, _ in exported}) >= 5
+    assert [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)] == []
+
+
 # Runs each argv through main() in one process and prints, after each,
 # whether any scipy module is loaded.
 SCIPY_PROBE = """
@@ -630,6 +642,23 @@ CONTRACT_CASES = {
         lambda t: ["simulate", "--config", str(write_config(t, OVERFLOWING_LAW))],
         4, "stage synthesize",
     ),
+    # a non-finite law parameter is refused as config, not run or overflowed
+    **{
+        f"simulate-law-{name}": (
+            lambda t, law=law: ["simulate", "--config", str(write_config(t, law))],
+            2, "invalid cascade config",
+        )
+        for name, law in [
+            ("nan-noise-variance", {"additive_law": {"kind": "normal", "variance": math.nan}}),
+            ("inf-noise-variance", {"additive_law": {"kind": "normal", "variance": math.inf}}),
+            ("nan-var-log", {"multiplier_law": {
+                "kind": "folded_lognormal", "mean_log": 0.0, "var_log": math.nan}}),
+            ("inf-mean-log", {"multiplier_law": {
+                "kind": "folded_lognormal", "mean_log": math.inf, "var_log": 0.01}}),
+            ("nan-point-mass", {"multiplier_law": {"kind": "point_mass", "value": math.nan}}),
+            ("inf-cauchy-scale", {"multiplier_law": {"kind": "cauchy", "scale": math.inf}}),
+        ]
+    },
     "pipeline-bad-h-grid": (
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
                    "--h-grid", "bad"],
@@ -690,6 +719,10 @@ CONTRACT_CASES = {
     "ingest-underscored-price": (
         lambda t: ["ingest", "--input", str(_panel_with_row(t, ",1_000.5"))],
         2, "line 57: cannot parse price '1_000.5'",
+    ),
+    "ingest-full-width-price": (
+        lambda t: ["ingest", "--input", str(_panel_with_row(t, ",\uff11\uff10\uff11"))],
+        2, "line 57: cannot parse price '\uff11\uff10\uff11'",
     ),
     "ingest-bad-timestamp": (
         lambda t: ["ingest", "--input",
@@ -760,8 +793,9 @@ def test_memory_budget_admits_the_studied_sizes():
     assert cli._simulate_bytes(25) > cli.MEMORY_BUDGET
     assert cli._simulate_bytes(10**18) > cli.MEMORY_BUDGET
     # the default grid stops at the fit window's top, 1024 samples: 65 scales
+    per_sample = 65 * 8 + cli._SPECTRUM_BYTES_PER_SAMPLE
     per_q = 65 * 8 + cli._SPECTRUM_BYTES_PER_Q
-    assert cli._spectrum_bytes(2**22, config) == 65 * 2**22 * 8 + 41 * per_q
+    assert cli._spectrum_bytes(2**22, config) == 2**22 * per_sample + 41 * per_q
     assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**22, config)
     assert cli._spectrum_bytes(2**22, config) <= cli.MEMORY_BUDGET
     assert cli._spectrum_bytes(2**23, config) > cli.MEMORY_BUDGET
@@ -881,7 +915,7 @@ def test_traced_replay_opens_every_traced_span(tmp_path):
     metrics = layers.layer_metrics(docs[:1], 0.0, 0.0, 0.0)
     path = TimeSeries(np.loadtxt(tmp_path / "report" / "path.csv", delimiter=",", skiprows=1)[:, 1])
     finest = wtmm.default_scale_grid(path.length)[:1]
-    seeds = wtmm.find_modulus_maxima(wtmm.cwt(path, wtmm._WAVELET_ORDER, finest))[0]
+    seeds = wtmm.find_modulus_maxima(wtmm.cwt(path, finest))[0]
     assert seeds.size and metrics["wtmm.lines_count"] == seeds.size
     assert 0 < metrics["wtmm.lines_complete_ratio"] <= 1
 

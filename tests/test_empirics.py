@@ -214,6 +214,9 @@ def test_load_panel_row_reader_reads_what_numpy_refuses(tmp_path, header, first_
     "row, message",
     [
         ("2009-05-01T10:02:00,12x,3.0", "line 4: cannot parse price '12x'"),
+        # float() reads full-width digits, numpy does not
+        ("2009-05-01T10:02:00,\uff11\uff10\uff11,3.0",
+         "line 4: cannot parse price '\uff11\uff10\uff11'"),
         ("2009-05-01T10:02:00,3.0", "row 4 has 2 fields, expected 3"),
         ("2009-05-01T10:02:00,3.0,4.0,", "row 4 has 4 fields, expected 3"),
         ("2009-05-01T10:02:00,3.0,nan", "line 4: price 'nan' is not finite and positive"),

@@ -28,12 +28,12 @@ from wcascade.wtmm import (
     default_scale_grid,
     estimate_tau,
     find_modulus_maxima,
-    gaussian_derivative_wavelet,
     legendre_duality_error,
     legendre_spectrum,
+    mexican_hat,
     partition_function,
     singular_spectrum,
-    _reversed_kernel,
+    _kernel_row,
 )
 
 LN2 = math.log(2.0)
@@ -44,30 +44,22 @@ LN2 = math.log(2.0)
 
 
 def test_wavelet_point_values():
-    assert gaussian_derivative_wavelet(2, 0.0) == pytest.approx(-1.0)
-    assert gaussian_derivative_wavelet(1, 1.0) == pytest.approx(-math.exp(-0.5))
-    # order 2 is x^2 - 1 times the Gaussian
+    assert mexican_hat(0.0) == pytest.approx(-1.0)
+    assert mexican_hat(1.0) == 0.0
+    # x^2 - 1 times the Gaussian
     x = np.linspace(-4, 4, 33)
     expected = (x**2 - 1) * np.exp(-0.5 * x**2)
-    assert np.allclose(gaussian_derivative_wavelet(2, x), expected, atol=1e-14)
+    assert np.allclose(mexican_hat(x), expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_wavelet_vanishing_moments_by_quadrature(order):
+def test_wavelet_vanishing_moments_by_quadrature():
     x = np.linspace(-20, 20, 200_001)
-    psi = gaussian_derivative_wavelet(order, x)
-    for n in range(order):
+    psi = mexican_hat(x)
+    for n in range(2):
         moment = np.trapezoid(x**n * psi, x)
         assert abs(moment) < 1e-10
-    # the next moment does not vanish
-    assert abs(np.trapezoid(x**order * psi, x)) > 1e-3
-
-
-def test_wavelet_order_validation():
-    with pytest.raises(ValueError):
-        gaussian_derivative_wavelet(0, 0.0)
-    with pytest.raises(ValueError):
-        cwt(TimeSeries(np.arange(64.0)), 0, [4.0])
+    # the second moment does not vanish
+    assert abs(np.trapezoid(x**2 * psi, x)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +68,14 @@ def test_wavelet_order_validation():
 
 def test_cwt_constant_is_zero():
     series = TimeSeries(np.full(256, 3.7))
-    matrix = cwt(series, 2, [4.0, 8.0, 16.0])
+    matrix = cwt(series, [4.0, 8.0, 16.0])
     assert np.max(np.abs(matrix.values)) < 1e-12
 
 
 def test_cwt_ramp_vanishes_away_from_wrap():
     length = 512
     series = TimeSeries(np.arange(length, dtype=float))
-    matrix = cwt(series, 2, [4.0, 8.0])
+    matrix = cwt(series, [4.0, 8.0])
     # two vanishing moments annihilate the linear trend; only the periodic
     # wrap jump at position 0 responds
     inner = matrix.values[:, 128:384]
@@ -96,39 +88,39 @@ def test_cwt_impulse_matches_direct_evaluation():
     values = np.zeros(length)
     values[x0] = 1.0
     for s in (4.0, 10.0):
-        matrix = cwt(TimeSeries(values), 2, [s])
+        matrix = cwt(TimeSeries(values), [s])
         positions = np.arange(length)
         expected = np.zeros(length)
         for image in (-length, 0, length):
-            expected += gaussian_derivative_wavelet(2, (x0 + image - positions) / s) / s
+            expected += mexican_hat((x0 + image - positions) / s) / s
         assert np.max(np.abs(matrix.values[0] - expected)) < 1e-12
 
 
 def test_cwt_scale_validation():
     series = TimeSeries(np.zeros(128) + np.arange(128.0))
     with pytest.raises(ValueError):
-        cwt(series, 2, [1.5])
+        cwt(series, [1.5])
     with pytest.raises(ValueError):
-        cwt(series, 2, [64.0])  # beyond L/4
+        cwt(series, [64.0])  # beyond L/4
     with pytest.raises(ValueError):
-        cwt(series, 2, [8.0, 8.0])
+        cwt(series, [8.0, 8.0])
 
 
-def rolled_kernel(order, s, n):
+def rolled_kernel(s, n):
     """The full-length kernel, reversed circularly: ``k[(-m) mod n]``."""
     offsets = np.arange(n, dtype=float)
     offsets[offsets > n // 2] -= n  # signed circular offsets
-    kernel = gaussian_derivative_wavelet(order, offsets / s) / s
+    kernel = mexican_hat(offsets / s) / s
     return np.roll(kernel[::-1], 1)
 
 
-def dense_reference_cwt(series, order, scale_grid):
+def dense_reference_cwt(series, scale_grid):
     """The dense row loop that `cwt` replaced: full-length kernels, one product each."""
     x = series.values
     spectrum = np.fft.rfft(x)
     rows = np.empty((len(scale_grid), x.size))
     for i, s in enumerate(scale_grid):
-        rows[i] = np.fft.irfft(spectrum * np.fft.rfft(rolled_kernel(order, s, x.size)), n=x.size)
+        rows[i] = np.fft.irfft(spectrum * np.fft.rfft(rolled_kernel(s, x.size)), n=x.size)
     return rows
 
 
@@ -149,30 +141,25 @@ def _two_steps(n):
     return values
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("length", [2**10, 2**16])
-def test_reversed_kernel_matches_rolled_kernel_bit_for_bit(order, length):
-    # Beyond the support an odd-order rolled kernel holds -0.0 on one side
-    # where the row keeps +0.0; adding +0.0 to both maps -0.0 to +0.0.  The
-    # subnormal samples just inside the support must all be there.
-    for s in straddling_grid(length):
+def test_kernel_row_matches_rolled_kernel_bit_for_bit(length):
+    # the subnormal samples just inside the support must all be there
+    for s in np.concatenate([straddling_grid(length), default_scale_grid(length)]):
         row = np.zeros(length)
-        _reversed_kernel(row, order, s)
-        row += 0.0
-        expected = rolled_kernel(order, s, length) + 0.0
+        _kernel_row(row, s)
+        expected = rolled_kernel(s, length)
         assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
 
 # 2**10 keeps the spectrum product below numpy's 256 KiB temporary-elision
 # threshold and 2**16 lies above it
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("length", [2**10, 2**16])
 @pytest.mark.parametrize("make_series", [_random_walk, _two_steps])
-def test_cwt_matches_dense_loop_bit_for_bit(order, length, make_series):
+def test_cwt_matches_dense_loop_bit_for_bit(length, make_series):
     series = TimeSeries(make_series(length))
     grid = straddling_grid(length)
-    values = cwt(series, order, grid).values
-    expected = dense_reference_cwt(series, order, grid)
+    values = cwt(series, grid).values
+    expected = dense_reference_cwt(series, grid)
     assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
 
@@ -190,7 +177,7 @@ def test_cwt_thread_count_changes_no_bit(monkeypatch):
     values = {}
     for cpus in (1, 2, 16):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        values[cpus] = cwt(series, 2, grid).values
+        values[cpus] = cwt(series, grid).values
     assert used == [1, 2, threads.MAX_CWT_THREADS]
     assert np.array_equal(values[1].view(np.int64), values[2].view(np.int64))
     assert np.array_equal(values[1].view(np.int64), values[16].view(np.int64))
@@ -212,7 +199,7 @@ def test_maxima_match_brute_force_on_bump():
     length = 512
     x = np.arange(length, dtype=float)
     series = TimeSeries(np.exp(-0.5 * ((x - 256) / 16) ** 2))
-    matrix = cwt(series, 2, [4.0, 8.0])
+    matrix = cwt(series, [4.0, 8.0])
     maxima = find_modulus_maxima(matrix)
     for row, found in zip(matrix.values, maxima):
         assert np.array_equal(found, brute_force_maxima(row))
@@ -222,7 +209,7 @@ def test_bump_has_three_maxima_at_fine_scale():
     length = 1024
     x = np.arange(length, dtype=float)
     series = TimeSeries(np.exp(-0.5 * ((x - 512) / 24) ** 2))
-    matrix = cwt(series, 2, [6.0])
+    matrix = cwt(series, [6.0])
     maxima = find_modulus_maxima(matrix)[0]
     assert maxima.size == 3
     assert 512 in maxima  # center plus two symmetric flanks
@@ -253,33 +240,32 @@ def test_maxima_rising_plateau_not_reported():
 # chaining
 
 
-def test_step_response_single_maximum_at_step():
-    # with one vanishing moment the step response is a Gaussian bump
-    # centered on the jump, so there is one maximum per jump per scale
+def test_step_response_maxima_flank_each_step():
+    # the response to a unit step at x0 is a exp(-a^2/2) with a = (x0 - x)/s,
+    # so each jump has two maxima per scale, at x0 - s and x0 + s
     length = 2048
     values = np.zeros(length)
     values[700:1600] = 1.0
-    matrix = cwt(TimeSeries(values), 1, [4.0, 16.0, 64.0])
-    for row_maxima in find_modulus_maxima(matrix):
-        assert row_maxima.size == 2  # one per jump
-    fine = find_modulus_maxima(matrix)[0]
-    assert np.min(np.abs(fine - 700)) <= 1
-    assert np.min(np.abs(fine - 1600)) <= 1
+    jumps = np.array([699.5, 1599.5])
+    matrix = cwt(TimeSeries(values), [4.0, 16.0, 64.0])
+    for s, row_maxima in zip(matrix.scales, find_modulus_maxima(matrix)):
+        expected = np.sort(np.concatenate([jumps - s, jumps + s]))
+        assert np.max(np.abs(row_maxima - expected)) <= 0.5
 
 
 def test_two_steps_give_two_complete_lines():
     length = 4096
     series = TimeSeries(_two_steps(length))
     grid = default_scale_grid(length)
-    matrix = cwt(series, 1, grid)
+    matrix = cwt(series, grid)
     maxima = find_modulus_maxima(matrix)
     lines = chain_maxima_lines(maxima, matrix)
-    assert len(lines) == 2
+    assert len(lines) == 4  # two flanks per jump
     complete = [k for k, l in enumerate(lines) if len(l) == grid.size]
-    assert len(complete) == 2
+    assert len(complete) == 2  # the outer flanks; the inner two meet between the jumps
     finals = sorted(maxima[0][k] for k in complete)  # line k starts at maxima[0][k]
-    assert abs(finals[0] - length // 3) <= 3
-    assert abs(finals[1] - 2 * length // 3) <= 3
+    assert abs(finals[0] - (length // 3 - 0.5 - grid[0])) <= 0.5
+    assert abs(finals[1] - (2 * length // 3 - 0.5 + grid[0])) <= 0.5
     # completeness is monotone: alive-line counts never increase with scale
     lens = np.array([len(l) for l in lines])
     alive = np.array([(lens > i).sum() for i in range(grid.size)])
@@ -388,7 +374,7 @@ def test_chaining_matches_reference_on_cascade_path():
         depth=13, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=3
     )
     series = dwt_inverse(synthesize_mixed(spec))
-    matrix = cwt(series, 2, default_scale_grid(series.length))
+    matrix = cwt(series, default_scale_grid(series.length))
     lines = assert_chaining_matches_reference(find_modulus_maxima(matrix), matrix)
     lengths = {len(line) for line in lines}
     assert min(lengths) < matrix.scales.size and max(lengths) == matrix.scales.size
@@ -465,6 +451,19 @@ def test_partition_synthetic_halving_count_recovers_linear_tau():
     assert np.max(tau.stderr) < 1e-6
     # r2 is meaningless at q = 2 where Z(q, s) is exactly constant in s
     assert np.min(tau.r2[np.abs(q - 2.0) > 0.25]) > 1.0 - 1e-12
+
+
+def test_partition_q_blocks_match_reference_bit_for_bit():
+    # 5000 lines alive at the finest scale put 13 q rows in a block of 2**16
+    # terms, so 101 q values span 8 blocks there, the last one partial
+    rng = np.random.default_rng(7)
+    lines = [np.exp(rng.normal(size=rng.integers(1, 9))) for _ in range(5000)]
+    scales = default_scale_grid(2**10)[:8]
+    q = np.linspace(-5.0, 5.0, 101)
+    pf = partition_function(lines, q, scales)
+    log2_Z, counts = reference_partition_function(lines, q, scales)
+    assert pf.log2_Z.tobytes() == log2_Z.tobytes()
+    assert np.array_equal(pf.line_counts, counts)
 
 
 def test_estimate_tau_exact_decay():
@@ -596,7 +595,7 @@ def _wave_packet(n=4096):
 
 def full_grid_reference(series, config):
     """The partition function and spectrum with every scale up to L/8 transformed."""
-    matrix = cwt(series, wtmm._WAVELET_ORDER, default_scale_grid(series.length))
+    matrix = cwt(series, default_scale_grid(series.length))
     lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
     pf = partition_function(lines, config.q_grid(), matrix.scales)
     return pf, legendre_spectrum(estimate_tau(pf, config.fit_window(series.length)))
@@ -620,7 +619,7 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         pf_full, expected = full_grid_reference(series, config)
-        matrix = cwt(series, wtmm._WAVELET_ORDER, grid)
+        matrix = cwt(series, grid)
         lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
         pf = partition_function(lines, config.q_grid(), grid)
         spectrum = singular_spectrum(series, config)
