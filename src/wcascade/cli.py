@@ -52,8 +52,9 @@ _SPECTRUM_BYTES_PER_SAMPLE = 128
 # Per q value besides its log2_Z row: the fit's arrays and the report's floats
 # (a 4096-point spectrum traced 535 bytes per q, 456 of them its 57 log2_Z cells).
 _SPECTRUM_BYTES_PER_Q = 256
-# Per H value: the grid, its distances and thread_map's future (traced 1.75 kB).
-_COLLAPSE_BYTES_PER_H = 2048
+# Per H value: the grid, its distances and the report's two float lists
+# (`collapse` on a depth-8 pyramid traced 71 bytes per H value, 22,000 to 42,000 points).
+_COLLAPSE_BYTES_PER_H = 96
 
 
 class InputError(Exception):

@@ -186,7 +186,6 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
     """
     if dt < 1:
         raise ValueError("dt must be >= 1")
-    log_prices = np.log(panel.prices)
     starts = panel.day_starts
     ends = np.concatenate([starts[1:], [panel.timestamps.size]])
     slot_idx = []
@@ -196,27 +195,31 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
     if not slot_idx:
         raise ValueError(f"no day is longer than the return lag dt={dt}")
     slots = np.concatenate(slot_idx)
-    returns = log_prices[slots]
-    returns -= log_prices[slots - dt]
-    del log_prices
+    lagged = slots - dt
     tod_values, slot_of_row = np.unique(panel.minute_of_day[slots], return_inverse=True)
-    # one row per issue, its returns grouped by time of day in row order
+    # an issue's returns grouped by time of day, in row order, are r[order]
     order = np.argsort(slot_of_row, kind="stable")
     bounds = np.searchsorted(slot_of_row[order], np.arange(tod_values.size + 1))
-    grouped = np.take(returns.T, order, axis=1)
     n_issues = len(panel.issues)
     averaged = np.zeros(slots.size)
+    # One issue at a time, so no array spans the whole panel.  The column is
+    # copied first: numpy's log then sees the contiguous layout it gets on
+    # the whole panel's rows.
     for i in range(n_issues):
-        r = returns[:, i]
+        log_price = np.log(np.ascontiguousarray(panel.prices[:, i]))
+        r = log_price[slots]
+        r -= log_price[lagged]
+        del log_price
         global_std = float(r.std())
         if global_std == 0.0:
             raise ValueError(
                 f"issue {panel.issues[i]!r} has degenerate returns (zero variance)"
             )
+        grouped = r[order]
         sigmas = np.empty(tod_values.size)
         fallbacks = []
         for k, v in enumerate(tod_values):
-            obs = grouped[i, bounds[k]:bounds[k + 1]]
+            obs = grouped[bounds[k]:bounds[k + 1]]
             sigma = float(obs.std()) if obs.size >= 2 else 0.0
             if sigma == 0.0:
                 sigma = global_std
@@ -228,8 +231,7 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
                 "sparse; using the global standard deviation there",
                 stacklevel=2,
             )
-        profile = sigmas[slot_of_row]
-        normalized = r / profile
+        normalized = r / sigmas[slot_of_row]
         spread = float(normalized.std())
         if spread == 0.0:
             raise ValueError(
@@ -437,8 +439,21 @@ def _ks_statistic(x, x_cdf, y, y_cdf) -> float:
 
     The ECDF difference peaks at a sample point, so it is evaluated on
     each sample's points, one ``searchsorted`` into the other sample each.
+    When one sample has at least 4 times the other's points, only its last
+    point below each point of the smaller sample is searched.  The smaller
+    sample's points cover every peak of its own ECDF over the larger one's;
+    a peak the other way sits at the end of a run of the larger sample on
+    which the smaller one's ECDF is constant, and float subtraction is
+    monotone, so the statistic is the same float.
     """
-    return max(_max_ecdf_gap(x, x_cdf, y), _max_ecdf_gap(y, y_cdf, x))
+    if x.size < y.size:
+        x, x_cdf, y, y_cdf = y, y_cdf, x, x_cdf
+    ends = slice(None)
+    if x.size >= 4 * y.size:
+        ends = np.searchsorted(x, y, side="left")
+        ends -= 1
+        np.maximum(ends, 0, out=ends)  # no point of x lies below y's first: any index does
+    return max(_max_ecdf_gap(x[ends], x_cdf[ends], y), _max_ecdf_gap(y, y_cdf, x))
 
 
 def _max_ecdf_gap(points, points_cdf, other) -> float:

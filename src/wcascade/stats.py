@@ -205,7 +205,8 @@ def pearson_correlation(x, y) -> float:
     sy = float(np.sqrt(np.sum(dy**2)))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation is undefined for constant input")
-    r = float(np.dot(dx, dy) / (sx * sy))
+    # np.sum, not BLAS np.dot: BLAS splits the sum by thread, so r would depend on the CPU count
+    r = float(np.sum(dx * dy) / (sx * sy))
     return min(1.0, max(-1.0, r))
 
 

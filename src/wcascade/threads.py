@@ -9,6 +9,7 @@ result depends on the number of threads.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 # Each thread holds its own scratch, which glibc keeps in a per-thread
@@ -17,10 +18,16 @@ from concurrent.futures import ThreadPoolExecutor
 # the `collapse` process peaked at 74 MB on a depth-17 pyramid, as
 # `simulate` does at that depth; eight took 84 MB.
 MAX_THREADS = 4
-# In `cwt` it is the transforms of one row, about 16 MB at 2**19 points.
-# `spectrum` on a 2**19-point path peaked at 601 MB serially before the
-# rows were threaded, and at 613, 630, 646 and 662 MB on 1 to 4 threads.
+# In `cwt` it is the transforms of one row, about 16 MB at 2**19 points;
+# taken coarse to fine, the rows usually leave those arenas trimmed.
+# `spectrum` on a 2**19-point lognormal cascade path peaked at 355.1 MB on
+# 1 CPU and at 356.1 MB on 2.  Three or more threads have not been measured.
 MAX_CWT_THREADS = 2
+# Items submitted and not yet collected: more than any scale grid's rows, so
+# `cwt` submits all of its rows at once.  Refilled four rows per thread,
+# `spectrum` on a 2**19-point path peaked 11.5 MB higher in 8 of 15 runs,
+# against 1 of 15 with every row submitted at once.
+_MAX_PENDING = 256
 
 
 def _usable_cpus() -> int:
@@ -31,7 +38,23 @@ def _usable_cpus() -> int:
 
 
 def thread_map(fn, items, max_threads: int = MAX_THREADS) -> list:
-    """``[fn(item) for item in items]`` on ``min(len(items), usable CPUs, max_threads)`` threads."""
+    """``[fn(item) for item in items]`` on ``min(len(items), usable CPUs, max_threads)`` threads.
+
+    Items start in order, and at most ``_MAX_PENDING`` are submitted and not
+    yet collected, so a long list holds no future per item.
+    """
     workers = max(1, min(len(items), _usable_cpus(), max_threads))
+    results = []
+    pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        try:
+            for item in items:
+                if len(pending) == _MAX_PENDING:
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(fn, item))
+            while pending:
+                results.append(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
+    return results

@@ -805,6 +805,9 @@ def test_memory_budget_admits_the_studied_sizes():
     # a long q grid counts too, whatever the series' length
     assert cli._spectrum_bytes(4096, wtmm.WtmmConfig(n_q=10**8)) > cli.MEMORY_BUDGET
     assert cli._h_grid("0:1:1e-6").size == 10**6 + 1
+    # an H value costs a few floats, not a future
+    assert 3 * 10**7 * cli._COLLAPSE_BYTES_PER_H <= cli.MEMORY_BUDGET
+    assert 10**8 * cli._COLLAPSE_BYTES_PER_H > cli.MEMORY_BUDGET
 
 
 def test_spectrum_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):

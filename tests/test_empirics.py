@@ -4,7 +4,9 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +152,43 @@ def test_deseasonalize_bit_equal_to_masking_loop():
         with pytest.warns(UserWarning, match="sparse"):
             out = deseasonalize_returns(panel, dt=dt)
         assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+
+
+def panel_csv(path, n_issues, seed):
+    """A panel file of uneven days; read back, its prices are a strided view into the rows."""
+    rng = np.random.default_rng(seed)
+    lines = ["timestamp," + ",".join(f"I{i}" for i in range(n_issues))]
+    log_prices = np.log(rng.uniform(20.0, 200.0, n_issues))
+    for day in range(30):
+        for minute in range(40 if day == 29 else 20 + day % 7):  # a sparse last day
+            log_prices += 1e-3 * (1 + minute % 3) * rng.standard_normal(n_issues)
+            stamp = np.datetime64("2010-01-04T09:30") + np.timedelta64(day * 1440 + minute, "m")
+            lines.append(f"{stamp}," + ",".join(map(repr, np.exp(log_prices).tolist())))
+    return load_panel_csv(write_rows(path, lines))
+
+
+def test_deseasonalize_read_panel_bit_equal_to_masking_loop(tmp_path):
+    panel = panel_csv(tmp_path / "panel.csv", n_issues=5, seed=10)
+    assert not panel.prices.flags.c_contiguous
+    for dt in (1, 3):
+        with pytest.warns(UserWarning, match="sparse"):
+            out = deseasonalize_returns(panel, dt=dt)
+        assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+
+
+def test_deseasonalize_holds_a_few_columns_not_the_panel(tmp_path):
+    panel = panel_csv(tmp_path / "panel.csv", n_issues=40, seed=11)
+    column_bytes = panel.prices.nbytes // 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            deseasonalize_returns(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # whole-panel log and return arrays would peak near 3 * panel.prices.nbytes
+    assert peak < 16 * column_bytes, peak / column_bytes
 
 
 def write_rows(path, lines):
@@ -465,20 +504,38 @@ def quantized_pyramid():
     return pyramid
 
 
-TIE_PYRAMIDS = {
+def shared_grid_pyramid():
+    """Layers drawn from the same 17 values, with ranges that differ by layer.
+
+    At H = 0 the layers are unscaled, so a larger layer ties with each value
+    of a smaller one, at the ends of the runs on which the smaller layer's
+    ECDF is constant.
+    """
+    rng = np.random.default_rng(12)
+    layers = [rng.integers(-8, 9 - 4 * (j % 3), 2**j) / 4.0 for j in range(1, 11)]
+    return WaveletPyramid(
+        depth=10, root_approx=0.0, root_detail=1.0, layers=layers, rescaled=True
+    )
+
+
+COLLAPSE_PYRAMIDS = {
+    "lognormal": lambda: synthesize_mixed(  # tie-free
+        CascadeSpec(depth=11, multiplier_law=SignedLognormal.from_log2(-0.33, 0.3), seed=4)
+    ),
     "point-mass": lambda: synthesize_mixed(
         CascadeSpec(depth=10, multiplier_law=PointMass(2.0**-0.3), seed=9)
     ),
     "quantized": quantized_pyramid,
+    "shared-grid": shared_grid_pyramid,
 }
 
 
 @pytest.mark.parametrize("block", [None, 100])  # 100 splits layers mid-run of ties
-@pytest.mark.parametrize("name", sorted(TIE_PYRAMIDS))
+@pytest.mark.parametrize("name", sorted(COLLAPSE_PYRAMIDS))
 def test_collapse_bit_equal_to_pairwise_merge(monkeypatch, name, block):
     if block is not None:
         monkeypatch.setattr(empirics, "_GAP_BLOCK", block)
-    pyramid = TIE_PYRAMIDS[name]()
+    pyramid = COLLAPSE_PYRAMIDS[name]()
     h_grid = np.arange(0.0, 1.005, 0.05)
     result = collapse_H(pyramid, h_grid)
     assert np.array_equal(result.distances, merge_reference_distances(pyramid, h_grid))
@@ -542,6 +599,27 @@ def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
     assert used == [1, 2, threads.MAX_THREADS]
     assert np.array_equal(distances[1], distances[2])
     assert np.array_equal(distances[1], distances[16])
+
+
+def test_thread_map_bounds_the_futures_in_flight(monkeypatch):
+    live = weakref.WeakSet()  # futures submitted and not yet collected
+    submitted, most_live = [], []
+
+    class CountingPool(threads.ThreadPoolExecutor):
+        def submit(self, fn, /, *args):
+            future = super().submit(fn, *args)
+            live.add(future)
+            submitted.append(args[0])
+            most_live.append(len(live))
+            return future
+
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    items = range(1000)
+    assert threads.thread_map(lambda i: i * i, items) == [i * i for i in items]
+    assert submitted == list(items)
+    # a worker may still hold the item it has just finished
+    assert max(most_live) <= threads._MAX_PENDING + 2
 
 
 def test_collapse_brownian_near_half():

@@ -159,6 +159,19 @@ def test_pearson_limits_and_null():
         pearson_correlation(np.ones(10), x[:10])
 
 
+def test_pearson_avoids_blas(monkeypatch):
+    # BLAS splits a dot product by thread, so its last bits follow the CPU count
+    def no_blas(*args, **kwargs):
+        raise AssertionError("np.dot reached")
+
+    monkeypatch.setattr(np, "dot", no_blas)
+    rng = np.random.default_rng(56)
+    a, b = rng.normal(size=100_000), rng.normal(size=100_000)
+    da, db = a - a.mean(), b - b.mean()
+    expected = np.sum(da * db) / (np.sqrt(np.sum(da**2)) * np.sqrt(np.sum(db**2)))
+    assert pearson_correlation(a, b) == float(expected)
+
+
 def test_binned_variance_homoskedastic():
     rng = np.random.default_rng(60)
     pred = rng.uniform(-3, 3, 100_000)
