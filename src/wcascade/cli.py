@@ -55,6 +55,8 @@ _SPECTRUM_BYTES_PER_Q = 256
 # Per H value: the grid, its distances and the report's two float lists
 # (`collapse` on a depth-8 pyramid traced 71 bytes per H value, 22,000 to 42,000 points).
 _COLLAPSE_BYTES_PER_H = 96
+# CSV rows rendered per write: a path.csv never holds its whole text in memory.
+_CSV_BLOCK = 1 << 14
 
 
 class InputError(Exception):
@@ -233,9 +235,9 @@ def _write_report(out, files: dict, fmt: str = "both") -> Path:
     """Create ``out`` and write the ``{name: content}`` files that ``fmt`` selects.
 
     ``fmt`` selects by suffix: ``json``, ``csv`` or ``both``.  A ``.json``
-    name takes a JSON value; a ``.csv`` name takes ``(header, rows)``, each
-    row's Python ints, strs and floats joined with ``str`` (for a float,
-    its ``repr``).
+    name takes a JSON value; a ``.csv`` name takes ``(header, columns)``,
+    equal-length columns of Python ints, strs and floats, or float arrays,
+    each cell rendered with ``str`` (for a float, its ``repr``).
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,15 +250,24 @@ def _write_report(out, files: dict, fmt: str = "both") -> Path:
                 json.dump(content, fh, indent=2)
                 fh.write("\n")
             else:
-                header, rows = content
+                header, columns = content
                 fh.write(header + "\n")
-                for row in rows:
-                    fh.write(",".join(map(str, row)) + "\n")
+                for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+                    cells = [_csv_cells(c[start : start + _CSV_BLOCK]) for c in columns]
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return out
 
 
+def _csv_cells(column) -> list:
+    """The ``str`` of each entry; for a float array, one ``repr`` of its list renders them all."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return repr(column.tolist())[1:-1].split(", ")
+    return list(map(str, column))
+
+
 def _indexed_csv(header: str, values) -> tuple:
-    return f"index,{header}", enumerate(map(float, values))
+    values = np.asarray(values, dtype=np.float64)
+    return f"index,{header}", (range(values.size), values)
 
 
 def _spectrum_files(spectrum) -> dict:
@@ -272,8 +283,8 @@ def _spectrum_files(spectrum) -> dict:
             "support": [spectrum.support[0], spectrum.support[1]],
             "peak_alpha": spectrum.peak_alpha,
         },
-        "tau.csv": ("q,tau,tau_stderr", zip(q, tau, stderr)),
-        "spectrum.csv": ("alpha,D", zip(alpha, D)),
+        "tau.csv": ("q,tau,tau_stderr", (q, tau, stderr)),
+        "spectrum.csv": ("alpha,D", (alpha, D)),
     }
 
 
@@ -292,7 +303,7 @@ def _variance_files(fits: list) -> dict:
     table = [(f.parent_layer, f.side, *(f"{getattr(f, c):.2f}" for c in cells)) for f in fits]
     return {
         "variances.json": [dataclasses.asdict(f) for f in fits],
-        "variance_table.csv": ("Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)", table),
+        "variance_table.csv": ("Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)", tuple(zip(*table))),
     }
 
 
@@ -306,7 +317,7 @@ def _collapse_files(result) -> dict:
             "h_grid": h_grid,
             "distances": distances,
         },
-        "collapse.csv": ("h,distance", zip(h_grid, distances)),
+        "collapse.csv": ("h,distance", (h_grid, distances)),
     }
 
 
@@ -337,7 +348,7 @@ def _multiplier_files(pyramid) -> dict:
             {"layer": r.layer, "r": r.r, "n_pairs": r.n_pairs} for r in table
         ]
         rows += [(kind, r.layer, float(r.r), r.n_pairs) for r in table]
-    return {"multipliers.json": report, "correlations.csv": ("kind,layer,r,n_pairs", rows)}
+    return {"multipliers.json": report, "correlations.csv": ("kind,layer,r,n_pairs", tuple(zip(*rows)))}
 
 
 def cmd_simulate(args) -> int:

@@ -18,10 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 # the `collapse` process peaked at 74 MB on a depth-17 pyramid, as
 # `simulate` does at that depth; eight took 84 MB.
 MAX_THREADS = 4
-# In `cwt` it is the transforms of one row, about 16 MB at 2**19 points;
-# taken coarse to fine, the rows usually leave those arenas trimmed.
-# `spectrum` on a 2**19-point lognormal cascade path peaked at 355.1 MB on
-# 1 CPU and at 356.1 MB on 2.  Three or more threads have not been measured.
+# In `cwt` the caller allocates each thread's product buffer, so a thread
+# itself allocates only the inverse FFT's work buffers, which stay in its
+# arena: about 8 MB at 2**19 points.  `spectrum` on a 2**19-point lognormal
+# cascade path peaked at 343.4 MB on 1 CPU and at 351.6 MB on 2.  Three or
+# more threads have not been measured.
 MAX_CWT_THREADS = 2
 # Items submitted and not yet collected: more than any scale grid's rows, so
 # `cwt` submits all of its rows at once.  Refilled four rows per thread,

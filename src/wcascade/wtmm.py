@@ -12,7 +12,8 @@ Conventions frozen here because they move the estimates:
 * the transform uses the L1 normalization ``(1/s) * integral f(u)
   psi((u - x)/s) du``, under which a local regularity exponent ``a`` shows
   up as modulus growth ``s**a``;
-* signals are treated as periodic, matching the discrete transform;
+* signals are treated as periodic: each transform row is the inverse DFT
+  of the signal's DFT times the Mexican hat's closed-form spectrum;
 * the scale grid is geometric (8 voices per octave from 4 samples),
   and the power-law fit defaults to scales below 1024 samples where the
   scaling regime is clean; the grid stops at the fit window's top (at
@@ -26,6 +27,7 @@ Conventions frozen here because they move the estimates:
 from __future__ import annotations
 
 import math
+import queue
 import warnings
 from dataclasses import dataclass
 
@@ -63,10 +65,10 @@ _VOICES_PER_OCTAVE = 8
 _NOISE_FLOOR = 1e-13
 # Largest move of a ridge line to the next row, as a fraction of its scale.
 _LINK_FACTOR = 0.5
-# exp(-x*x/2) underflows to exactly 0.0 for |x| > 38.61, so the kernel is
-# zero more than 39 scales away from its centre.
-_KERNEL_SUPPORT = 39.0
-_KERNEL_BLOCK = 1 << 14  # kernel samples per call, so a thread's scratch stays small
+# exp(-w*w/2) underflows to exactly 0.0 for |w| > 38.61, so the kernel's
+# spectrum is zero above this scaled frequency.
+_KERNEL_BAND = 40.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PARTITION_BLOCK = 1 << 16  # (q, line) terms per block of the partition sums
 
 
@@ -97,29 +99,17 @@ def default_scale_grid(length: int) -> np.ndarray:
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
-def _kernel_row(row: np.ndarray, s: float) -> None:
-    """Write the circularly reversed kernel ``psi(offset / s) / s`` into ``row``.
-
-    ``psi`` is even, so reversing leaves the kernel as it is: entry ``m``
-    holds the sample at circular distance ``min(m, n - m)``.  Only distances
-    up to ``ceil(39 s)`` are written; ``row`` must be zero elsewhere.
-    """
-    n = row.size
-    half = min(math.ceil(_KERNEL_SUPPORT * s), n // 2)
-    for start in range(0, half + 1, _KERNEL_BLOCK):
-        offsets = np.arange(start, min(start + _KERNEL_BLOCK, half + 1), dtype=float)
-        np.divide(mexican_hat(offsets / s), s, out=row[start : start + offsets.size])
-    row[n - half :] = row[half:0:-1]
-
-
 def cwt(series: TimeSeries, scale_grid) -> CwtMatrix:
-    """Continuous wavelet transform with periodic wrap and 1/s normalization.
+    """Periodic continuous wavelet transform with 1/s normalization.
 
     ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the Mexican
-    hat, evaluated for every sample position by FFT cross-correlation.
-    Scales must lie in ``[2, L/4]`` where the discretized wavelet is well
-    sampled and not yet wrap-dominated.  The rows are computed on a few threads; no bit
-    depends on their number.
+    hat and ``f`` extended periodically, evaluated for every sample position
+    as ``irfft(rfft(f) * Psi(s w))``, where ``Psi(s w) = -sqrt(2 pi) (s w)^2
+    exp(-(s w)^2 / 2)`` is the closed-form Fourier transform of
+    ``psi(t / s) / s`` at the DFT frequencies ``w = 2 pi k / n``.  Scales
+    must lie in ``[2, L/4]`` where the wavelet is well sampled and not yet
+    wrap-dominated.  The rows are computed on a few threads; no bit depends
+    on their number.
     """
     scale_grid = np.asarray(scale_grid, dtype=float)
     x = series.values
@@ -129,19 +119,30 @@ def cwt(series: TimeSeries, scale_grid) -> CwtMatrix:
     if np.any(np.diff(scale_grid) <= 0):
         raise ValueError("scales must be strictly increasing")
     spectrum = np.fft.rfft(x)
-    rows = np.zeros((scale_grid.size, n))
+    omega = 2.0 * np.pi * np.arange(spectrum.size) / n
+    rows = np.empty((scale_grid.size, n))
+    # One (kernel, product) pair per thread, allocated here: what a thread
+    # allocates stays in its arena, where the later stages cannot reuse it.
+    pool = queue.SimpleQueue()
+    for _ in range(min(scale_grid.size, MAX_CWT_THREADS)):
+        pool.put((np.empty(spectrum.size), np.empty_like(spectrum)))
 
     def transform_row(i: int) -> None:
-        row = rows[i]
-        _kernel_row(row, scale_grid[i])
-        # Keep this product verbatim.  Complex multiply is not bitwise
-        # commutative, and numpy runs it as `rfft(row) *= spectrum` when the
-        # temporary is at least 256 KiB but as written below that size.
-        np.fft.irfft(spectrum * np.fft.rfft(row), n=n, out=row)
+        s = scale_grid[i]
+        band = int(np.searchsorted(omega, _KERNEL_BAND / s, side="right"))
+        kernel, product = pool.get()
+        w2 = np.multiply(omega[:band], s, out=kernel[:band])
+        np.square(w2, out=w2)
+        e = np.multiply(w2, -0.5, out=product.real[:band])  # overwritten by the product below
+        np.exp(e, out=e)
+        w2 *= -_SQRT_2PI
+        w2 *= e  # Psi(s w) = (-sqrt(2 pi) (s w)^2) exp(-(s w)^2 / 2)
+        np.multiply(spectrum[:band], w2, out=product[:band])
+        product[band:] = 0.0
+        np.fft.irfft(product, n=n, out=rows[i])
+        pool.put((kernel, product))
 
-    # Coarse rows first: fine first, glibc kept each thread's last freed FFT
-    # buffers (12 MB at 2**19 points), which the later stages cannot reuse.
-    thread_map(transform_row, range(scale_grid.size - 1, -1, -1), MAX_CWT_THREADS)
+    thread_map(transform_row, range(scale_grid.size), MAX_CWT_THREADS)
     return CwtMatrix(scales=scale_grid, values=rows)
 
 
@@ -154,7 +155,16 @@ def _local_maxima_circular(m: np.ndarray) -> np.ndarray:
     n = m.size
     has_plateau = bool(np.any(m[1:] == m[:-1])) or m[0] == m[-1]
     if not has_plateau:
-        return np.flatnonzero((m > np.roll(m, 1)) & (m > np.roll(m, -1)))
+        inner = m[1:-1]
+        peak = inner > m[:-2]
+        peak &= inner > m[2:]
+        idx = np.flatnonzero(peak) + 1
+        # the two ends, whose neighbours wrap around
+        head = [0] if m[0] > m[-1] and m[0] > m[1] else []
+        tail = [n - 1] if m[-1] > m[-2] and m[-1] > m[0] else []
+        if head or tail:
+            idx = np.concatenate([np.array(head, dtype=idx.dtype), idx, np.array(tail, dtype=idx.dtype)])
+        return idx
     if np.all(m == m[0]):
         return np.empty(0, dtype=np.int64)
     # Run-based scan for data with exact ties.
@@ -188,6 +198,35 @@ def _circular_distance(a, b, n):
     return np.minimum(d, n - d)
 
 
+def _greedy_matching(line: np.ndarray, cand: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Indices of the greedy matching's edges, in ``(dist, edge index)`` order.
+
+    A greedy scan in that order accepts each edge whose two ends are still
+    free.  The same matching comes in rounds of locally dominant edges
+    (Preis, STACS 1999): each round accepts every remaining edge that ranks
+    first among the remaining edges at both of its ends, then drops every
+    edge that touches an accepted end.
+    """
+    order = np.argsort(dist, kind="stable")
+    line, cand = line[order], cand[order]
+    rank = np.arange(order.size)
+    won = np.zeros(order.size, dtype=bool)  # by rank
+    line_free = np.ones(line.max(initial=-1) + 1, dtype=bool)
+    cand_free = np.ones(cand.max(initial=-1) + 1, dtype=bool)
+    while rank.size:
+        line_best = np.full(line_free.size, order.size)
+        np.minimum.at(line_best, line, rank)
+        cand_best = np.full(cand_free.size, order.size)
+        np.minimum.at(cand_best, cand, rank)
+        first = (line_best[line] == rank) & (cand_best[cand] == rank)
+        won[rank[first]] = True
+        line_free[line[first]] = False
+        cand_free[cand[first]] = False
+        keep = line_free[line] & cand_free[cand]
+        line, cand, rank = line[keep], cand[keep], rank[keep]
+    return order[won]
+
+
 def chain_maxima_lines(maxima: list, matrix: CwtMatrix) -> list:
     """Link per-scale maxima into ridge lines from fine to coarse scales.
 
@@ -198,10 +237,14 @@ def chain_maxima_lines(maxima: list, matrix: CwtMatrix) -> list:
     ``|x - x0| ~ s``) while staying below the typical maxima spacing, so
     unrelated ridges are not glued together.  A line that finds no
     continuation is closed and kept; maxima that appear first at a coarser
-    scale can never satisfy completeness and are dropped.
+    scale can never satisfy completeness and are dropped.  Each head is
+    offered its two nearest maxima, and the edges are taken in order of
+    distance; equal distances take every head's left neighbour before any
+    right one, and the heads in the order they were accepted.
 
     Line ``k`` is the array of its moduli, fine to coarse: it starts at
-    ``maxima[0][k]`` and its entry ``i`` lies at scale index ``i``.
+    ``maxima[0][k]`` and its entry ``i`` lies at scale index ``i``.  The
+    lines are slices of one array.
     """
     n = matrix.length
     scales = matrix.scales
@@ -223,25 +266,19 @@ def chain_maxima_lines(maxima: list, matrix: CwtMatrix) -> list:
         pair_cand = np.concatenate([(idx - 1) % cands.size, idx % cands.size])
         dist = _circular_distance(heads[pair_line], cands[pair_cand], n)
         ok = dist <= radius
-        pair_line, pair_cand, dist = pair_line[ok], pair_cand[ok], dist[ok]
-        pair_lines, pair_cands = pair_line.tolist(), pair_cand.tolist()
-        line_used = [False] * alive.size
-        cand_used = [False] * cands.size
-        accepted = []
-        for k in np.argsort(dist, kind="stable").tolist():
-            li, ci = pair_lines[k], pair_cands[k]
-            if line_used[li] or cand_used[ci]:
-                continue
-            line_used[li] = cand_used[ci] = True
-            accepted.append(k)
-        accepted = np.asarray(accepted, dtype=np.int64)
+        pair_line, pair_cand = pair_line[ok], pair_cand[ok]
+        accepted = _greedy_matching(pair_line, pair_cand, dist[ok])
         alive = alive[pair_line[accepted]]
         heads = cands[pair_cand[accepted]]
         line_ids.append(alive)
         moduli.append(np.abs(matrix.values[i, heads]))
-    ids = np.concatenate(line_ids)
-    by_line = np.concatenate(moduli)[np.argsort(ids, kind="stable")]
-    return np.split(by_line, np.cumsum(np.bincount(ids))[:-1])
+    lengths = np.bincount(np.concatenate(line_ids))
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    by_line = np.empty(stops[-1])
+    for i, (ids, values) in enumerate(zip(line_ids, moduli)):
+        by_line[starts[ids] + i] = values
+    return [by_line[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 @dataclass
@@ -474,9 +511,11 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
     matrix = cwt(series, grid)
     maxima = find_modulus_maxima(matrix)
     lines = chain_maxima_lines(maxima, matrix)
+    scales = matrix.scales
+    del matrix, maxima  # the partition needs only the lines; freed first, the matrix is off its peak
     # overflow at extreme q shows up as inf or nan and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        pf = partition_function(lines, config.q_grid(), matrix.scales)
+        pf = partition_function(lines, config.q_grid(), scales)
         spectrum = legendre_spectrum(estimate_tau(pf, fit_range))
     if not all(np.all(np.isfinite(v)) for v in (spectrum.tau, spectrum.alpha, spectrum.D)):
         raise ValueError("tau, alpha or D is not finite; narrow the q range")

@@ -277,6 +277,25 @@ def test_ingest_bad_panel_exits_2(tmp_path):
     assert main(["ingest", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_csv_columns_render_as_the_row_by_row_join(tmp_path):
+    special = [-0.0, 0.0, 1e-300, 5e-324, 1e308, -1e308, math.nan, math.inf, 3.0, -2.0, 1e16, 0.1]
+    rng = np.random.default_rng(0)
+    column = np.concatenate([special, rng.standard_normal(2 * cli._CSV_BLOCK + 5)])
+    table = [("successive", 4, -0.0, 31), ("parent_vs_factor", 12, 0.125, 4096)]
+    cli._write_report(tmp_path, {
+        "path.csv": cli._indexed_csv("value", column),
+        "table.csv": ("kind,layer,r,n_pairs", tuple(zip(*table))),
+        "empty.csv": ("kind,layer,r,n_pairs", ()),
+    })
+
+    def joined(header, rows):
+        return (header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)).encode()
+
+    assert (tmp_path / "path.csv").read_bytes() == joined("index,value", enumerate(map(float, column)))
+    assert (tmp_path / "table.csv").read_bytes() == joined("kind,layer,r,n_pairs", table)
+    assert (tmp_path / "empty.csv").read_bytes() == b"kind,layer,r,n_pairs\n"
+
+
 PIPELINE_FILES = {
     "path.csv",
     "pyramid.json",

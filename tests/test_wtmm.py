@@ -33,7 +33,7 @@ from wcascade.wtmm import (
     mexican_hat,
     partition_function,
     singular_spectrum,
-    _kernel_row,
+    _local_maxima_circular,
 )
 
 LN2 = math.log(2.0)
@@ -114,8 +114,8 @@ def rolled_kernel(s, n):
     return np.roll(kernel[::-1], 1)
 
 
-def dense_reference_cwt(series, scale_grid):
-    """The dense row loop that `cwt` replaced: full-length kernels, one product each."""
+def sampled_kernel_cwt(series, scale_grid):
+    """Rows from the sampled kernel, cut at n/2: the transform before the closed-form spectrum."""
     x = series.values
     spectrum = np.fft.rfft(x)
     rows = np.empty((len(scale_grid), x.size))
@@ -124,8 +124,21 @@ def dense_reference_cwt(series, scale_grid):
     return rows
 
 
+def dense_reference_cwt(series, scale_grid):
+    """One product per row with the hat's closed-form spectrum at every DFT frequency."""
+    x = series.values
+    spectrum = np.fft.rfft(x)
+    omega = 2.0 * np.pi * np.arange(spectrum.size) / x.size
+    rows = np.empty((len(scale_grid), x.size))
+    for i, s in enumerate(scale_grid):
+        w2 = np.square(s * omega)
+        kernel = -math.sqrt(2.0 * math.pi) * w2 * np.exp(-0.5 * w2)
+        rows[i] = np.fft.irfft(spectrum * kernel, n=x.size)
+    return rows
+
+
 def straddling_grid(n):
-    """Scales from 2 to n/4, with three around the switch to a full-length kernel at 39 s = n/2."""
+    """Scales from 2 to n/4, with three around n/78, above which the sampled kernel wraps."""
     switch = n / 78
     near_switch = switch + np.array([-1, 0, 1]) / 39
     return np.sort(np.concatenate([np.geomspace(2.0, n / 4, 9), near_switch]))
@@ -142,18 +155,6 @@ def _two_steps(n):
 
 
 @pytest.mark.parametrize("length", [2**10, 2**16])
-def test_kernel_row_matches_rolled_kernel_bit_for_bit(length):
-    # the subnormal samples just inside the support must all be there
-    for s in np.concatenate([straddling_grid(length), default_scale_grid(length)]):
-        row = np.zeros(length)
-        _kernel_row(row, s)
-        expected = rolled_kernel(s, length)
-        assert np.array_equal(row.view(np.int64), expected.view(np.int64))
-
-
-# 2**10 keeps the spectrum product below numpy's 256 KiB temporary-elision
-# threshold and 2**16 lies above it
-@pytest.mark.parametrize("length", [2**10, 2**16])
 @pytest.mark.parametrize("make_series", [_random_walk, _two_steps])
 def test_cwt_matches_dense_loop_bit_for_bit(length, make_series):
     series = TimeSeries(make_series(length))
@@ -161,6 +162,21 @@ def test_cwt_matches_dense_loop_bit_for_bit(length, make_series):
     values = cwt(series, grid).values
     expected = dense_reference_cwt(series, grid)
     assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("length", [2**10, 2**16])
+@pytest.mark.parametrize("make_series", [_random_walk, _two_steps])
+def test_cwt_matches_sampled_kernel_up_to_roundoff(length, make_series):
+    # Below n/78 the sampled kernel, cut at n/2, equals its periodization.
+    # Below 2.5 samples its spectrum's aliases exceed the tolerance: 6e-9 of
+    # the row's largest modulus at 2 samples.
+    series = TimeSeries(make_series(length))
+    grid = np.unique(np.concatenate([np.geomspace(2.5, length / 100, 9), default_scale_grid(length)]))
+    grid = grid[grid <= length / 100]
+    values = cwt(series, grid).values
+    expected = sampled_kernel_cwt(series, grid)
+    gap = np.max(np.abs(values - expected), axis=1)
+    assert np.all(gap <= 1e-12 * np.max(np.abs(expected), axis=1))
 
 
 def test_cwt_thread_count_changes_no_bit(monkeypatch):
@@ -234,6 +250,49 @@ def test_maxima_rising_plateau_not_reported():
     row = np.array([0.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     matrix = CwtMatrix(scales=np.array([4.0]), values=row[None, :])
     assert list(find_modulus_maxima(matrix)[0]) == [3]
+
+
+def roll_local_maxima(m):
+    """The scan `_local_maxima_circular` replaced, on two rolled copies of ``m``."""
+    has_plateau = bool(np.any(m[1:] == m[:-1])) or m[0] == m[-1]
+    if not has_plateau:
+        return np.flatnonzero((m > np.roll(m, 1)) & (m > np.roll(m, -1)))
+    if np.all(m == m[0]):
+        return np.empty(0, dtype=np.int64)
+    change = np.flatnonzero(m != np.roll(m, 1))
+    run_vals = m[change]
+    keep = (run_vals > np.roll(run_vals, 1)) & (run_vals > np.roll(run_vals, -1))
+    return change[keep]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [5.0, 1.0, 2.0, 1.0, 0.5],  # maximum at 0
+        [1.0, 2.0, 1.0, 0.5, 5.0],  # maximum at n - 1
+        [5.0, 1.0, 2.0, 1.0, 5.0],  # both ends: one plateau across the wrap
+        [4.0, 4.0, 1.0, 2.0, 1.0, 4.0],  # a longer plateau across the wrap
+        [4.0, 1.0, 3.0, 1.0, 5.0],  # n - 1 beats its neighbour 0
+        [1.0, 2.0],
+        [2.0, 1.0],
+        [1.0, 3.0, 2.0],
+    ],
+)
+def test_local_maxima_ends_match_the_rolled_scan(m):
+    m = np.asarray(m)
+    found = _local_maxima_circular(m)
+    expected = roll_local_maxima(m)
+    assert found.dtype == expected.dtype and np.array_equal(found, expected)
+
+
+def test_local_maxima_match_the_rolled_scan_on_random_rows():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 7, 64, 1000):
+        for _ in range(50):
+            for m in (rng.standard_normal(n), rng.integers(0, 4, n).astype(float)):
+                found = _local_maxima_circular(m)
+                expected = roll_local_maxima(m)
+                assert found.dtype == expected.dtype and np.array_equal(found, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +403,20 @@ def reference_partition_function(lines, q_grid, scales):
     return log2_Z, counts
 
 
+def chain_edges(chain, maxima, matrix):
+    """Each line's ``(scale index) * n + position`` codes, read off a matrix of ``1 + code``."""
+    n_scales, n = matrix.values.shape
+    coded = CwtMatrix(matrix.scales, 1.0 + np.arange(n_scales * n, dtype=float).reshape(n_scales, n))
+    return [(line - 1.0).astype(np.int64) for line in chain(maxima, coded)]
+
+
 def assert_chaining_matches_reference(maxima, matrix):
     maxima = [np.asarray(m, dtype=np.int64) for m in maxima]
     q = WtmmConfig().q_grid()
+    edges = chain_edges(chain_maxima_lines, maxima, matrix)
+    expected_edges = chain_edges(reference_chain_maxima_lines, maxima, matrix)
+    assert len(edges) == len(expected_edges)
+    assert all(np.array_equal(a, b) for a, b in zip(edges, expected_edges))
     lines = chain_maxima_lines(maxima, matrix)
     expected = reference_chain_maxima_lines(maxima, matrix)
     assert len(lines) == len(expected) == maxima[0].size
@@ -399,6 +469,37 @@ def test_chaining_matches_reference_on_an_equal_distance_tie():
     maxima = [[10, 30], [13, 29], [21], [21]]
     lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
     assert [len(line) for line in lines] == [2, 4]
+
+
+def test_chaining_matches_reference_on_ties_across_lines():
+    # at scale 8 heads 10 and 18 are both 4 from 14: 18's left edge ranks
+    # first, so line 1 takes 14 and line 0 closes
+    maxima = [[10, 18, 40], [14, 44], [14, 45], [15, 46]]
+    lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
+    assert [len(line) for line in lines] == [1, 4, 4]
+
+
+def test_chaining_matches_reference_when_one_candidate_is_nearest_to_many_heads():
+    maxima = [[8, 10, 12, 14, 30], [11, 31], [11, 32], [12, 33]]
+    lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
+    assert sorted(len(line) for line in lines) == [1, 1, 1, 4, 4]
+
+
+def test_chaining_matches_reference_with_a_single_candidate():
+    # both neighbours of every head are the same maximum, so each head offers it twice
+    maxima = [[5, 20, 22, 40], [21], [23], [24]]
+    lines = assert_chaining_matches_reference(maxima, hand_built_matrix())
+    assert [len(line) for line in lines] == [1, 4, 1, 1]
+
+
+def test_chaining_matches_reference_on_random_maxima():
+    n, n_scales = 96, 6
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        matrix = hand_built_matrix(n, n_scales, seed)
+        counts = [rng.integers(1, 30)] + list(rng.integers(0, 30, n_scales - 1))
+        maxima = [np.sort(rng.choice(n, size=k, replace=False)) for k in counts]
+        assert_chaining_matches_reference(maxima, matrix)
 
 
 # ---------------------------------------------------------------------------
