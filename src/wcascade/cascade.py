@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wcascade.dwt import WaveletPyramid
+from wcascade.dwt import WaveletPyramid, json_bool
 from wcascade.wtmm import SingularSpectrum
 
 __all__ = [
@@ -135,7 +135,7 @@ def multiplier_law_from_dict(data: dict):
             return cls.from_log2(float(data["mean_log2"]), float(data["var_log2"]))
         return cls(float(data["mean_log"]), float(data["var_log"]))
     if kind == "point_mass":
-        return PointMass(float(data["value"]), bool(data.get("random_sign", True)))
+        return PointMass(float(data["value"]), json_bool(data.get("random_sign", True), "random_sign"))
     if kind == "cauchy":
         return CauchyFactor(float(data["scale"]))
     raise ValueError(f"unknown multiplier law kind {kind!r}")

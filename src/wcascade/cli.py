@@ -75,30 +75,27 @@ def _stage(name: str, fn, *args):
         raise AnalysisError(f"stage {name}: {exc}") from exc
 
 
-def _q_range(text: str) -> tuple:
+def _fields(text: str, form: str, *types) -> tuple:
+    """``text``'s colon-separated fields, converted one per type, in the ``form`` shown."""
     try:
-        lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
+        return tuple(kind(field) for kind, field in zip(types, text.split(":"), strict=True))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected MIN:MAX:COUNT, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
+def _q_range(text: str) -> tuple:
+    lo, hi, n = _fields(text, "MIN:MAX:COUNT", float, float, int)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 3):
         raise argparse.ArgumentTypeError(f"need finite MIN < MAX and COUNT >= 3, got {text!r}")
     return lo, hi, n
 
 
 def _scale_range(text: str) -> tuple:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected MIN:MAX, got {text!r}") from None
+    return _fields(text, "MIN:MAX", float, float)
 
 
 def _h_grid(text: str) -> np.ndarray:
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected START:STOP:STEP, got {text!r}") from None
+    start, stop, step = _fields(text, "START:STOP:STEP", float, float, float)
     if not (math.isfinite(start) and math.isfinite(stop) and start < stop and 0 < step < math.inf):
         raise argparse.ArgumentTypeError(f"need finite STOP > START and STEP > 0, got {text!r}")
     points = (stop + step / 2 - start) / step  # np.arange's length, before rounding up
@@ -125,7 +122,9 @@ def _within_budget(what: str, nbytes: float, error=InputError) -> None:
 
 
 def _wtmm_config(args, length: int) -> wtmm.WtmmConfig:
-    """The spectrum settings, once a ``length``-point transform fits the memory budget."""
+    """The spectrum settings, once a ``length``-point series is long enough and fits the budget."""
+    if length < 1024:
+        raise InputError(f"series too short after truncation: {length} < 1024")
     config = wtmm.WtmmConfig()
     if args.q_range:
         config.q_min, config.q_max, config.n_q = args.q_range
@@ -141,7 +140,7 @@ def _read(what: str, fn, *args):
         return fn(*args)
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
-    except (KeyError, IndexError, ValueError, TypeError, OverflowError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise InputError(f"invalid {what}: {exc}") from exc
 
 
@@ -288,12 +287,12 @@ def _spectrum_files(spectrum) -> dict:
     }
 
 
-def _variance_fits(pyramid) -> list:
-    """The variance stage of ``variances`` and ``pipeline``; no fit at all fails it."""
+def _variance_report(pyramid) -> dict:
+    """The variance stage of ``variances`` and ``pipeline``, and its files; no fit at all fails it."""
     fits = _stage("variances", empirics.estimate_variances, pyramid)
     if not fits:
         raise AnalysisError("no transition had enough data for a variance fit")
-    return fits
+    return _variance_files(fits)
 
 
 def _variance_files(fits: list) -> dict:
@@ -307,7 +306,9 @@ def _variance_files(fits: list) -> dict:
     }
 
 
-def _collapse_files(result) -> dict:
+def _collapse_report(pyramid, h_grid) -> dict:
+    """The collapse stage of ``collapse`` and ``pipeline``, and its files."""
+    result = _stage("collapse", empirics.collapse_H, pyramid, h_grid)
     h_grid, distances = result.h_grid.tolist(), result.distances.tolist()
     return {
         "collapse.json": {
@@ -363,8 +364,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     series = _read(f"series file {args.input}", _series, args.input)
-    if series.length < 1024:
-        raise InputError(f"series too short after truncation: {series.length} < 1024")
     config = _wtmm_config(args, series.length)
     spectrum = _stage("spectrum", wtmm.singular_spectrum, series, config)
     lo, hi = config.fit_window(series.length)
@@ -399,14 +398,12 @@ def cmd_multipliers(args) -> int:
 
 
 def cmd_variances(args) -> int:
-    fits = _variance_fits(_read_pyramid(args))
-    _write_report(args.out, _variance_files(fits), args.format)
+    _write_report(args.out, _variance_report(_read_pyramid(args)), args.format)
     return EXIT_OK
 
 
 def cmd_collapse(args) -> int:
-    result = _stage("collapse", empirics.collapse_H, _read_pyramid(args), args.h_grid)
-    _write_report(args.out, _collapse_files(result), args.format)
+    _write_report(args.out, _collapse_report(_read_pyramid(args), args.h_grid), args.format)
     return EXIT_OK
 
 
@@ -422,24 +419,16 @@ def cmd_ingest(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _, path = _read("panel", _panel, args.input, args.dt)
-    if path.length < 1024:
-        raise InputError(f"path too short for analysis ({path.length} < 1024)")
     config = _wtmm_config(args, path.length)
     pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
-    spectrum = _stage("spectrum", wtmm.singular_spectrum, path, config)
-    multipliers = _stage("multipliers", _multiplier_files, pyramid)
-    fits = _variance_fits(pyramid)
-    collapse = _stage("collapse", empirics.collapse_H, pyramid, args.h_grid)
-    out = _write_report(
-        args.out,
-        {
-            "path.csv": _indexed_csv("value", path.values),
-            **_spectrum_files(spectrum),
-            **multipliers,
-            **_variance_files(fits),
-            **_collapse_files(collapse),
-        },
-    )
+    files = {
+        "path.csv": _indexed_csv("value", path.values),
+        **_spectrum_files(_stage("spectrum", wtmm.singular_spectrum, path, config)),
+        **_stage("multipliers", _multiplier_files, pyramid),
+        **_variance_report(pyramid),
+        **_collapse_report(pyramid, args.h_grid),
+    }
+    out = _write_report(args.out, files)
     save_pyramid(pyramid, out / "pyramid.json")
     return EXIT_OK
 

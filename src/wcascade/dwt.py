@@ -44,6 +44,13 @@ _DB4_LOW_PASS = np.array([
 _DB4_HIGH_PASS = ((-1.0) ** np.arange(4)) * _DB4_LOW_PASS[::-1]
 
 
+def json_bool(value, name: str) -> bool:
+    """A JSON ``true`` or ``false`` as read by ``json``; ``bool()`` would read ``"false"`` as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -137,7 +144,7 @@ class WaveletPyramid:
             root_approx=data["root_approx"],
             root_detail=data["root_detail"],
             layers=[np.asarray(layer, dtype=float) for layer in data["layers"]],
-            rescaled=bool(data["rescaled"]),
+            rescaled=json_bool(data["rescaled"], "rescaled"),
         )
 
 

@@ -82,17 +82,6 @@ class ReturnPanel:
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0):
             raise ValueError("prices must be finite and positive")
 
-    @property
-    def day_starts(self) -> np.ndarray:
-        days = self.timestamps.astype("datetime64[D]")
-        changes = np.flatnonzero(days[1:] != days[:-1]) + 1
-        return np.concatenate([[0], changes])
-
-    @property
-    def minute_of_day(self) -> np.ndarray:
-        days = self.timestamps.astype("datetime64[D]")
-        return (self.timestamps - days).astype("timedelta64[m]").astype(np.int64)
-
 
 def load_panel_csv(path) -> ReturnPanel:
     """Read ``timestamp,ISSUE1,ISSUE2,...`` rows into a panel.
@@ -186,22 +175,21 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
     """
     if dt < 1:
         raise ValueError("dt must be >= 1")
-    starts = panel.day_starts
-    ends = np.concatenate([starts[1:], [panel.timestamps.size]])
-    slot_idx = []
-    for a, b in zip(starts, ends):
-        if b - a > dt:
-            slot_idx.append(np.arange(a + dt, b))
-    if not slot_idx:
+    days = panel.timestamps.astype("datetime64[D]")
+    # stamps increase, so row r returns from row r - dt exactly when both lie on one day
+    slots = np.flatnonzero(days[dt:] == days[:-dt])
+    if not slots.size:
         raise ValueError(f"no day is longer than the return lag dt={dt}")
-    slots = np.concatenate(slot_idx)
+    slots += dt
     lagged = slots - dt
-    tod_values, slot_of_row = np.unique(panel.minute_of_day[slots], return_inverse=True)
+    minutes = (panel.timestamps[slots] - days[slots]).astype("timedelta64[m]").astype(np.int64)
+    tod_values, slot_of_row = np.unique(minutes, return_inverse=True)
     # an issue's returns grouped by time of day, in row order, are r[order]
     order = np.argsort(slot_of_row, kind="stable")
     bounds = np.searchsorted(slot_of_row[order], np.arange(tod_values.size + 1))
     n_issues = len(panel.issues)
     averaged = np.zeros(slots.size)
+    del days, minutes
     # One issue at a time, so no array spans the whole panel.  The column is
     # copied first: numpy's log then sees the contiguous layout it gets on
     # the whole panel's rows.
@@ -274,13 +262,7 @@ class MultiplierTransition:
 
 @dataclass
 class MultiplierSet:
-    transitions: list
-
-    def transition(self, parent_layer: int) -> MultiplierTransition:
-        for t in self.transitions:
-            if t.parent_layer == parent_layer:
-                return t
-        raise KeyError(f"no transition with parent layer {parent_layer}")
+    transitions: list  # entry j is the transition with parent layer j
 
 
 def _layer_values(pyramid: WaveletPyramid, j: int) -> np.ndarray:
@@ -402,7 +384,7 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
         if j == 0:
             continue
         # Incoming factor of each layer-j node against its outgoing factors.
-        incoming_t = ms.transition(j - 1)
+        incoming_t = ms.transitions[j - 1]
         incoming = _interleave(incoming_t.left, incoming_t.right)
         in_valid = np.repeat(incoming_t.valid, 2)
         row = _correlation_row(
@@ -556,16 +538,6 @@ class TransitionVarianceFit:
     ratio_sq: float
     identity_residual: float
     n_bins: int
-
-    def __post_init__(self):
-        for name in (
-            "slope", "intercept", "stderr_slope", "stderr_intercept",
-            "adj_r2", "var_w", "var_eta", "ratio_sq", "identity_residual",
-        ):
-            setattr(self, name, float(getattr(self, name)))
-        self.parent_layer = int(self.parent_layer)
-        self.n_bins = int(self.n_bins)
-        self.clamped = bool(self.clamped)
 
 
 def _zero_variance_row(j: int, side: str, ratio_sq: float) -> TransitionVarianceFit:

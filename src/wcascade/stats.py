@@ -36,7 +36,6 @@ _HIST_TAIL = (1.0 - 0.99) / 2.0
 
 @dataclass
 class FitResult:
-    family: str
     scale: float
     goodness: float  # sum of squared density residuals
 
@@ -105,14 +104,7 @@ def _normal_cdf(x, scale):
     return 0.5 * _erfc(-x / (scale * math.sqrt(2.0)))
 
 
-_FAMILIES = {
-    "cauchy": _cauchy_cdf,
-    "student_t2": _student_t2_cdf,
-    "normal": _normal_cdf,
-}
-
-
-def _fit_scale(samples, family: str) -> FitResult:
+def _fit_scale(samples, cdf) -> FitResult:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 100:
         raise ValueError(f"scale fit needs >= 100 samples, got {samples.size}")
@@ -131,29 +123,28 @@ def _fit_scale(samples, family: str) -> FitResult:
     width = edges[1] - edges[0]
     counts, _ = np.histogram(samples, bins=edges)
     density = counts / (samples.size * width)
-    cdf = _FAMILIES[family]
 
     def sse(scale):
         model = (cdf(edges[1:], scale) - cdf(edges[:-1], scale)) / width
         return float(np.sum((density - model) ** 2))
 
     scale, goodness = _golden_section(sse, 1e-3 * iqr, 10.0 * iqr)
-    return FitResult(family=family, scale=scale, goodness=goodness)
+    return FitResult(scale=scale, goodness=goodness)
 
 
 def fit_cauchy(samples) -> FitResult:
     """Least-squares Cauchy scale against the sample histogram density."""
-    return _fit_scale(samples, "cauchy")
+    return _fit_scale(samples, _cauchy_cdf)
 
 
 def fit_student_t2(samples) -> FitResult:
     """Least-squares scale of the two-degrees-of-freedom Student density."""
-    return _fit_scale(samples, "student_t2")
+    return _fit_scale(samples, _student_t2_cdf)
 
 
 def fit_normal(samples) -> FitResult:
     """Least-squares scale of the centered normal density."""
-    return _fit_scale(samples, "normal")
+    return _fit_scale(samples, _normal_cdf)
 
 
 def ols(x, y) -> RegressionResult:
@@ -172,7 +163,7 @@ def ols(x, y) -> RegressionResult:
         raise ValueError("x is constant; slope is undefined")
     sxy = float(np.sum((x - xbar) * (y - ybar)))
     slope = sxy / sxx
-    intercept = ybar - slope * xbar
+    intercept = float(ybar - slope * xbar)
     resid = y - slope * x - intercept
     ssr = float(np.sum(resid**2))
     sst = float(np.sum((y - ybar) ** 2))

@@ -232,3 +232,14 @@ def test_log2_parameter_conversion():
         {"kind": "signed_lognormal", "mean_log2": -0.33, "var_log2": 0.02}
     )
     assert parsed == law
+
+
+@pytest.mark.parametrize("random_sign", ["false", "true", 0, 1, None])
+def test_point_mass_random_sign_must_be_a_json_boolean(random_sign):
+    from wcascade.cascade import multiplier_law_from_dict
+
+    law = {"kind": "point_mass", "value": 0.7, "random_sign": random_sign}
+    with pytest.raises(ValueError, match="random_sign must be true or false"):
+        multiplier_law_from_dict(law)
+    assert multiplier_law_from_dict({**law, "random_sign": False}) == PointMass(0.7, False)
+    assert multiplier_law_from_dict({"kind": "point_mass", "value": 0.7}) == PointMass(0.7, True)

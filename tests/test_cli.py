@@ -614,6 +614,13 @@ def _json_file(tmp_path, obj):
     return path
 
 
+def _nested_json(tmp_path):
+    """A JSON file nested 200,000 arrays deep: deeper than Python's recursion limit."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
 OVERFLOWING_LAW = {
     "depth": 8,
     "multiplier_law": {"kind": "folded_lognormal", "mean_log": 100, "var_log": 0.01},
@@ -798,12 +805,51 @@ CONTRACT_CASES = {
         lambda t: ["pipeline", "--input", str(_panel_with_row(t, ",1.0,2.0"))],
         2, "row 57 has 3 fields, expected 2",
     ),
+    # nesting deeper than the recursion limit is invalid input, not a crash
+    **{
+        f"{command}-nested-json": (
+            lambda t, command=command, flag=flag: [command, flag, str(_nested_json(t))],
+            2, f"invalid {what}",
+        )
+        for command, flag, what in [
+            ("simulate", "--config", "cascade config: maximum recursion depth exceeded"),
+            ("multipliers", "--input", "pyramid file "),
+            ("variances", "--input", "pyramid file "),
+            ("collapse", "--input", "pyramid file "),
+        ]
+    },
+    # a JSON boolean is true or false, not a string that bool() reads as true
+    "collapse-rescaled-string": (
+        lambda t: ["collapse", "--input", str(_json_file(t, {
+            **PYRAMID_WITHOUT_LAYERS, "rescaled": "false",
+            "layers": [[1.0] * 2, [1.0] * 4, [1.0] * 8]}))],
+        2, "rescaled must be true or false, got 'false'",
+    ),
+    "simulate-random-sign-string": (
+        lambda t: ["simulate", "--config", str(write_config(t, {"multiplier_law": {
+            "kind": "point_mass", "value": 0.7, "random_sign": "false"}}))],
+        2, "random_sign must be true or false, got 'false'",
+    ),
     # a 1,024-point path: no transition has 3 bins of 100 children
     "pipeline-no-variance-fit": (
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=9))],
         4, "no transition had enough data",
     ),
 }
+
+
+@pytest.mark.parametrize("value", ["1", "1:2:3:4"])
+@pytest.mark.parametrize(
+    "flag, form", [("--q-range", "MIN:MAX:COUNT"), ("--scale-range", "MIN:MAX"),
+                   ("--h-grid", "START:STOP:STEP")],
+)
+def test_flag_with_wrong_field_count_exits_2(tmp_path, capsys, flag, form, value):
+    argv = ["pipeline", "--input", "panel.csv", "--out", str(tmp_path / "out"), f"{flag}={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"error: argument {flag}: expected {form}, got {value!r}"), last
 
 
 def test_memory_budget_admits_the_studied_sizes():
@@ -873,6 +919,8 @@ SHORT_ALPHA = {"q": [-1.0, 0.0, 1.0], "tau": [-2.0, -1.0, 0.0], "tau_stderr": [0
         (json.dumps({**SHORT_ALPHA, "support": []}), "error: invalid spectrum file "),
         (json.dumps({**SHORT_ALPHA, "alpha": [1.0, 1.0, math.nan]}),
          "error: invalid spectrum file "),
+        pytest.param("[" * 200_000 + "]" * 200_000, "error: invalid spectrum file ",
+                     id="nested-deeper-than-the-recursion-limit"),
     ],
 )
 def test_check_spectrum_bad_file_exits_2(tmp_path, capsys, content, fragment):

@@ -227,6 +227,18 @@ def test_invalid_inputs_rejected():
                        layers=[np.zeros(2), np.zeros(3)], rescaled=False)
 
 
+@pytest.mark.parametrize("rescaled", ["false", "true", 0, 1, None])
+def test_pyramid_file_rescaled_must_be_a_json_boolean(rescaled):
+    data = json.loads(json.dumps({
+        "depth": 2, "root_approx": 0.0, "root_detail": 1.0,
+        "layers": [[1.0, -1.0], [0.5, -0.5, 0.5, -0.5]], "rescaled": rescaled,
+    }))
+    with pytest.raises(ValueError, match="rescaled must be true or false"):
+        WaveletPyramid.from_dict(data)
+    data["rescaled"] = False
+    assert WaveletPyramid.from_dict(data).rescaled is False
+
+
 def test_scale_indexing():
     p = random_pyramid(depth=4, seed=1)
     assert p.length == 32

@@ -1,6 +1,7 @@
 """Panel pipeline, factor extraction and layer diagnostics."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -123,11 +124,12 @@ def test_lagged_returns_drop_short_days():
 def masking_loop_deseasonalize(panel, dt):
     """The per-slot masking form of ``deseasonalize_returns``, kept as a reference."""
     log_prices = np.log(panel.prices)
-    starts = panel.day_starts
+    days = panel.timestamps.astype("datetime64[D]")
+    starts = np.concatenate([[0], np.flatnonzero(days[1:] != days[:-1]) + 1])
     ends = np.concatenate([starts[1:], [panel.timestamps.size]])
     slots = np.concatenate([np.arange(a + dt, b) for a, b in zip(starts, ends) if b - a > dt])
     returns = log_prices[slots] - log_prices[slots - dt]
-    tod = panel.minute_of_day[slots]
+    tod = (panel.timestamps - days).astype("timedelta64[m]").astype(np.int64)[slots]
     averaged = np.zeros(slots.size)
     for i in range(len(panel.issues)):
         r = returns[:, i]
@@ -152,6 +154,27 @@ def test_deseasonalize_bit_equal_to_masking_loop():
         with pytest.warns(UserWarning, match="sparse"):
             out = deseasonalize_returns(panel, dt=dt)
         assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+
+
+def test_one_comparison_slots_match_the_per_day_reference():
+    rng = np.random.default_rng(12)
+    # for dt = 2: days of 1 and 2 rows give no slot, a 3-row day gives exactly one
+    sizes = [1, 2, 3, 9, 3, 2, 12, 1, 9, 3, 7]
+    stamps = []
+    for day, size in enumerate(sizes):
+        minutes = np.sort(rng.choice(20, size, replace=False))  # minutes go missing
+        day_start = np.datetime64("2008-01-02T09:30", "s") + np.timedelta64(day, "D")
+        stamps += [day_start + np.timedelta64(int(m), "m") for m in minutes]
+    log_prices = np.cumsum(0.01 * rng.standard_normal((len(stamps), 2)), axis=0)
+    panel = ReturnPanel(timestamps=np.array(stamps), issues=["A", "B"], prices=np.exp(log_prices))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # sparse time-of-day bins
+        for dt in (1, 2, 3):
+            out = deseasonalize_returns(panel, dt=dt)
+            assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+    for dt in (12, len(stamps) - 1, len(stamps), len(stamps) + 5):
+        with pytest.raises(ValueError, match="no day is longer than the return lag"):
+            deseasonalize_returns(panel, dt=dt)
 
 
 def panel_csv(path, n_issues, seed):
@@ -322,7 +345,7 @@ def test_extract_masks_zero_parent():
     # force one parent to zero with nonzero children
     pyramid.layers[0][0] = 0.0
     ms = extract_multipliers(pyramid)
-    t = ms.transition(1)
+    t = ms.transitions[1]
     assert not t.valid[0]
     assert np.isnan(t.left[0]) and np.isnan(t.right[0])
     assert np.all(np.isfinite(t.pooled))
@@ -349,7 +372,7 @@ def test_mixed_ratios_prefer_heavy_tailed_family():
     )
     ms = extract_multipliers(synthesize_mixed(spec))
     for j in (11, 12, 13):
-        pooled = ms.transition(j).pooled
+        pooled = ms.transitions[j].pooled
         # heavy tails: far wider than a matching normal at the quartiles
         q01, q99 = np.quantile(pooled, [0.01, 0.99])
         iqr = np.subtract(*np.quantile(pooled, [0.75, 0.25]))
@@ -699,6 +722,17 @@ def test_variance_deterministic_cascade_is_zero():
     assert fits, "deterministic transitions should still be reported"
     for f in fits:
         assert f.var_w == 0.0 and f.var_eta == 0.0
+
+
+def test_clamped_variance_fit_serializes():
+    spec = CascadeSpec(depth=14, multiplier_law=SignedLognormal.from_log2(-0.3, 0.02), seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        clamped = [f for f in estimate_variances(synthesize_mixed(spec)) if f.clamped]
+    assert clamped
+    for row in clamped:
+        assert type(row.clamped) is bool and type(row.intercept) is float
+        json.dumps(dataclasses.asdict(row))
 
 
 def test_variance_table_schema(tmp_path):
