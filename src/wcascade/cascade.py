@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wcascade.dwt import WaveletPyramid, json_bool
+from wcascade.dwt import WaveletPyramid, json_bool, json_int
 from wcascade.wtmm import SingularSpectrum
 
 __all__ = [
@@ -180,12 +180,12 @@ class CascadeSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CascadeSpec":
         return cls(
-            depth=int(data["depth"]),
+            depth=json_int(data["depth"], "depth"),
             multiplier_law=multiplier_law_from_dict(data["multiplier_law"]),
             additive_law=additive_law_from_dict(data.get("additive_law", {"kind": "zero"})),
             root_detail=float(data.get("root_detail", 1.0)),
             root_approx=float(data.get("root_approx", 0.0)),
-            seed=int(data.get("seed", 0)),
+            seed=json_int(data.get("seed", 0), "seed"),
         )
 
 
@@ -221,7 +221,6 @@ def synthesize_mixed(spec: CascadeSpec) -> WaveletPyramid:
         root_approx=spec.root_approx,
         root_detail=spec.root_detail,
         layers=layers,
-        rescaled=True,
     )
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from wcascade import cascade, empirics, wtmm
-from wcascade.dwt import TimeSeries, dwt_forward, dwt_inverse, load_pyramid, rescale, save_pyramid
+from wcascade.dwt import TimeSeries, dwt_forward, dwt_inverse, load_pyramid, save_pyramid
 from wcascade.stats import fit_cauchy, fit_normal, fit_student_t2
 
 EXIT_OK = 0
@@ -195,12 +195,6 @@ def _raise_on_bad_line(path, header: int) -> None:
             if len(fields) != width:
                 expected = ("a number", "index,value")[width - 1]
                 raise ValueError(f"line {line_no}: expected {expected} as above, got {line!r}")
-
-
-def _pyramid(path):
-    """A pyramid file, converted to the rescaled convention."""
-    pyramid = load_pyramid(path)
-    return pyramid if pyramid.rescaled else rescale(pyramid, "to_rescaled")
 
 
 def _spectrum(path) -> wtmm.SingularSpectrum:
@@ -388,7 +382,7 @@ def cmd_check_spectrum(args) -> int:
 
 
 def _read_pyramid(args):
-    return _read(f"pyramid file {args.input}", _pyramid, args.input)
+    return _read(f"pyramid file {args.input}", load_pyramid, args.input)
 
 
 def cmd_multipliers(args) -> int:
@@ -420,7 +414,7 @@ def cmd_ingest(args) -> int:
 def cmd_pipeline(args) -> int:
     _, path = _read("panel", _panel, args.input, args.dt)
     config = _wtmm_config(args, path.length)
-    pyramid = _stage("transform", lambda: rescale(dwt_forward(path), "to_rescaled"))
+    pyramid = _stage("transform", dwt_forward, path)
     files = {
         "path.csv": _indexed_csv("value", path.values),
         **_spectrum_files(_stage("spectrum", wtmm.singular_spectrum, path, config)),

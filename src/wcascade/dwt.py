@@ -8,10 +8,12 @@ periodic (circular convolution) and decimation keeps even indices, which
 freezes the phase of every coefficient: analysing a synthesised pyramid
 reproduces it bit-for-bit up to rounding.
 
-Detail layers may carry the ``2**(j/2)`` rescaling that makes a
-layer-to-layer multiplicative recursion stationary; the ``rescaled`` flag
-records which convention a pyramid is in.  The root detail is unchanged by
-rescaling (its factor is ``2**0``).
+Every pyramid in memory is in the rescaled convention: detail layer ``j``
+carries the ``2**(j/2)`` factor that makes a layer-to-layer multiplicative
+recursion stationary.  The root detail is unchanged by rescaling (its
+factor is ``2**0``).  Only this module sees raw coefficients:
+:func:`dwt_forward` applies the factor, :func:`dwt_inverse` removes it, and
+:func:`load_pyramid` applies it to a file written with ``"rescaled": false``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def json_bool(value, name: str) -> bool:
     return value
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer as read by ``json``; ``int()`` would truncate ``10.9`` and read ``"42"`` and ``true``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -85,16 +94,15 @@ class TimeSeries:
 class WaveletPyramid:
     """Dyadic tree of detail coefficients plus the root approximation.
 
-    ``layers[i]`` holds layer ``j = i + 1`` with ``2**j`` entries; the
-    reconstructed series has length ``2**(depth+1)``.  ``rescaled`` is True
-    when layer ``j`` carries the extra ``2**(j/2)`` factor.
+    ``layers[i]`` holds layer ``j = i + 1`` with ``2**j`` entries, in the
+    rescaled convention; the reconstructed series has length
+    ``2**(depth+1)``.
     """
 
     depth: int
     root_approx: float
     root_detail: float
     layers: list
-    rescaled: bool
 
     def __post_init__(self):
         self.depth = int(self.depth)
@@ -132,24 +140,29 @@ class WaveletPyramid:
         return float(2 ** (self.depth + 1 - j))
 
     def layer(self, j: int) -> np.ndarray:
-        """Detail coefficients of layer ``j >= 1``."""
-        if not 1 <= j <= self.depth:
-            raise ValueError(f"layer index {j} outside 1..{self.depth}")
-        return self.layers[j - 1]
+        """Detail coefficients of layer ``j``; layer 0 is the root detail alone."""
+        if not 0 <= j <= self.depth:
+            raise ValueError(f"layer index {j} outside 0..{self.depth}")
+        return self.layers[j - 1] if j else np.array([self.root_detail])
 
     @classmethod
     def from_dict(cls, data: dict) -> "WaveletPyramid":
-        return cls(
-            depth=data["depth"],
-            root_approx=data["root_approx"],
-            root_detail=data["root_detail"],
-            layers=[np.asarray(layer, dtype=float) for layer in data["layers"]],
-            rescaled=json_bool(data["rescaled"], "rescaled"),
-        )
+        """A pyramid file's dict; a ``"rescaled": false`` file is rescaled here."""
+        depth = json_int(data["depth"], "depth")
+        root_approx, root_detail = data["root_approx"], data["root_detail"]
+        layers = [np.asarray(layer, dtype=float) for layer in data["layers"]]
+        rescaled = json_bool(data["rescaled"], "rescaled")
+        pyramid = cls(depth, root_approx, root_detail, layers)
+        if rescaled:
+            return pyramid
+        # checked again: the factor can overflow a finite raw coefficient
+        return cls(depth, root_approx, root_detail, rescale(pyramid.layers))
 
 
 def save_pyramid(pyramid: WaveletPyramid, path) -> None:
     """Write ``{depth, rescaled, root_approx, root_detail, layers}`` as JSON.
+
+    ``rescaled`` is always ``true``: the layers are written as held.
 
     Each layer goes through ``json.dumps``, which encodes in C (``json.dump``
     to a file encodes in pure Python), and only one layer's text is held at
@@ -158,7 +171,7 @@ def save_pyramid(pyramid: WaveletPyramid, path) -> None:
     head = json.dumps(
         {
             "depth": pyramid.depth,
-            "rescaled": pyramid.rescaled,
+            "rescaled": True,
             "root_approx": pyramid.root_approx,
             "root_detail": pyramid.root_detail,
         }
@@ -171,6 +184,7 @@ def save_pyramid(pyramid: WaveletPyramid, path) -> None:
 
 
 def load_pyramid(path) -> WaveletPyramid:
+    """A pyramid file in either convention, as a rescaled pyramid."""
     with open(path) as fh:
         return WaveletPyramid.from_dict(json.load(fh))
 
@@ -203,8 +217,9 @@ def _synthesis_step(low: np.ndarray, high: np.ndarray):
 def dwt_forward(series: TimeSeries) -> WaveletPyramid:
     """Full periodic wavelet decomposition of a power-of-two series.
 
-    Returns an unrescaled pyramid whose coefficients conserve the input
-    energy (Parseval) and which :func:`dwt_inverse` maps back to the input.
+    Returns the rescaled pyramid, which :func:`dwt_inverse` maps back to the
+    input.  Before the rescaling the coefficients conserve the input energy
+    (Parseval).
     """
     approx = series.values.copy()
     details = []  # finest level first
@@ -217,47 +232,30 @@ def dwt_forward(series: TimeSeries) -> WaveletPyramid:
         depth=len(layers),
         root_approx=float(approx[0]),
         root_detail=root_detail,
-        layers=layers,
-        rescaled=False,
+        layers=rescale(layers),
     )
 
 
 def dwt_inverse(pyramid: WaveletPyramid) -> TimeSeries:
     """Reconstruct the series a pyramid expands.
 
-    Rescaled pyramids are accepted; the ``2**(j/2)`` factor is removed
-    internally before synthesis and the input is left untouched.
+    The ``2**(j/2)`` factor is removed from copies of the layers before
+    synthesis; the pyramid is left untouched.
     """
-    working = pyramid
-    if pyramid.rescaled:
-        working = rescale(pyramid, "to_raw")
-    approx = _synthesis_step(np.array([working.root_approx]), np.array([working.root_detail]))
-    for layer in working.layers:
+    approx = _synthesis_step(np.array([pyramid.root_approx]), np.array([pyramid.root_detail]))
+    for layer in rescale(pyramid.layers, undo=True):
         approx = _synthesis_step(approx, layer)
     return TimeSeries(approx)
 
 
-def rescale(pyramid: WaveletPyramid, direction: str) -> WaveletPyramid:
-    """Apply or remove the ``2**(j/2)`` layer rescaling.
+def rescale(layers: list, undo: bool = False) -> list:
+    """New detail layers ``1..depth`` with the ``2**(j/2)`` factor applied, or removed if ``undo``.
 
-    ``direction`` is ``"to_rescaled"`` or ``"to_raw"``; asking for the state
-    the pyramid is already in is an error.  Applying both directions in
-    sequence is the identity.
+    Removing divides by the factor, so applying and then removing it is the
+    identity up to one rounding per coefficient.
     """
-    if direction not in ("to_rescaled", "to_raw"):
-        raise ValueError(f"unknown rescale direction {direction!r}")
-    if direction == "to_rescaled" and pyramid.rescaled:
-        raise ValueError("pyramid is already rescaled")
-    if direction == "to_raw" and not pyramid.rescaled:
-        raise ValueError("pyramid is already in raw convention")
-    layers = []
-    for i, layer in enumerate(pyramid.layers):
-        factor = 2.0 ** ((i + 1) / 2.0)
-        layers.append(layer * factor if direction == "to_rescaled" else layer / factor)
-    return WaveletPyramid(
-        depth=pyramid.depth,
-        root_approx=pyramid.root_approx,
-        root_detail=pyramid.root_detail,
-        layers=layers,
-        rescaled=direction == "to_rescaled",
-    )
+    scaled = []
+    for j, layer in enumerate(layers, start=1):
+        factor = 2.0 ** (j / 2.0)
+        scaled.append(layer / factor if undo else layer * factor)
+    return scaled

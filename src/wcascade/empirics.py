@@ -265,10 +265,6 @@ class MultiplierSet:
     transitions: list  # entry j is the transition with parent layer j
 
 
-def _layer_values(pyramid: WaveletPyramid, j: int) -> np.ndarray:
-    return np.array([pyramid.root_detail]) if j == 0 else pyramid.layer(j)
-
-
 def _layer_spread(values: np.ndarray) -> float:
     # Size-one layers carry no spread; use the coefficient magnitude.
     return float(values.std()) if values.size > 1 else float(abs(values[0]))
@@ -277,15 +273,13 @@ def _layer_spread(values: np.ndarray) -> float:
 def extract_multipliers(pyramid: WaveletPyramid) -> MultiplierSet:
     """Backward child/parent ratios for every layer transition.
 
-    Requires a rescaled pyramid.  Parents with magnitude below
-    ``1e-6 * h_j`` (and exact zeros) are masked rather than producing
-    infinities.
+    The pyramid's rescaled layers are what makes the ratios stationary.
+    Parents with magnitude below ``1e-6 * h_j`` (and exact zeros) are
+    masked rather than producing infinities.
     """
-    if not pyramid.rescaled:
-        raise ValueError("multiplier extraction needs a rescaled pyramid")
     transitions = []
     for j in range(pyramid.depth):
-        parents = _layer_values(pyramid, j)
+        parents = pyramid.layer(j)
         children = pyramid.layer(j + 1)
         threshold = _ZERO_TOL * _layer_spread(parents)
         valid = np.abs(parents) > threshold
@@ -375,7 +369,7 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
             continue  # too few nodes to ever give enough pairs
         out_valid2 = np.concatenate([outgoing.valid, outgoing.valid])
         # Parent coefficient against each outgoing factor.
-        parents = _layer_values(pyramid, j)
+        parents = pyramid.layer(j)
         row = _correlation_row(
             np.concatenate([parents, parents]), out_x2, out_valid2, j, "parent-vs-factor"
         )
@@ -468,10 +462,9 @@ def collapse_H(
     For each candidate exponent H, layer-j samples are rescaled by
     ``scale_j ** -H`` and the mean pairwise two-sample KS distance across
     layers is computed; the estimate is the grid argmin.  Needs at least
-    three layers of ``min_layer_size`` coefficients in a rescaled pyramid.
+    three layers of ``min_layer_size`` coefficients; the layers are taken
+    in the pyramid's rescaled convention.
     """
-    if not pyramid.rescaled:
-        raise ValueError("collapse estimation needs a rescaled pyramid")
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.size < 2 or np.any(np.diff(h_grid) <= 0):
         raise ValueError("h_grid must be an increasing vector of >= 2 values")
@@ -569,8 +562,6 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
     have filled 3 bins), except that an exactly deterministic transition
     reports zero variances directly.
     """
-    if not pyramid.rescaled:
-        raise ValueError("variance estimation needs a rescaled pyramid")
     rows = []
     for j in range(1, pyramid.depth):
         parents = pyramid.layer(j)

@@ -20,7 +20,7 @@ from wcascade.cascade import (
     theoretical_tau_lognormal,
 )
 from wcascade.cli import main as cli_main
-from wcascade.dwt import TimeSeries, dwt_forward, dwt_inverse, rescale
+from wcascade.dwt import TimeSeries, dwt_forward, dwt_inverse
 from wcascade.empirics import (
     collapse_H,
     estimate_variances,
@@ -232,9 +232,7 @@ def test_criterion_09_heavy_tail_fits():
 
 def test_criterion_10_collapse_estimator():
     rng = np.random.default_rng(5)
-    brownian = rescale(
-        dwt_forward(TimeSeries(np.cumsum(rng.normal(size=2**16)))), "to_rescaled"
-    )
+    brownian = dwt_forward(TimeSeries(np.cumsum(rng.normal(size=2**16))))
     h_brownian = collapse_H(brownian, H_GRID).h
     mono = synthesize_mixed(
         CascadeSpec(depth=14, multiplier_law=PointMass(2.0**-0.3), seed=41)

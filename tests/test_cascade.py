@@ -22,12 +22,7 @@ LN2 = math.log(2.0)
 
 
 def pyramids_equal(a, b):
-    if (a.depth, a.rescaled, a.root_approx, a.root_detail) != (
-        b.depth,
-        b.rescaled,
-        b.root_approx,
-        b.root_detail,
-    ):
+    if (a.depth, a.root_approx, a.root_detail) != (b.depth, b.root_approx, b.root_detail):
         return False
     return all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
 
@@ -37,7 +32,6 @@ def test_point_mass_unit_magnitudes():
     pyramid = synthesize_mixed(spec)
     for j in range(1, 9):
         assert np.allclose(np.abs(pyramid.layer(j)), 1.0)
-    assert pyramid.rescaled
 
 
 def test_same_seed_bit_identical():

@@ -91,7 +91,7 @@ def test_simulate_writes_pyramid_and_path(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     pyramid = load_pyramid(out / "pyramid.json")
-    assert pyramid.depth == 12 and pyramid.rescaled
+    assert pyramid.depth == 12
     rows = (out / "path.csv").read_text().strip().splitlines()
     assert rows[0] == "index,value"
     assert len(rows) - 1 == 2**13
@@ -259,6 +259,26 @@ def test_collapse_command(tmp_path):
     data = json.loads((out / "collapse.json").read_text())
     assert abs(data["h"] - 0.3) <= 0.05
     assert (out / "collapse.csv").read_text().startswith("h,distance")
+
+
+def test_raw_pyramid_file_reports_as_its_conversion(tmp_path):
+    # a "rescaled": false file takes each layer j times 2**(j/2) on load
+    data = json.loads(simulate_pyramid(tmp_path).read_text())
+    raw = [np.asarray(layer) / 2.0 ** (j / 2.0) for j, layer in enumerate(data["layers"], start=1)]
+    converted = [layer * 2.0 ** (j / 2.0) for j, layer in enumerate(raw, start=1)]
+    inputs = []
+    for name, rescaled, layers in (("raw", False, raw), ("converted", True, converted)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "rescaled": rescaled,
+                                    "layers": [layer.tolist() for layer in layers]}))
+        inputs.append(path)
+    for command in ("multipliers", "variances", "collapse"):
+        trees = []
+        for path in inputs:
+            out = tmp_path / f"{command}-{path.stem}"
+            assert main([command, "--input", str(path), "--out", str(out)]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1], command
 
 
 def test_ingest_command(tmp_path):
@@ -824,6 +844,21 @@ CONTRACT_CASES = {
             **PYRAMID_WITHOUT_LAYERS, "rescaled": "false",
             "layers": [[1.0] * 2, [1.0] * 4, [1.0] * 8]}))],
         2, "rescaled must be true or false, got 'false'",
+    ),
+    # a JSON integer is an int: int() would truncate 10.9 and read "42" and true
+    **{
+        f"simulate-{field}-{kind}": (
+            lambda t, field=field, value=value: [
+                "simulate", "--config", str(write_config(t, {field: value}))],
+            2, f"invalid cascade config: {field} must be an integer, got {value!r}",
+        )
+        for field, kind, value in [("depth", "float", 10.9), ("depth", "bool", True),
+                                   ("seed", "string", "42"), ("seed", "float", 42.7)]
+    },
+    "multipliers-depth-float": (
+        lambda t: ["multipliers", "--input", str(_json_file(t, {
+            **PYRAMID_WITHOUT_LAYERS, "depth": 2.0, "layers": [[1.0] * 2, [1.0] * 4]}))],
+        2, "depth must be an integer, got 2.0",
     ),
     "simulate-random-sign-string": (
         lambda t: ["simulate", "--config", str(write_config(t, {"multiplier_law": {

@@ -49,14 +49,18 @@ def flatten_pyramid(p):
     )
 
 
-def random_pyramid(depth, seed, rescaled=False):
+def flatten_raw(p):
+    """`flatten_pyramid` with the layer rescaling removed: the oracle's coefficients."""
+    return np.concatenate([[p.root_approx, p.root_detail]] + rescale(p.layers, undo=True))
+
+
+def random_pyramid(depth, seed):
     rng = np.random.default_rng(seed)
     return WaveletPyramid(
         depth=depth,
         root_approx=rng.normal(),
         root_detail=rng.normal(),
         layers=[rng.normal(size=2 ** (j + 1)) for j in range(depth)],
-        rescaled=rescaled,
     )
 
 
@@ -89,20 +93,19 @@ def test_forward_matches_matrix_oracle():
     rng = np.random.default_rng(7)
     x = rng.normal(size=length)
     oracle = analysis_matrix(length) @ x
-    mine = flatten_pyramid(dwt_forward(TimeSeries(x)))
+    mine = flatten_raw(dwt_forward(TimeSeries(x)))
     assert np.max(np.abs(mine - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
 def test_inverse_matches_matrix_oracle_column():
     length = 64
     matrix = analysis_matrix(length)
-    # unit detail at layer 1, position 0: third flattened coefficient
+    # unit raw detail at layer 1, position 0: third flattened coefficient
     p = WaveletPyramid(
         depth=5,
         root_approx=0.0,
         root_detail=0.0,
-        layers=[np.array([1.0, 0.0])] + [np.zeros(2 ** (j + 1)) for j in range(1, 5)],
-        rescaled=False,
+        layers=rescale([np.array([1.0, 0.0])] + [np.zeros(2 ** (j + 1)) for j in range(1, 5)]),
     )
     series = dwt_inverse(p)
     assert np.max(np.abs(series.values - matrix.T[:, 2])) < 1e-12
@@ -114,7 +117,6 @@ def test_inverse_of_constant_pyramid():
         root_approx=np.sqrt(8),
         root_detail=0.0,
         layers=[np.zeros(2), np.zeros(4)],
-        rescaled=False,
     )
     series = dwt_inverse(p)
     assert np.max(np.abs(series.values - 1.0)) < 1e-12
@@ -139,8 +141,7 @@ def test_pyramid_round_trip():
 def test_parseval(length):
     rng = np.random.default_rng(length + 1)
     x = rng.normal(size=length)
-    p = dwt_forward(TimeSeries(x))
-    energy = p.root_approx**2 + p.root_detail**2 + sum(np.sum(l**2) for l in p.layers)
+    energy = np.sum(flatten_raw(dwt_forward(TimeSeries(x))) ** 2)
     assert abs(np.sum(x**2) - energy) <= 1e-9 * np.sum(x**2)
 
 
@@ -164,57 +165,47 @@ def test_db4_annihilates_lines_but_not_parabolas():
 
 
 def test_rescale_layer_factor():
-    p = WaveletPyramid(
-        depth=3,
-        root_approx=0.0,
-        root_detail=0.0,
-        layers=[np.zeros(2), np.zeros(4), np.ones(8)],
-        rescaled=False,
-    )
-    r = rescale(p, "to_rescaled")
-    assert np.allclose(r.layer(3), 2.0**1.5)
-    assert r.rescaled
+    ones = [np.ones(2**j) for j in range(1, 4)]
+    for j, (scaled, raw) in enumerate(zip(rescale(ones), rescale(ones, undo=True)), start=1):
+        assert np.array_equal(scaled, np.full(2**j, 2.0 ** (j / 2.0)))
+        assert np.array_equal(raw, np.full(2**j, 1.0 / 2.0 ** (j / 2.0)))
+    assert all(np.array_equal(o, np.ones(2**j)) for j, o in enumerate(ones, start=1))
 
 
 def test_rescale_involution_and_std_scaling():
-    p = random_pyramid(depth=6, seed=11)
-    r = rescale(p, "to_rescaled")
+    layers = random_pyramid(depth=6, seed=11).layers
+    scaled = rescale(layers)
     for j in range(1, 7):
-        assert np.isclose(r.layer(j).std(), p.layer(j).std() * 2 ** (j / 2))
-    back = rescale(r, "to_raw")
+        assert np.isclose(scaled[j - 1].std(), layers[j - 1].std() * 2 ** (j / 2))
+    back = rescale(scaled, undo=True)
     for j in range(1, 7):
         # odd layers scale by an irrational factor, so allow 1 ulp
-        assert np.allclose(back.layer(j), p.layer(j), rtol=1e-14, atol=0.0)
-
-
-def test_rescale_rejects_same_direction_twice():
-    p = random_pyramid(depth=3, seed=2, rescaled=True)
-    with pytest.raises(ValueError):
-        rescale(p, "to_rescaled")
-    with pytest.raises(ValueError):
-        rescale(rescale(p, "to_raw"), "to_raw")
+        assert np.all(np.abs(back[j - 1] - layers[j - 1]) <= np.spacing(np.abs(layers[j - 1])))
 
 
 def test_inverse_handles_rescaled_pyramid():
-    p = random_pyramid(depth=8, seed=13)
-    r = rescale(p, "to_rescaled")
-    a = dwt_inverse(p)
-    b = dwt_inverse(r)
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
+    # the factor comes off copies of the layers: the oracle synthesizes the raw ones
+    p = random_pyramid(depth=5, seed=13)
+    before = [layer.copy() for layer in p.layers]
+    series = dwt_inverse(p)
+    oracle = analysis_matrix(p.length).T @ flatten_raw(p)
+    assert np.max(np.abs(series.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert all(np.array_equal(a, b) for a, b in zip(p.layers, before))
 
 
 def test_serialization_round_trip(tmp_path):
-    p = random_pyramid(depth=5, seed=17, rescaled=True)
+    p = random_pyramid(depth=5, seed=17)
     path = tmp_path / "p.json"
     save_pyramid(p, path)
     q = load_pyramid(path)
-    assert q.depth == p.depth and q.rescaled == p.rescaled
+    assert q.depth == p.depth
     assert q.root_approx == p.root_approx and q.root_detail == p.root_detail
     for j in range(1, 6):
         assert np.array_equal(q.layer(j), p.layer(j))
     # schema check
     data = json.loads(path.read_text())
     assert set(data) == {"depth", "rescaled", "root_approx", "root_detail", "layers"}
+    assert data["rescaled"] is True
 
 
 def test_invalid_inputs_rejected():
@@ -224,7 +215,7 @@ def test_invalid_inputs_rejected():
         TimeSeries(np.array([1.0, np.nan, 0.0, 1.0]))
     with pytest.raises(ValueError):
         WaveletPyramid(depth=2, root_approx=0, root_detail=0,
-                       layers=[np.zeros(2), np.zeros(3)], rescaled=False)
+                       layers=[np.zeros(2), np.zeros(3)])
 
 
 @pytest.mark.parametrize("rescaled", ["false", "true", 0, 1, None])
@@ -235,8 +226,27 @@ def test_pyramid_file_rescaled_must_be_a_json_boolean(rescaled):
     }))
     with pytest.raises(ValueError, match="rescaled must be true or false"):
         WaveletPyramid.from_dict(data)
+    # a raw file takes the factor on load
+    held = WaveletPyramid.from_dict({**data, "rescaled": True})
     data["rescaled"] = False
-    assert WaveletPyramid.from_dict(data).rescaled is False
+    loaded = WaveletPyramid.from_dict(data)
+    for j in (1, 2):
+        assert np.array_equal(loaded.layer(j), held.layer(j) * 2.0 ** (j / 2.0))
+
+
+@pytest.mark.parametrize("depth", [2.0, "2", True, None])
+def test_pyramid_file_depth_must_be_a_json_integer(depth):
+    data = {"depth": depth, "root_approx": 0.0, "root_detail": 1.0,
+            "layers": [[1.0, -1.0], [0.5, -0.5, 0.5, -0.5]], "rescaled": True}
+    with pytest.raises(ValueError, match=f"depth must be an integer, got {depth!r}"):
+        WaveletPyramid.from_dict(data)
+
+
+def test_raw_file_whose_rescaling_overflows_is_refused():
+    data = {"depth": 2, "root_approx": 0.0, "root_detail": 1.0,
+            "layers": [[1.0, -1.0], [1e308, 0.0, 0.0, 0.0]], "rescaled": False}
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="layer 2 contains non-finite"):
+        WaveletPyramid.from_dict(data)
 
 
 def test_scale_indexing():
@@ -244,3 +254,7 @@ def test_scale_indexing():
     assert p.length == 32
     assert p.scale(0) == 32.0
     assert p.scale(4) == 2.0
+    assert np.array_equal(p.layer(0), [p.root_detail]) and p.layer(4) is p.layers[3]
+    for j in (-1, 5):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            p.layer(j)

@@ -20,7 +20,7 @@ from wcascade.cascade import (
     synthesize_mixed,
 )
 from wcascade import empirics, threads
-from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward, rescale
+from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward
 from wcascade.empirics import (
     ReturnPanel,
     accumulate_path,
@@ -338,10 +338,7 @@ def test_extract_recovers_generator_draws():
 
 
 def test_extract_masks_zero_parent():
-    pyramid = rescale(
-        dwt_forward(TimeSeries(np.zeros(8) + np.array([1, -1, 2, -2, 3, -3, 4, -4.0]))),
-        "to_rescaled",
-    )
+    pyramid = dwt_forward(TimeSeries(np.zeros(8) + np.array([1, -1, 2, -2, 3, -3, 4, -4.0])))
     # force one parent to zero with nonzero children
     pyramid.layers[0][0] = 0.0
     ms = extract_multipliers(pyramid)
@@ -349,16 +346,6 @@ def test_extract_masks_zero_parent():
     assert not t.valid[0]
     assert np.isnan(t.left[0]) and np.isnan(t.right[0])
     assert np.all(np.isfinite(t.pooled))
-
-
-def test_extract_requires_rescaled():
-    pyramid = dwt_forward(TimeSeries(np.arange(16.0)))
-    with pytest.raises(ValueError):
-        extract_multipliers(pyramid)
-    with pytest.raises(ValueError):
-        estimate_variances(pyramid)
-    with pytest.raises(ValueError):
-        collapse_H(pyramid, H_GRID)
 
 
 def test_mixed_ratios_prefer_heavy_tailed_family():
@@ -470,9 +457,7 @@ def test_variance_sides_too_small_for_three_bins_are_skipped_silently():
     # a deterministic transition is still reported as zero variances
     parents = np.tile([1.0, -1.0], 128)
     layers = [np.ones(2**j) for j in range(1, 8)] + [parents, np.repeat(0.7 * parents, 2)]
-    pyramid = WaveletPyramid(
-        depth=9, root_approx=0.0, root_detail=1.0, layers=layers, rescaled=True
-    )
+    pyramid = WaveletPyramid(depth=9, root_approx=0.0, root_detail=1.0, layers=layers)
     fits, messages = caught_messages(estimate_variances, pyramid)
     assert messages == []
     assert [(f.parent_layer, f.side, f.var_w, f.var_eta) for f in fits] == [
@@ -536,9 +521,7 @@ def shared_grid_pyramid():
     """
     rng = np.random.default_rng(12)
     layers = [rng.integers(-8, 9 - 4 * (j % 3), 2**j) / 4.0 for j in range(1, 11)]
-    return WaveletPyramid(
-        depth=10, root_approx=0.0, root_detail=1.0, layers=layers, rescaled=True
-    )
+    return WaveletPyramid(depth=10, root_approx=0.0, root_detail=1.0, layers=layers)
 
 
 COLLAPSE_PYRAMIDS = {
@@ -590,9 +573,7 @@ def test_collapse_counts_ties_made_by_scaling():
     layers[5][:2] = v, np.nextafter(v, np.inf)
     layers[6][:4] = w7
     layers[7][:8] = w8
-    pyramid = WaveletPyramid(
-        depth=8, root_approx=0.0, root_detail=1.0, layers=layers, rescaled=True
-    )
+    pyramid = WaveletPyramid(depth=8, root_approx=0.0, root_detail=1.0, layers=layers)
     h_grid = np.array([0.0, 0.5, 1.0])
     result = collapse_H(pyramid, h_grid)
     assert result.distances[1] == 0.0 and result.h == 0.5
@@ -648,7 +629,7 @@ def test_thread_map_bounds_the_futures_in_flight(monkeypatch):
 def test_collapse_brownian_near_half():
     rng = np.random.default_rng(5)
     series = TimeSeries(np.cumsum(rng.normal(size=2**16)))
-    pyramid = rescale(dwt_forward(series), "to_rescaled")
+    pyramid = dwt_forward(series)
     result = collapse_H(pyramid, H_GRID)
     assert 0.45 <= result.h <= 0.55
     assert not result.boundary
