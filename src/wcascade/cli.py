@@ -4,13 +4,16 @@ Exit codes are a frozen contract: 0 success, 2 invalid input or config,
 3 I/O failure, 4 analysis failure.  Every command is deterministic given
 its config and seed; rerunning produces byte-identical artifacts.
 
-Each command reads its input through :func:`_read` (failures raise
-:class:`InputError`), runs the library through :func:`_stage` (failures
-raise :class:`AnalysisError`) and hands its ``{name: content}`` files to
-:func:`_write_report`, which alone creates ``--out``, applies
-``--format`` and renders every report file except ``pyramid.json``;
-:func:`main` alone maps the exceptions to exit codes, and prints each
-warning a command raises as one ``warning: <message>`` line.
+Each command is one row of :data:`_COMMANDS`: its flags, named in
+:data:`_FLAGS`, and a function from the parsed arguments to its
+``{name: content}`` files.  That function reads its input through
+:func:`_read` (failures raise :class:`InputError`) and runs the library
+through :func:`_stage` (failures raise :class:`AnalysisError`).
+:func:`main` hands the files to :func:`_write_report`, which alone creates
+``--out``, applies ``--format`` and writes every file, ``pyramid.json``
+through :func:`~wcascade.dwt.save_pyramid`; :func:`main` alone maps the
+exceptions to exit codes, and prints each warning a command raises as one
+``warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from wcascade import cascade, empirics, wtmm
-from wcascade.dwt import TimeSeries, dwt_forward, dwt_inverse, load_pyramid, save_pyramid
+from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward, dwt_inverse, load_pyramid
+from wcascade.dwt import save_pyramid
 from wcascade.stats import fit_cauchy, fit_normal, fit_student_t2
 
 EXIT_OK = 0
@@ -198,7 +202,7 @@ def _raise_on_bad_line(path, header: int) -> None:
 
 
 def _spectrum(path) -> wtmm.SingularSpectrum:
-    """A ``spectrum.json`` file as written by :func:`_spectrum_files`."""
+    """A ``spectrum.json`` file as written by :func:`_spectrum_report`."""
     data = json.loads(Path(path).read_text())
     columns = [np.asarray(data[k], dtype=float) for k in ("q", "tau", "tau_stderr", "alpha", "D")]
     support = (float(data["support"][0]), float(data["support"][1]))
@@ -224,10 +228,11 @@ def _spec(path, seed: int | None) -> cascade.CascadeSpec:
     return cascade.CascadeSpec.from_dict(data)
 
 
-def _write_report(out, files: dict, fmt: str = "both") -> Path:
+def _write_report(out, files: dict, fmt: str = "both") -> None:
     """Create ``out`` and write the ``{name: content}`` files that ``fmt`` selects.
 
-    ``fmt`` selects by suffix: ``json``, ``csv`` or ``both``.  A ``.json``
+    ``fmt`` selects by suffix: ``json``, ``csv`` or ``both``.  A
+    :class:`WaveletPyramid` goes to :func:`save_pyramid`; any other ``.json``
     name takes a JSON value; a ``.csv`` name takes ``(header, columns)``,
     equal-length columns of Python ints, strs and floats, or float arrays,
     each cell rendered with ``str`` (for a float, its ``repr``).
@@ -238,6 +243,9 @@ def _write_report(out, files: dict, fmt: str = "both") -> Path:
         suffix = Path(name).suffix.lstrip(".")
         if fmt not in (suffix, "both"):
             continue
+        if isinstance(content, WaveletPyramid):
+            save_pyramid(content, out / name)
+            continue
         with open(out / name, "w") as fh:
             if suffix == "json":
                 json.dump(content, fh, indent=2)
@@ -246,9 +254,9 @@ def _write_report(out, files: dict, fmt: str = "both") -> Path:
                 header, columns = content
                 fh.write(header + "\n")
                 for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
-                    cells = [_csv_cells(c[start : start + _CSV_BLOCK]) for c in columns]
+                    # a generator, so no block's cells stay alive while the next file is written
+                    cells = (_csv_cells(c[start : start + _CSV_BLOCK]) for c in columns)
                     fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    return out
 
 
 def _csv_cells(column) -> list:
@@ -263,7 +271,9 @@ def _indexed_csv(header: str, values) -> tuple:
     return f"index,{header}", (range(values.size), values)
 
 
-def _spectrum_files(spectrum) -> dict:
+def _spectrum_report(series, config) -> dict:
+    """The spectrum stage of ``spectrum`` and ``pipeline``, and its files."""
+    spectrum = _stage("spectrum", wtmm.singular_spectrum, series, config)
     q, tau, stderr = spectrum.q_grid.tolist(), spectrum.tau.tolist(), spectrum.tau_stderr.tolist()
     alpha, D = spectrum.alpha.tolist(), spectrum.D.tolist()
     return {
@@ -316,9 +326,10 @@ def _collapse_report(pyramid, h_grid) -> dict:
     }
 
 
-def _multiplier_files(pyramid) -> dict:
-    ms = empirics.extract_multipliers(pyramid)
-    corr = empirics.multiplier_correlations(ms, pyramid)
+def _multiplier_report(pyramid) -> dict:
+    """The multiplier stage of ``multipliers`` and ``pipeline``, and its files."""
+    ms = _stage("multipliers", empirics.extract_multipliers, pyramid)
+    corr = _stage("multipliers", empirics.multiplier_correlations, ms, pyramid)
     fits = {}
     for t in ms.transitions:
         pooled = t.pooled
@@ -346,27 +357,24 @@ def _multiplier_files(pyramid) -> dict:
     return {"multipliers.json": report, "correlations.csv": ("kind,layer,r,n_pairs", tuple(zip(*rows)))}
 
 
-def cmd_simulate(args) -> int:
+def _simulate(args) -> dict:
     spec = _read("cascade config", _spec, args.config, args.seed)
     _within_budget(f"cascade depth {spec.depth}", _simulate_bytes(spec.depth))
     pyramid = _stage("synthesize", cascade.synthesize_mixed, spec)
     path = _stage("reconstruct", dwt_inverse, pyramid)
-    out = _write_report(args.out, {"path.csv": _indexed_csv("value", path.values)})
-    save_pyramid(pyramid, out / "pyramid.json")
-    return EXIT_OK
+    return {"path.csv": _indexed_csv("value", path.values), "pyramid.json": pyramid}
 
 
-def cmd_spectrum(args) -> int:
+def _series_spectrum(args) -> dict:
     series = _read(f"series file {args.input}", _series, args.input)
     config = _wtmm_config(args, series.length)
-    spectrum = _stage("spectrum", wtmm.singular_spectrum, series, config)
+    files = _spectrum_report(series, config)
     lo, hi = config.fit_window(series.length)
     print(f"fit scale range: [{lo:g}, {hi:g}] samples", file=sys.stderr)
-    _write_report(args.out, _spectrum_files(spectrum), args.format)
-    return EXIT_OK
+    return files
 
 
-def cmd_check_spectrum(args) -> int:
+def _check_spectrum(args) -> dict:
     spectrum = _read(f"spectrum file {args.input}", _spectrum, args.input)
     error = wtmm.legendre_duality_error(spectrum)
     curvature = 0.0
@@ -378,57 +386,33 @@ def cmd_check_spectrum(args) -> int:
         raise AnalysisError(
             f"Legendre duality violated: gap {error:.3e} > {tolerance:.3e}"
         )
-    return EXIT_OK
+    return {}
 
 
-def _read_pyramid(args):
-    return _read(f"pyramid file {args.input}", load_pyramid, args.input)
-
-
-def cmd_multipliers(args) -> int:
-    files = _stage("multipliers", _multiplier_files, _read_pyramid(args))
-    _write_report(args.out, files, args.format)
-    return EXIT_OK
-
-
-def cmd_variances(args) -> int:
-    _write_report(args.out, _variance_report(_read_pyramid(args)), args.format)
-    return EXIT_OK
-
-
-def cmd_collapse(args) -> int:
-    _write_report(args.out, _collapse_report(_read_pyramid(args), args.h_grid), args.format)
-    return EXIT_OK
-
-
-def cmd_ingest(args) -> int:
+def _ingest(args) -> dict:
     deltas, path = _read("panel", _panel, args.input, args.dt)
-    files = {
-        "deltas.csv": _indexed_csv("delta", deltas),
-        "path.csv": _indexed_csv("value", path.values),
-    }
-    _write_report(args.out, files)
-    return EXIT_OK
+    return {"deltas.csv": _indexed_csv("delta", deltas), "path.csv": _indexed_csv("value", path.values)}
 
 
-def cmd_pipeline(args) -> int:
+def _pipeline(args) -> dict:
     _, path = _read("panel", _panel, args.input, args.dt)
     config = _wtmm_config(args, path.length)
     pyramid = _stage("transform", dwt_forward, path)
-    files = {
+    return {
         "path.csv": _indexed_csv("value", path.values),
-        **_spectrum_files(_stage("spectrum", wtmm.singular_spectrum, path, config)),
-        **_stage("multipliers", _multiplier_files, pyramid),
+        **_spectrum_report(path, config),
+        **_multiplier_report(pyramid),
         **_variance_report(pyramid),
         **_collapse_report(pyramid, args.h_grid),
+        "pyramid.json": pyramid,
     }
-    out = _write_report(args.out, files)
-    save_pyramid(pyramid, out / "pyramid.json")
-    return EXIT_OK
 
 
-# Flags that more than one command takes, each declared once.
-_SHARED_FLAGS = {
+# Every flag, each declared once; `--input` is the one whose help a command sets.
+_FLAGS = {
+    "--config": dict(required=True, help="cascade spec JSON file"),
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--out": dict(required=True, help="output directory"),
     "--format": dict(
         choices=("json", "csv", "both"),
         default="both",
@@ -440,6 +424,30 @@ _SHARED_FLAGS = {
     "--h-grid": dict(type=_h_grid, default="0:1:0.01", help="exponent grid START:STOP:STEP"),
 }
 
+# One row per command: name, help, --input help (None: no --input), its other
+# flags in order, and its function from the parsed arguments to its files.
+_COMMANDS = (
+    ("simulate", "synthesize a cascade pyramid and its path", None,
+     ("--config", "--seed", "--out"), _simulate),
+    ("spectrum", "singular spectrum of a series", "path CSV (index,value or one value per line)",
+     ("--out", "--format", "--q-range", "--scale-range"), _series_spectrum),
+    ("check-spectrum", "verify a spectrum file's Legendre duality", "spectrum JSON file",
+     (), _check_spectrum),
+    ("multipliers", "backward factor statistics of a pyramid", "pyramid JSON file",
+     ("--out", "--format"),
+     lambda a: _multiplier_report(_read(f"pyramid file {a.input}", load_pyramid, a.input))),
+    ("variances", "per-layer variance decomposition", "pyramid JSON file",
+     ("--out", "--format"),
+     lambda a: _variance_report(_read(f"pyramid file {a.input}", load_pyramid, a.input))),
+    ("collapse", "distribution-collapse exponent estimate", "pyramid JSON file",
+     ("--out", "--format", "--h-grid"),
+     lambda a: _collapse_report(_read(f"pyramid file {a.input}", load_pyramid, a.input), a.h_grid)),
+    ("ingest", "deseasonalize a price panel into a path", "panel CSV (timestamp,ISSUE1,...)",
+     ("--out", "--dt"), _ingest),
+    ("pipeline", "full panel-to-report analysis", "panel CSV (timestamp,ISSUE1,...)",
+     ("--out", "--dt", "--q-range", "--scale-range", "--h-grid"), _pipeline),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -448,56 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
         "time series for multifractality.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, input_help=None, flags=()):
+    for name, summary, input_help, flags, run in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         if input_help:
             p.add_argument("--input", required=True, help=input_help)
-        p.add_argument("--out", required=True, help="output directory")
         for flag in flags:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-
-    p = sub.add_parser("simulate", help="synthesize a cascade pyramid and its path")
-    p.add_argument("--config", required=True, help="cascade spec JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    add_common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("spectrum", help="singular spectrum of a series")
-    add_common(
-        p,
-        "path CSV (index,value or one value per line)",
-        flags=("--format", "--q-range", "--scale-range"),
-    )
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("check-spectrum", help="verify a spectrum file's Legendre duality")
-    p.add_argument("--input", required=True, help="spectrum JSON file")
-    p.set_defaults(fn=cmd_check_spectrum)
-
-    p = sub.add_parser("multipliers", help="backward factor statistics of a pyramid")
-    add_common(p, "pyramid JSON file", flags=("--format",))
-    p.set_defaults(fn=cmd_multipliers)
-
-    p = sub.add_parser("variances", help="per-layer variance decomposition")
-    add_common(p, "pyramid JSON file", flags=("--format",))
-    p.set_defaults(fn=cmd_variances)
-
-    p = sub.add_parser("collapse", help="distribution-collapse exponent estimate")
-    add_common(p, "pyramid JSON file", flags=("--format", "--h-grid"))
-    p.set_defaults(fn=cmd_collapse)
-
-    p = sub.add_parser("ingest", help="deseasonalize a price panel into a path")
-    add_common(p, "panel CSV (timestamp,ISSUE1,...)", flags=("--dt",))
-    p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("pipeline", help="full panel-to-report analysis")
-    add_common(
-        p,
-        "panel CSV (timestamp,ISSUE1,...)",
-        flags=("--dt", "--q-range", "--scale-range", "--h-grid"),
-    )
-    p.set_defaults(fn=cmd_pipeline)
-
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=run)
     return parser
 
 
@@ -510,7 +475,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        return args.fn(args)
+        files = args.run(args)
+        if files:
+            _write_report(args.out, files, getattr(args, "format", "both"))
+        return EXIT_OK
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

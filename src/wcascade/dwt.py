@@ -156,7 +156,9 @@ class WaveletPyramid:
         if rescaled:
             return pyramid
         # checked again: the factor can overflow a finite raw coefficient
-        return cls(depth, root_approx, root_detail, rescale(pyramid.layers))
+        with np.errstate(over="ignore"):
+            layers = rescale(pyramid.layers)
+        return cls(depth, root_approx, root_detail, layers)
 
 
 def save_pyramid(pyramid: WaveletPyramid, path) -> None:

@@ -1,5 +1,6 @@
 """Command-line contract: artifacts, schemas, exit codes, determinism."""
 
+import argparse
 import importlib.util
 import json
 import math
@@ -17,7 +18,7 @@ import wcascade
 from wcascade import cli, wtmm
 from wcascade.cascade import CascadeSpec, NormalNoise, SignedLognormal, synthesize_mixed
 from wcascade.cli import main
-from wcascade.dwt import TimeSeries, dwt_inverse, load_pyramid
+from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_inverse, load_pyramid
 
 REFERENCE_CONFIG = {
     "depth": 12,
@@ -129,6 +130,22 @@ def test_simulate_unwritable_out_exits_3(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     assert main(["simulate", "--config", str(config), "--out", str(blocker)]) == 3
+
+
+def test_pyramid_write_failure_exits_3(tmp_path):
+    # --out can be made, but its pyramid.json is a directory
+    argvs = {
+        "simulate": ["simulate", "--config", str(write_config(tmp_path))],
+        "pipeline": ["pipeline", "--input", str(write_cascade_panel(tmp_path, depth=12))],
+    }
+    for command, argv in argvs.items():
+        out = tmp_path / command
+        (out / "pyramid.json").mkdir(parents=True)
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("I/O error: "), proc.stderr
 
 
 def brownian_csv(tmp_path, n=2**14, seed=5):
@@ -316,6 +333,23 @@ def test_csv_columns_render_as_the_row_by_row_join(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"kind,layer,r,n_pairs\n"
 
 
+def test_no_csv_block_outlives_its_write(tmp_path, monkeypatch):
+    # simulate writes path.csv, then pyramid.json: a block of path.csv's cells
+    # (16,384 strs per column, over 2 MB here) must be freed by then
+    held = []
+    monkeypatch.setattr(cli, "save_pyramid", lambda pyramid, path: held.append(
+        tracemalloc.get_traced_memory()[0]))
+    files = {"path.csv": cli._indexed_csv("value", np.random.default_rng(0).standard_normal(2**15)),
+             "pyramid.json": WaveletPyramid(1, 0.0, 1.0, [np.zeros(2)])}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_report(tmp_path, files)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] - before < 100_000, held[0] - before
+
+
 PIPELINE_FILES = {
     "path.csv",
     "pyramid.json",
@@ -393,6 +427,30 @@ def test_pipeline_constant_prices_exit_2(tmp_path):
     panel = tmp_path / "flat.csv"
     panel.write_text("\n".join(lines) + "\n")
     assert main(["pipeline", "--input", str(panel), "--out", str(tmp_path / "o")]) == 2
+
+
+# Each command's option strings, in the order its --help lists them.
+COMMAND_FLAGS = {
+    "simulate": ["--config", "--seed", "--out"],
+    "spectrum": ["--input", "--out", "--format", "--q-range", "--scale-range"],
+    "check-spectrum": ["--input"],
+    "multipliers": ["--input", "--out", "--format"],
+    "variances": ["--input", "--out", "--format"],
+    "collapse": ["--input", "--out", "--format", "--h-grid"],
+    "ingest": ["--input", "--out", "--dt"],
+    "pipeline": ["--input", "--out", "--dt", "--q-range", "--scale-range", "--h-grid"],
+}
+
+
+def test_each_command_takes_its_flags():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(COMMAND_FLAGS)
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert [s for a in actions for s in a.option_strings] == COMMAND_FLAGS[name], name
+        # a command without --format writes both formats
+        assert [a.default for a in actions if a.dest == "format"] in ([], ["both"]), name
 
 
 def test_installed_entry_point_help():
@@ -864,6 +922,13 @@ CONTRACT_CASES = {
         lambda t: ["simulate", "--config", str(write_config(t, {"multiplier_law": {
             "kind": "point_mass", "value": 0.7, "random_sign": "false"}}))],
         2, "random_sign must be true or false, got 'false'",
+    ),
+    # the loader's 2**(j/2) factor takes 1e308 in layer 2 past the float range
+    "multipliers-raw-pyramid-overflow": (
+        lambda t: ["multipliers", "--input", str(_json_file(t, {
+            **PYRAMID_WITHOUT_LAYERS, "rescaled": False,
+            "layers": [[1.0] * 2, [1.0, 1e308, 1.0, 1.0], [1.0] * 8]}))],
+        2, "layer 2 contains non-finite values",
     ),
     # a 1,024-point path: no transition has 3 bins of 100 children
     "pipeline-no-variance-fit": (
