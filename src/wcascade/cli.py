@@ -45,10 +45,10 @@ EXIT_ANALYSIS = 4
 # 2**22-point spectrum (65 scales: a 2.03 GiB transform matrix, 2.53 GiB in
 # all) and refuses a 2**23-point one (5.06 GiB).
 MEMORY_BUDGET = 3 * 2**30
-# `simulate`'s peak grew by 72 bytes per path sample from depth 19 to 21
-# (108, 180 and 325 MB): the pyramid, the path and the JSON text of a
-# layer.  So depth 24 is estimated at 2.5 GiB and would peak near 2.3 GiB.
-_SIMULATE_BYTES_PER_SAMPLE = 80
+# `simulate`'s peak grew by 40 bytes per path sample from depth 19 to 21
+# (76, 116 and 196 MiB): the pyramid, the path and the synthesis step's
+# buffers.  So depth 25 is estimated at 2.8 GiB and would peak near 2.5 GiB.
+_SIMULATE_BYTES_PER_SAMPLE = 45
 # `spectrum`'s peak RSS beyond the transform matrix grew 124 bytes per
 # sample from 2**19 to 2**21 points (95, 158 and 281 MiB over matrices of
 # 260, 520 and 1040 MiB, on lognormal cascade paths).

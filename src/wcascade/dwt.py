@@ -45,6 +45,10 @@ _DB4_LOW_PASS = np.array([
 ])
 _DB4_HIGH_PASS = ((-1.0) ** np.arange(4)) * _DB4_LOW_PASS[::-1]
 
+# Layer values per `json.dumps` call in `save_pyramid`: a bound on the JSON
+# text held at once.
+_JSON_BLOCK = 1 << 14
+
 
 def json_bool(value, name: str) -> bool:
     """A JSON ``true`` or ``false`` as read by ``json``; ``bool()`` would read ``"false"`` as true."""
@@ -166,9 +170,10 @@ def save_pyramid(pyramid: WaveletPyramid, path) -> None:
 
     ``rescaled`` is always ``true``: the layers are written as held.
 
-    Each layer goes through ``json.dumps``, which encodes in C (``json.dump``
-    to a file encodes in pure Python), and only one layer's text is held at
-    a time.  The bytes are those ``json.dump`` writes for the same dict.
+    Each block of ``_JSON_BLOCK`` values goes through ``json.dumps``, which
+    encodes in C (``json.dump`` to a file encodes in pure Python), and only
+    one block's text is held at a time.  The bytes are those ``json.dump``
+    writes for the same dict.
     """
     head = json.dumps(
         {
@@ -181,7 +186,11 @@ def save_pyramid(pyramid: WaveletPyramid, path) -> None:
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "layers": [')
         for j, layer in enumerate(pyramid.layers):
-            fh.write((", " if j else "") + json.dumps(layer.tolist()))
+            fh.write(", [" if j else "[")
+            for start in range(0, layer.size, _JSON_BLOCK):
+                block = layer[start:start + _JSON_BLOCK].tolist()
+                fh.write((", " if start else "") + json.dumps(block)[1:-1])
+            fh.write("]")
         fh.write("]}\n")
 
 
@@ -192,27 +201,43 @@ def load_pyramid(path) -> WaveletPyramid:
 
 
 def _analysis_step(approx: np.ndarray):
-    """One periodic filter-bank split; keeps even-indexed outputs."""
-    n = approx.size
-    low = np.zeros(n // 2)
-    high = np.zeros(n // 2)
+    """One periodic filter-bank split; keeps even-indexed outputs.
+
+    Output ``i`` of tap ``m`` reads ``approx[(2i + m) mod n]``: the entries
+    of parity ``m % 2``, of which the first ``m // 2`` wrap round to the end.
+    """
+    half = approx.size // 2
+    low = np.zeros(half)
+    high = np.zeros(half)
     for m, (hm, gm) in enumerate(zip(_DB4_LOW_PASS, _DB4_HIGH_PASS)):
-        shifted = np.roll(approx, -m)[::2]
-        low += hm * shifted
-        high += gm * shifted
+        same_parity = approx[m % 2::2]
+        wrap = m // 2
+        inner = half - wrap
+        low[:inner] += hm * same_parity[wrap:]
+        high[:inner] += gm * same_parity[wrap:]
+        low[inner:] += hm * same_parity[:wrap]
+        high[inner:] += gm * same_parity[:wrap]
     return low, high
 
 
 def _synthesis_step(low: np.ndarray, high: np.ndarray):
-    """Adjoint of :func:`_analysis_step`; exact inverse by orthonormality."""
-    n = 2 * low.size
-    up_low = np.zeros(n)
-    up_high = np.zeros(n)
-    up_low[::2] = low
-    up_high[::2] = high
-    out = np.zeros(n)
-    for m, (hm, gm) in enumerate(zip(_DB4_LOW_PASS, _DB4_HIGH_PASS)):
-        out += hm * np.roll(up_low, m) + gm * np.roll(up_high, m)
+    """Adjoint of :func:`_analysis_step`; exact inverse by orthonormality.
+
+    Even output ``2k`` takes taps 0 and 2 of inputs ``k`` and ``k - 1``, odd
+    output ``2k + 1`` taps 1 and 3 of the same inputs, wrapping periodically.
+    This is bit-for-bit the sum over all four taps of the zero-stuffed
+    inputs: the taps that meet a stuffed zero add a zero to a sum that
+    starts at ``0.0 +`` and so is never -0.0, which leaves it unchanged.
+    """
+    out = np.empty(2 * low.size)
+    for parity in (0, 1):
+        h_k, g_k = _DB4_LOW_PASS[parity], _DB4_HIGH_PASS[parity]
+        h_prev, g_prev = _DB4_LOW_PASS[parity + 2], _DB4_HIGH_PASS[parity + 2]
+        dst = out[parity::2]
+        # `0.0 +` maps a -0.0 first term to +0.0, as the four-tap sum does
+        dst[:] = 0.0 + (h_k * low + g_k * high)
+        dst[1:] += h_prev * low[:-1] + g_prev * high[:-1]
+        dst[:1] += h_prev * low[-1:] + g_prev * high[-1:]
     return out
 
 

@@ -739,8 +739,8 @@ CONTRACT_CASES = {
     ),
     # refused before anything is allocated: never run these without the check
     "simulate-over-memory-budget": (
-        lambda t: ["simulate", "--config", str(write_config(t, {"depth": 25}))],
-        2, "cascade depth 25 would need more than the 3 GiB memory budget",
+        lambda t: ["simulate", "--config", str(write_config(t, {"depth": 26}))],
+        2, "cascade depth 26 would need more than the 3 GiB memory budget",
     ),
     "simulate-overflowing-law": (
         lambda t: ["simulate", "--config", str(write_config(t, OVERFLOWING_LAW))],
@@ -954,8 +954,8 @@ def test_flag_with_wrong_field_count_exits_2(tmp_path, capsys, flag, form, value
 
 def test_memory_budget_admits_the_studied_sizes():
     config = wtmm.WtmmConfig()
-    assert cli._simulate_bytes(17) < cli._simulate_bytes(24) <= cli.MEMORY_BUDGET
-    assert cli._simulate_bytes(25) > cli.MEMORY_BUDGET
+    assert cli._simulate_bytes(17) < cli._simulate_bytes(25) <= cli.MEMORY_BUDGET
+    assert cli._simulate_bytes(26) > cli.MEMORY_BUDGET
     assert cli._simulate_bytes(10**18) > cli.MEMORY_BUDGET
     # the default grid stops at the fit window's top, 1024 samples: 65 scales
     per_sample = 65 * 8 + cli._SPECTRUM_BYTES_PER_SAMPLE

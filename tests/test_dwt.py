@@ -1,6 +1,7 @@
 """Transform correctness against a dense-matrix oracle plus contracts."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from wcascade.dwt import (
     _DB4_LOW_PASS,
     TimeSeries,
     WaveletPyramid,
+    _analysis_step,
+    _synthesis_step,
     dwt_forward,
     dwt_inverse,
     load_pyramid,
@@ -52,6 +55,31 @@ def flatten_pyramid(p):
 def flatten_raw(p):
     """`flatten_pyramid` with the layer rescaling removed: the oracle's coefficients."""
     return np.concatenate([[p.root_approx, p.root_detail]] + rescale(p.layers, undo=True))
+
+
+def roll_analysis_step(approx):
+    """The filter-bank split over four rolled copies: the reference for `_analysis_step`."""
+    n = approx.size
+    low = np.zeros(n // 2)
+    high = np.zeros(n // 2)
+    for m, (hm, gm) in enumerate(zip(_DB4_LOW_PASS, _DB4_HIGH_PASS)):
+        shifted = np.roll(approx, -m)[::2]
+        low += hm * shifted
+        high += gm * shifted
+    return low, high
+
+
+def roll_synthesis_step(low, high):
+    """Synthesis over zero-stuffed, rolled inputs: the reference for `_synthesis_step`."""
+    n = 2 * low.size
+    up_low = np.zeros(n)
+    up_high = np.zeros(n)
+    up_low[::2] = low
+    up_high[::2] = high
+    out = np.zeros(n)
+    for m, (hm, gm) in enumerate(zip(_DB4_LOW_PASS, _DB4_HIGH_PASS)):
+        out += hm * np.roll(up_low, m) + gm * np.roll(up_high, m)
+    return out
 
 
 def random_pyramid(depth, seed):
@@ -130,6 +158,66 @@ def test_round_trip_identity(length):
     assert np.max(np.abs(y.values - x)) <= 1e-10 * np.max(np.abs(x))
 
 
+STEP_LENGTHS = [1, 2, 4, 8, 1000, 2**17]
+
+
+def step_inputs(size, seed):
+    """Named pairs of step inputs: huge and tiny values, signed zeros, an exact cancellation."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, size))
+    signs = np.where(rng.random(size=(2, size)) < 0.5, -0.0, 0.0)
+    cases = {f"scaled-1e{e}": (a * 10.0**e, b * 10.0**e) for e in (300, -300)}
+    cases["signed-zeros"] = (signs[0], signs[1])
+    # the tap-0 terms h0*low and g0*high cancel where the rounding allows
+    cases["cancellation"] = (a, -a * _DB4_LOW_PASS[0] / _DB4_HIGH_PASS[0])
+    return cases
+
+
+@pytest.mark.parametrize("size", STEP_LENGTHS)
+def test_synthesis_step_is_bit_equal_to_the_rolled_sum(size):
+    cases = step_inputs(size, seed=size)
+    low, high = cases["cancellation"]
+    assert np.any(_DB4_LOW_PASS[0] * low + _DB4_HIGH_PASS[0] * high == 0.0)
+    for name, (low, high) in cases.items():
+        assert _synthesis_step(low, high).tobytes() == roll_synthesis_step(low, high).tobytes(), name
+    # an all-zero input with mixed signs still synthesizes to +0.0 everywhere
+    low, high = cases["signed-zeros"]
+    assert not np.any(np.signbit(_synthesis_step(low, high)))
+
+
+@pytest.mark.parametrize("size", [n for n in STEP_LENGTHS if n % 2 == 0])
+def test_analysis_step_is_bit_equal_to_the_rolled_sum(size):
+    for name, (approx, _) in step_inputs(size, seed=size + 1).items():
+        for got, want in zip(_analysis_step(approx), roll_analysis_step(approx)):
+            assert got.tobytes() == want.tobytes(), name
+
+
+# Tracemalloc peak per path sample at 2**16 samples.  The steps and writer
+# read 32.1, 20.0 and 34.1 B (Python 3.11, numpy 2.4); each bound adds 25%.
+# With rolled copies, zero-stuffed inputs and one JSON text per layer they
+# read 60, 32 and 68 B, over every bound.
+MEMORY_BOUNDS = {"dwt_inverse": 40.0, "dwt_forward": 25.0, "save_pyramid": 42.5}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_BOUNDS))
+def test_transform_and_writer_memory_per_sample(tmp_path, name):
+    n = 2**16
+    series = TimeSeries(np.random.default_rng(5).normal(size=n))
+    pyramid = dwt_forward(series)
+    run = {
+        "dwt_inverse": lambda: dwt_inverse(pyramid),
+        "dwt_forward": lambda: dwt_forward(series),
+        "save_pyramid": lambda: save_pyramid(pyramid, tmp_path / "p.json"),
+    }[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= MEMORY_BOUNDS[name]
+
+
 def test_pyramid_round_trip():
     p = random_pyramid(depth=10, seed=3)
     q = dwt_forward(dwt_inverse(p))
@@ -206,6 +294,29 @@ def test_serialization_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert set(data) == {"depth", "rescaled", "root_approx", "root_detail", "layers"}
     assert data["rescaled"] is True
+
+
+def test_saved_bytes_are_those_json_dump_writes(tmp_path):
+    # the deepest layer spans more than two of `save_pyramid`'s 2**14-value
+    # encoding blocks and holds the values whose repr is easiest to get wrong
+    block = 2**14
+    depth = (2 * block + 5).bit_length()
+    p = random_pyramid(depth, seed=19)
+    deepest = p.layers[-1]
+    assert deepest.size > 2 * block + 5
+    odd_values = [-0.0, 5e-324, 1e308, 1e16, 1e-5, 3.0]
+    for k, value in enumerate(odd_values):
+        deepest[k * block // 2] = value
+    deepest[-len(odd_values):] = odd_values
+    path = tmp_path / "p.json"
+    save_pyramid(p, path)
+    expected = tmp_path / "expected.json"
+    with open(expected, "w") as fh:
+        json.dump({"depth": p.depth, "rescaled": True, "root_approx": p.root_approx,
+                   "root_detail": p.root_detail,
+                   "layers": [layer.tolist() for layer in p.layers]}, fh)
+        fh.write("\n")
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_invalid_inputs_rejected():
