@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wcascade.dwt import WaveletPyramid, json_bool, json_int
+from wcascade.dwt import WaveletPyramid, json_bool, json_float, json_int
 from wcascade.wtmm import SingularSpectrum
 
 __all__ = [
@@ -132,12 +132,15 @@ def multiplier_law_from_dict(data: dict):
     if kind in ("signed_lognormal", "folded_lognormal"):
         cls = SignedLognormal if kind == "signed_lognormal" else FoldedLognormal
         if "mean_log2" in data or "var_log2" in data:
-            return cls.from_log2(float(data["mean_log2"]), float(data["var_log2"]))
-        return cls(float(data["mean_log"]), float(data["var_log"]))
+            return cls.from_log2(
+                json_float(data["mean_log2"], "mean_log2"), json_float(data["var_log2"], "var_log2")
+            )
+        return cls(json_float(data["mean_log"], "mean_log"), json_float(data["var_log"], "var_log"))
     if kind == "point_mass":
-        return PointMass(float(data["value"]), json_bool(data.get("random_sign", True), "random_sign"))
+        value = json_float(data["value"], "value")
+        return PointMass(value, json_bool(data.get("random_sign", True), "random_sign"))
     if kind == "cauchy":
-        return CauchyFactor(float(data["scale"]))
+        return CauchyFactor(json_float(data["scale"], "scale"))
     raise ValueError(f"unknown multiplier law kind {kind!r}")
 
 
@@ -145,7 +148,7 @@ def additive_law_from_dict(data: dict) -> NormalNoise:
     """Parse a noise law; ``"zero"`` is the normal law of variance 0."""
     kind = data["kind"]
     if kind == "normal":
-        return NormalNoise(float(data["variance"]))
+        return NormalNoise(json_float(data["variance"], "variance"))
     if kind == "zero":
         return NormalNoise(0.0)
     raise ValueError(f"unknown additive law kind {kind!r}")
@@ -183,8 +186,8 @@ class CascadeSpec:
             depth=json_int(data["depth"], "depth"),
             multiplier_law=multiplier_law_from_dict(data["multiplier_law"]),
             additive_law=additive_law_from_dict(data.get("additive_law", {"kind": "zero"})),
-            root_detail=float(data.get("root_detail", 1.0)),
-            root_approx=float(data.get("root_approx", 0.0)),
+            root_detail=json_float(data.get("root_detail", 1.0), "root_detail"),
+            root_approx=json_float(data.get("root_approx", 0.0), "root_approx"),
             seed=json_int(data.get("seed", 0), "seed"),
         )
 

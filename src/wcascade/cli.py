@@ -43,15 +43,18 @@ EXIT_ANALYSIS = 4
 # Largest estimated allocation a command may make; a larger one is refused
 # before anything is allocated.  With the default fit window it admits a
 # 2**22-point spectrum (65 scales: a 2.03 GiB transform matrix, 2.53 GiB in
-# all) and refuses a 2**23-point one (5.06 GiB).
+# all) and refuses a 2**23-point one (5.06 GiB).  The spectrum estimate
+# still charges that whole matrix, though the transform is now held 8 rows
+# at a time, so it overestimates: `spectrum` peaked at 117 MiB at 2**19
+# points and 378 MiB at 2**21, against estimates of 324 and 1,296 MiB.
 MEMORY_BUDGET = 3 * 2**30
 # `simulate`'s peak grew by 40 bytes per path sample from depth 19 to 21
 # (76, 116 and 196 MiB): the pyramid, the path and the synthesis step's
 # buffers.  So depth 25 is estimated at 2.8 GiB and would peak near 2.5 GiB.
 _SIMULATE_BYTES_PER_SAMPLE = 45
-# `spectrum`'s peak RSS beyond the transform matrix grew 124 bytes per
-# sample from 2**19 to 2**21 points (95, 158 and 281 MiB over matrices of
-# 260, 520 and 1040 MiB, on lognormal cascade paths).
+# When `spectrum` held the whole transform matrix, its peak RSS beyond the
+# matrix grew 124 bytes per sample from 2**19 to 2**21 points (95, 158 and
+# 281 MiB over matrices of 260, 520 and 1040 MiB, on lognormal cascade paths).
 _SPECTRUM_BYTES_PER_SAMPLE = 128
 # Per q value besides its log2_Z row: the fit's arrays and the report's floats
 # (a 4096-point spectrum traced 535 bytes per q, 456 of them its 57 log2_Z cells).

@@ -64,6 +64,13 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_float(value, name: str) -> float:
+    """A JSON number as read by ``json``; ``float()`` would read ``"0.5"``, ``"1_0"`` and ``true``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

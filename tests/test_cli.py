@@ -952,6 +952,35 @@ def test_flag_with_wrong_field_count_exits_2(tmp_path, capsys, flag, form, value
     assert last.endswith(f"error: argument {flag}: expected {form}, got {value!r}"), last
 
 
+# Each float field of a cascade config, as (law key or None, law, field).
+CONFIG_FLOAT_FIELDS = [
+    ("multiplier_law", {"kind": "signed_lognormal", "mean_log": -0.23, "var_log": 0.014}, "mean_log"),
+    ("multiplier_law", {"kind": "signed_lognormal", "mean_log": -0.23, "var_log": 0.014}, "var_log"),
+    ("multiplier_law", REFERENCE_CONFIG["multiplier_law"], "mean_log2"),
+    ("multiplier_law", REFERENCE_CONFIG["multiplier_law"], "var_log2"),
+    ("multiplier_law", {"kind": "point_mass", "value": 0.7}, "value"),
+    ("multiplier_law", {"kind": "cauchy", "scale": 0.5}, "scale"),
+    ("additive_law", REFERENCE_CONFIG["additive_law"], "variance"),
+    (None, None, "root_detail"),
+    (None, None, "root_approx"),
+]
+
+
+# a JSON number is an int or a float: float() would read "0.5", true, and "1_0" as 10.0
+@pytest.mark.parametrize("value", ["0.5", True, "1_0"])
+@pytest.mark.parametrize(
+    "key, law, field", CONFIG_FLOAT_FIELDS, ids=[field for _, _, field in CONFIG_FLOAT_FIELDS]
+)
+def test_config_float_must_be_a_json_number(tmp_path, capsys, key, law, field, value):
+    overrides = {key: {**law, field: value}} if key else {field: value}
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(write_config(tmp_path, overrides)), "--out", str(out)]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: invalid cascade config: {field} must be a number, got {value!r}"]
+    assert not out.exists()
+
+
 def test_memory_budget_admits_the_studied_sizes():
     config = wtmm.WtmmConfig()
     assert cli._simulate_bytes(17) < cli._simulate_bytes(25) <= cli.MEMORY_BUDGET

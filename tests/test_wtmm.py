@@ -312,13 +312,19 @@ def test_step_response_maxima_flank_each_step():
         assert np.max(np.abs(row_maxima - expected)) <= 0.5
 
 
+def chain_from_matrix(maxima, matrix):
+    """``chain_maxima_lines`` on the moduli at the maxima, read off a whole matrix."""
+    moduli = [np.abs(matrix.values[i, m]) for i, m in enumerate(maxima)]
+    return chain_maxima_lines(maxima, moduli, matrix.scales, matrix.length)
+
+
 def test_two_steps_give_two_complete_lines():
     length = 4096
     series = TimeSeries(_two_steps(length))
     grid = default_scale_grid(length)
     matrix = cwt(series, grid)
     maxima = find_modulus_maxima(matrix)
-    lines = chain_maxima_lines(maxima, matrix)
+    lines = chain_from_matrix(maxima, matrix)
     assert len(lines) == 4  # two flanks per jump
     complete = [k for k, l in enumerate(lines) if len(l) == grid.size]
     assert len(complete) == 2  # the outer flanks; the inner two meet between the jumps
@@ -333,7 +339,7 @@ def test_two_steps_give_two_complete_lines():
 
 def test_chain_empty_maxima():
     matrix = CwtMatrix(scales=np.array([4.0, 8.0]), values=np.zeros((2, 64)))
-    assert chain_maxima_lines(find_modulus_maxima(matrix), matrix) == []
+    assert chain_from_matrix(find_modulus_maxima(matrix), matrix) == []
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +419,11 @@ def chain_edges(chain, maxima, matrix):
 def assert_chaining_matches_reference(maxima, matrix):
     maxima = [np.asarray(m, dtype=np.int64) for m in maxima]
     q = WtmmConfig().q_grid()
-    edges = chain_edges(chain_maxima_lines, maxima, matrix)
+    edges = chain_edges(chain_from_matrix, maxima, matrix)
     expected_edges = chain_edges(reference_chain_maxima_lines, maxima, matrix)
     assert len(edges) == len(expected_edges)
     assert all(np.array_equal(a, b) for a, b in zip(edges, expected_edges))
-    lines = chain_maxima_lines(maxima, matrix)
+    lines = chain_from_matrix(maxima, matrix)
     expected = reference_chain_maxima_lines(maxima, matrix)
     assert len(lines) == len(expected) == maxima[0].size
     for line, ref in zip(lines, expected):
@@ -697,7 +703,7 @@ def _wave_packet(n=4096):
 def full_grid_reference(series, config):
     """The partition function and spectrum with every scale up to L/8 transformed."""
     matrix = cwt(series, default_scale_grid(series.length))
-    lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
+    lines = chain_from_matrix(find_modulus_maxima(matrix), matrix)
     pf = partition_function(lines, config.q_grid(), matrix.scales)
     return pf, legendre_spectrum(estimate_tau(pf, config.fit_window(series.length)))
 
@@ -721,13 +727,77 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
         warnings.simplefilter("ignore", UserWarning)
         pf_full, expected = full_grid_reference(series, config)
         matrix = cwt(series, grid)
-        lines = chain_maxima_lines(find_modulus_maxima(matrix), matrix)
+        lines = chain_from_matrix(find_modulus_maxima(matrix), matrix)
         pf = partition_function(lines, config.q_grid(), grid)
         spectrum = singular_spectrum(series, config)
     assert pf.log2_Z.tobytes() == pf_full.log2_Z[:, :n_scales].tobytes()
     assert np.array_equal(pf.line_counts, pf_full.line_counts[:n_scales])
     for field in ("tau", "tau_stderr", "alpha", "D", "fit_r2"):
         assert getattr(spectrum, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "fit_min_scale, fit_max_scale, n_scales",
+    [
+        (None, None, 65),  # eight blocks of 8 rows, then one of 1
+        (None, 1000.0, 64),  # exactly eight blocks
+        (4.0, 6.0, 5),  # fewer scales than one block
+    ],
+)
+def test_blocked_front_end_matches_the_whole_matrix(
+    monkeypatch, fit_min_scale, fit_max_scale, n_scales
+):
+    series = _cascade_path()
+    config = WtmmConfig(fit_min_scale=fit_min_scale, fit_max_scale=fit_max_scale)
+    grid = config.scale_grid(series.length)
+    assert grid.size == n_scales
+    seen = {}
+
+    def spy(name):
+        original = getattr(wtmm, name)
+
+        def recorded(*args):
+            seen[name] = (args, original(*args))
+            return seen[name][1]
+
+        monkeypatch.setattr(wtmm, name, recorded)
+
+    spy("chain_maxima_lines")
+    spy("partition_function")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spectrum = singular_spectrum(series, config)
+        matrix = cwt(series, grid)
+        maxima = find_modulus_maxima(matrix)
+        lines = chain_from_matrix(maxima, matrix)
+        pf = partition_function(lines, config.q_grid(), grid)
+    expected = legendre_spectrum(estimate_tau(pf, config.fit_window(series.length)))
+    (blocked_maxima, blocked_moduli, _, _), blocked_lines = seen["chain_maxima_lines"]
+    assert len(blocked_maxima) == len(blocked_moduli) == n_scales
+    for i, (m, moduli) in enumerate(zip(blocked_maxima, blocked_moduli)):
+        assert np.array_equal(m, maxima[i])
+        assert moduli.tobytes() == np.abs(matrix.values[i, maxima[i]]).tobytes()
+    assert len(blocked_lines) == len(lines)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked_lines, lines))
+    blocked_pf = seen["partition_function"][1]
+    assert blocked_pf.log2_Z.tobytes() == pf.log2_Z.tobytes()
+    assert np.array_equal(blocked_pf.line_counts, pf.line_counts)
+    for field in ("tau", "tau_stderr", "alpha", "D", "fit_r2"):
+        assert getattr(spectrum, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+def test_singular_spectrum_holds_no_whole_matrix():
+    series = _cascade_path()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            singular_spectrum(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the 65-scale matrix alone would be 520 bytes per sample
+    assert peak / series.length <= 200, peak
 
 
 def test_lines_dying_inside_the_window_still_warn():
