@@ -31,7 +31,7 @@ import numpy as np
 
 from wcascade import cascade, empirics, wtmm
 from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward, dwt_inverse, load_pyramid
-from wcascade.dwt import save_pyramid
+from wcascade.dwt import json_float, json_floats, save_pyramid
 from wcascade.stats import fit_cauchy, fit_normal, fit_student_t2
 
 EXIT_OK = 0
@@ -44,9 +44,9 @@ EXIT_ANALYSIS = 4
 # before anything is allocated.  With the default fit window it admits a
 # 2**22-point spectrum (65 scales: a 2.03 GiB transform matrix, 2.53 GiB in
 # all) and refuses a 2**23-point one (5.06 GiB).  The spectrum estimate
-# still charges that whole matrix, though the transform is now held 8 rows
-# at a time, so it overestimates: `spectrum` peaked at 117 MiB at 2**19
-# points and 378 MiB at 2**21, against estimates of 324 and 1,296 MiB.
+# still charges that whole matrix, though the transform is now held 4 rows
+# at a time, so it overestimates: `spectrum` peaked at 102 MiB at 2**19
+# points and 310 MiB at 2**21, against estimates of 324 and 1,296 MiB.
 MEMORY_BUDGET = 3 * 2**30
 # `simulate`'s peak grew by 40 bytes per path sample from depth 19 to 21
 # (76, 116 and 196 MiB): the pyramid, the path and the synthesis step's
@@ -207,9 +207,10 @@ def _raise_on_bad_line(path, header: int) -> None:
 def _spectrum(path) -> wtmm.SingularSpectrum:
     """A ``spectrum.json`` file as written by :func:`_spectrum_report`."""
     data = json.loads(Path(path).read_text())
-    columns = [np.asarray(data[k], dtype=float) for k in ("q", "tau", "tau_stderr", "alpha", "D")]
-    support = (float(data["support"][0]), float(data["support"][1]))
-    peak_alpha = float(data["peak_alpha"])
+    columns = [json_floats(data[k], k) for k in ("q", "tau", "tau_stderr", "alpha", "D")]
+    support = json_floats(data["support"], "support")
+    support = (float(support[0]), float(support[1]))
+    peak_alpha = json_float(data["peak_alpha"], "peak_alpha")
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1 or not columns[0].size:
         raise ValueError("q, tau, tau_stderr, alpha and D must be equal-length, non-empty lists")
     if not all(np.all(np.isfinite(c)) for c in (*columns, support, peak_alpha)):

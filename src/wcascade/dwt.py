@@ -71,6 +71,20 @@ def json_float(value, name: str) -> float:
     return float(value)
 
 
+def json_floats(values, name: str) -> np.ndarray:
+    """A JSON list of numbers as a float array, each entry checked as by :func:`json_float`.
+
+    Only the set of the entries' types is built, so a long list costs no
+    second list.
+    """
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    if not set(map(type, values)) <= {float, int}:
+        for k, value in enumerate(values):
+            json_float(value, f"{name}[{k}]")
+    return np.asarray(values, dtype=float)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -160,8 +174,9 @@ class WaveletPyramid:
     def from_dict(cls, data: dict) -> "WaveletPyramid":
         """A pyramid file's dict; a ``"rescaled": false`` file is rescaled here."""
         depth = json_int(data["depth"], "depth")
-        root_approx, root_detail = data["root_approx"], data["root_detail"]
-        layers = [np.asarray(layer, dtype=float) for layer in data["layers"]]
+        root_approx = json_float(data["root_approx"], "root_approx")
+        root_detail = json_float(data["root_detail"], "root_detail")
+        layers = [json_floats(layer, f"layers[{i}]") for i, layer in enumerate(data["layers"])]
         rescaled = json_bool(data["rescaled"], "rescaled")
         pyramid = cls(depth, root_approx, root_detail, layers)
         if rescaled:

@@ -14,8 +14,9 @@ Conventions frozen here because they move the estimates:
   up as modulus growth ``s**a``;
 * signals are treated as periodic: each transform row is the inverse DFT
   of the signal's DFT times the Mexican hat's closed-form spectrum;
-  ``singular_spectrum`` transforms the grid in blocks of 8 rows and keeps
-  only each row's maxima and their moduli, so no whole matrix is held;
+  ``singular_spectrum`` transforms the grid in blocks of 4 rows, each
+  into the same buffer, and keeps only each row's maxima and their
+  moduli, so no whole matrix is held;
 * the scale grid is geometric (8 voices per octave from 4 samples),
   and the power-law fit defaults to scales below 1024 samples where the
   scaling regime is clean; the grid stops at the fit window's top (at
@@ -71,11 +72,14 @@ _LINK_FACTOR = 0.5
 # spectrum is zero above this scaled frequency.
 _KERNEL_BAND = 40.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_PARTITION_BLOCK = 1 << 16  # (q, line) terms per block of the partition sums
-# Transform rows held at once by `singular_spectrum`.  On a 2**19-point
-# path `spectrum` peaked at 118.1, 116.9, 116.6 and 147.9 MiB with blocks
-# of 2, 4, 8 and 16 rows; a smaller block only adds thread joins.
-_CWT_BLOCK = 8
+# (q, line) terms per block of the partition sums; the blocks come on top
+# of the line moduli, which stay alive through the partition
+_PARTITION_BLOCK = 1 << 13
+# Transform rows held at once by `singular_spectrum`, in one reused buffer.
+# On a 2**19-point path `spectrum` peaked at 101.5, 101.5, 115.2 and 148.4
+# MiB with blocks of 2, 4, 8 and 16 rows; a smaller block only adds thread
+# joins.
+_CWT_BLOCK = 4
 
 
 def mexican_hat(x):
@@ -105,7 +109,7 @@ def default_scale_grid(length: int) -> np.ndarray:
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
-def cwt(series: TimeSeries, scale_grid, spectrum=None) -> CwtMatrix:
+def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
     """Periodic continuous wavelet transform with 1/s normalization.
 
     ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the Mexican
@@ -116,8 +120,10 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None) -> CwtMatrix:
     must lie in ``[2, L/4]`` where the wavelet is well sampled and not yet
     wrap-dominated.  ``spectrum``, when given, must be
     ``np.fft.rfft(series.values)``: a caller that transforms the grid in
-    blocks computes it once.  The rows are computed on a few threads; no
-    bit depends on their number.
+    blocks computes it once.  ``out``, when given, is the float array of
+    shape ``(scales, n)`` the rows are written to, whatever it held, so such
+    a caller can reuse one buffer.  The rows are computed on a few threads;
+    no bit depends on their number.
     """
     scale_grid = np.asarray(scale_grid, dtype=float)
     n = series.length
@@ -127,8 +133,11 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None) -> CwtMatrix:
         raise ValueError("scales must be strictly increasing")
     if spectrum is None:
         spectrum = np.fft.rfft(series.values)
+    if out is None:
+        out = np.empty((scale_grid.size, n))
+    elif out.shape != (scale_grid.size, n) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float array of shape {(scale_grid.size, n)}")
     omega = 2.0 * np.pi * np.arange(spectrum.size) / n
-    rows = np.empty((scale_grid.size, n))
     # One (kernel, product) pair per thread, allocated here: what a thread
     # allocates stays in its arena, where the later stages cannot reuse it.
     pool = queue.SimpleQueue()
@@ -147,11 +156,11 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None) -> CwtMatrix:
         w2 *= e  # Psi(s w) = (-sqrt(2 pi) (s w)^2) exp(-(s w)^2 / 2)
         np.multiply(spectrum[:band], w2, out=product[:band])
         product[band:] = 0.0
-        np.fft.irfft(product, n=n, out=rows[i])
+        np.fft.irfft(product, n=n, out=out[i])
         pool.put((kernel, product))
 
     thread_map(transform_row, range(scale_grid.size), MAX_CWT_THREADS)
-    return CwtMatrix(scales=scale_grid, values=rows)
+    return CwtMatrix(scales=scale_grid, values=out)
 
 
 def _local_maxima_circular(m: np.ndarray) -> np.ndarray:
@@ -336,19 +345,17 @@ def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
     moduli = np.concatenate([np.empty(0), *lines])
     if np.any(moduli <= 0):
         raise ValueError("maxima lines must have strictly positive moduli")
-    # regroup by scale index; within a scale the lines stay in list order
-    depth = np.arange(moduli.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    per_scale = np.bincount(depth, minlength=n_s)
-    by_scale = np.split(np.log(moduli[np.argsort(depth, kind="stable")]), np.cumsum(per_scale)[:-1])
-    del moduli, depth  # the q blocks below reuse their memory
     log2_Z = np.full((q_grid.size, n_s), -np.inf)
-    counts = per_scale[:n_s]
-    live, sup = lengths, np.full(lengths.size, -np.inf)
+    counts = np.zeros(n_s, dtype=np.int64)
+    # each live line's offset in `moduli`, its length and its running supremum
+    at, live, sup = np.cumsum(lengths) - lengths, lengths, np.full(lengths.size, -np.inf)
     for i in range(n_s):
-        if not counts[i]:
-            break
         keep = live > i
-        live, sup = live[keep], np.maximum(sup[keep], by_scale[i])
+        at, live = at[keep], live[keep]
+        if not at.size:
+            break
+        sup = np.maximum(sup[keep], np.log(moduli[at + i]))
+        counts[i] = sup.size
         rows = max(1, _PARTITION_BLOCK // sup.size)
         for k in range(0, q_grid.size, rows):  # memory does not grow with n_q
             log2_Z[k : k + rows, i] = _log2_power_sums(q_grid[k : k + rows], sup)
@@ -519,14 +526,15 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
     fit_range = config.fit_window(series.length)
     _fit_scales(grid, fit_range)  # refused before the transform is computed
     dft = np.fft.rfft(series.values)
+    buffer = np.empty((min(_CWT_BLOCK, grid.size), series.length))
     maxima, moduli = [], []
     for k in range(0, grid.size, _CWT_BLOCK):
-        block = cwt(series, grid[k : k + _CWT_BLOCK], dft)
+        scales = grid[k : k + _CWT_BLOCK]
+        block = cwt(series, scales, dft, out=buffer[: scales.size])
         for row, idx in zip(block.values, find_modulus_maxima(block)):
             maxima.append(idx)
             moduli.append(np.abs(row[idx]))
-        del block, row  # the next block's rows reuse this memory
-    del dft
+    del dft, buffer, block, row  # chaining and the partition reuse this memory
     lines = chain_maxima_lines(maxima, moduli, grid, series.length)
     del maxima, moduli  # the partition needs only the lines
     # overflow at extreme q shows up as inf or nan and is refused below

@@ -981,6 +981,87 @@ def test_config_float_must_be_a_json_number(tmp_path, capsys, key, law, field, v
     assert not out.exists()
 
 
+def _numeric_leaves(value, path=()):
+    """The path of every JSON number in ``value``: its keys and list indices."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _numeric_leaves(item, (*path, k))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def _field_name(path) -> str:
+    """The name an error gives a leaf: its last key, then its list indices."""
+    last = max(k for k, step in enumerate(path) if isinstance(step, str))
+    return path[last] + "".join(f"[{k}]" for k in path[last + 1:])
+
+
+def _with_leaf(value, path, leaf):
+    """A copy of the JSON ``value`` with the leaf at ``path`` replaced."""
+    value = json.loads(json.dumps(value))
+    holder = value
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = leaf
+    return value
+
+
+# A valid file of each JSON kind the CLI reads: (argv before the file, its name
+# in an error, the file's content, its integer fields)
+JSON_INPUTS = {
+    "config": (["simulate", "--config"], "cascade config", REFERENCE_CONFIG, {"depth", "seed"}),
+    "pyramid": (["multipliers", "--input"], "pyramid file {path}", {
+        "depth": 3, "rescaled": True, "root_approx": 0.25, "root_detail": -1.5,
+        "layers": [[1.0, -0.5], [0.5, 2, -1.0, 0.75], [0.5, -0.25, 1.5, -2.0, 1.0, 0.5, -1.0, 3.0]],
+    }, {"depth"}),
+    # tau is concave, and alpha and D are its exact Legendre pair
+    "spectrum": (["check-spectrum", "--input"], "spectrum file {path}", {
+        "q": [-1.0, 0.0, 1.0], "tau": [-1.5, -1.0, -0.7], "tau_stderr": [0.01, 0.01, 0.01],
+        "alpha": [0.5, 0.4, 0.3], "D": [1.0, 1.0, 1.0], "support": [0.3, 0.5], "peak_alpha": 0.4,
+    }, set()),
+}
+JSON_LEAF_CASES = [
+    (kind, path, leaf)
+    for kind, (_, _, content, _) in JSON_INPUTS.items()
+    for path in _numeric_leaves(content)
+    for leaf in ["0.5", True, None, [0.5], "1_0"]
+]
+
+
+def _json_input_argv(tmp_path, kind, content) -> tuple:
+    prefix, what, _, _ = JSON_INPUTS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(content))
+    argv = [*prefix, str(path)] + (["--out", str(tmp_path / "out")] if kind != "spectrum" else [])
+    return argv, what.format(path=path)
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_INPUTS))
+def test_each_reference_json_input_is_valid(tmp_path, kind):
+    argv, _ = _json_input_argv(tmp_path, kind, JSON_INPUTS[kind][2])
+    assert main(argv) == 0
+
+
+# every number of every JSON input is read as a JSON number: float() and
+# np.asarray would read "0.5", true and "1_0", and null as nan
+@pytest.mark.parametrize(
+    "kind, path, leaf", JSON_LEAF_CASES,
+    ids=[f"{kind}-{_field_name(path)}-{json.dumps(leaf)}" for kind, path, leaf in JSON_LEAF_CASES],
+)
+def test_every_json_number_must_be_a_json_number(tmp_path, capsys, kind, path, leaf):
+    _, _, content, integers = JSON_INPUTS[kind]
+    argv, what = _json_input_argv(tmp_path, kind, _with_leaf(content, path, leaf))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    field = _field_name(path)
+    expected = "an integer" if field in integers else "a number"
+    assert captured.err.splitlines() == [f"error: invalid {what}: {field} must be {expected}, got {leaf!r}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_memory_budget_admits_the_studied_sizes():
     config = wtmm.WtmmConfig()
     assert cli._simulate_bytes(17) < cli._simulate_bytes(25) <= cli.MEMORY_BUDGET

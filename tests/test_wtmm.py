@@ -199,6 +199,31 @@ def test_cwt_thread_count_changes_no_bit(monkeypatch):
     assert np.array_equal(values[1].view(np.int64), values[16].view(np.int64))
 
 
+def test_cwt_into_a_reused_buffer_matches_a_fresh_transform():
+    series = TimeSeries(_random_walk(4096))
+    grid = default_scale_grid(4096)
+    dft = np.fft.rfft(series.values)
+    buffer = cwt(series, grid[4:8]).values  # holds another block's rows
+    fresh = cwt(series, grid[:4])
+    reused = cwt(series, grid[:4], dft, out=buffer)
+    assert reused.values is buffer
+    assert reused.values.tobytes() == fresh.values.tobytes()
+    # a leading slice of the buffer takes a shorter block
+    tail = cwt(series, grid[5:8], dft, out=buffer[:3])
+    assert tail.values.tobytes() == cwt(series, grid[5:8]).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((3, 4096)), np.empty((4, 4095)), np.empty(4 * 4096), np.empty((4, 4096), np.float32)],
+    ids=["too-few-rows", "short-rows", "flat", "float32"],
+)
+def test_cwt_refuses_a_wrongly_shaped_out(out):
+    series = TimeSeries(_random_walk(4096))
+    with pytest.raises(ValueError, match=r"out must be a float array of shape \(4, 4096\)"):
+        cwt(series, default_scale_grid(4096)[:4], out=out)
+
+
 # ---------------------------------------------------------------------------
 # modulus maxima
 
@@ -409,6 +434,32 @@ def reference_partition_function(lines, q_grid, scales):
     return log2_Z, counts
 
 
+def regrouped_partition_function(lines, q_grid, scales):
+    """The partition as once written: every line point regrouped by scale index up front.
+
+    Depth per point, a stable argsort by depth and a split into per-scale
+    arrays of log moduli, then the q rows in blocks of 2**16 terms.
+    """
+    n_s = scales.size
+    lengths = np.array([len(line) for line in lines], dtype=np.int64)
+    moduli = np.concatenate([np.empty(0), *lines])
+    depth = np.arange(moduli.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    per_scale = np.bincount(depth, minlength=n_s)
+    by_scale = np.split(np.log(moduli[np.argsort(depth, kind="stable")]), np.cumsum(per_scale)[:-1])
+    log2_Z = np.full((q_grid.size, n_s), -np.inf)
+    counts = per_scale[:n_s]
+    live, sup = lengths, np.full(lengths.size, -np.inf)
+    for i in range(n_s):
+        if not counts[i]:
+            break
+        keep = live > i
+        live, sup = live[keep], np.maximum(sup[keep], by_scale[i])
+        rows = max(1, (1 << 16) // sup.size)
+        for k in range(0, q_grid.size, rows):
+            log2_Z[k : k + rows, i] = wtmm._log2_power_sums(q_grid[k : k + rows], sup)
+    return log2_Z, counts
+
+
 def chain_edges(chain, maxima, matrix):
     """Each line's ``(scale index) * n + position`` codes, read off a matrix of ``1 + code``."""
     n_scales, n = matrix.values.shape
@@ -561,8 +612,9 @@ def test_partition_synthetic_halving_count_recovers_linear_tau():
 
 
 def test_partition_q_blocks_match_reference_bit_for_bit():
-    # 5000 lines alive at the finest scale put 13 q rows in a block of 2**16
-    # terms, so 101 q values span 8 blocks there, the last one partial
+    # 5000 lines alive at the finest scale put one q row in a block of 2**13
+    # terms; about 1900 alive at scale index 5 put 4, so 101 q values span
+    # 26 blocks there, the last one partial
     rng = np.random.default_rng(7)
     lines = [np.exp(rng.normal(size=rng.integers(1, 9))) for _ in range(5000)]
     scales = default_scale_grid(2**10)[:8]
@@ -571,6 +623,61 @@ def test_partition_q_blocks_match_reference_bit_for_bit():
     log2_Z, counts = reference_partition_function(lines, q, scales)
     assert pf.log2_Z.tobytes() == log2_Z.tobytes()
     assert np.array_equal(pf.line_counts, counts)
+
+
+def _mixed_length_lines(rng, n_lines=3000, longest=12):
+    return [np.exp(rng.normal(size=rng.integers(1, longest + 1))) for _ in range(n_lines)]
+
+
+PARTITION_LINE_SETS = {
+    # 2**13 terms hold 2 q rows at 3000 lines and many at the last few
+    "mixed-lengths": lambda rng: _mixed_length_lines(rng),
+    "longer-than-the-grid": lambda rng: _mixed_length_lines(rng, longest=14),
+    "all-die-at-scale-1": lambda rng: [np.exp(rng.normal(size=1)) for _ in range(500)],
+    "one-point-lines-among-long-ones": lambda rng: [
+        np.exp(rng.normal(size=1 if k % 3 else 10)) for k in range(900)
+    ],
+    "a-single-one-point-line": lambda rng: [np.array([0.75])],
+    "equal-moduli": lambda rng: [np.full(rng.integers(1, 11), 2.5) for _ in range(700)],
+    "equal-moduli-within-lines": lambda rng: [
+        np.repeat(np.exp(rng.normal(size=3)), rng.integers(1, 5, size=3)) for _ in range(700)
+    ],
+    "no-lines": lambda rng: [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_LINE_SETS))
+def test_partition_matches_the_regrouped_partition_bit_for_bit(name):
+    lines = PARTITION_LINE_SETS[name](np.random.default_rng(11))
+    scales = default_scale_grid(2**12)[:10]
+    q = np.linspace(-5.0, 5.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # lines that die before the top scale
+        pf = partition_function(lines, q, scales)
+    log2_Z, counts = regrouped_partition_function(lines, q, scales)
+    assert pf.log2_Z.tobytes() == log2_Z.tobytes()
+    assert pf.line_counts.tobytes() == np.asarray(counts, dtype=np.int64).tobytes()
+
+
+def test_partition_holds_about_one_float_per_line_point():
+    series = _cascade_path()
+    config = WtmmConfig()
+    grid = config.scale_grid(series.length)
+    matrix = cwt(series, grid)
+    lines = chain_from_matrix(find_modulus_maxima(matrix), matrix)
+    del matrix
+    points = sum(len(line) for line in lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            partition_function(lines, config.q_grid(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the moduli themselves take 8 bytes per point; regrouped by scale up
+    # front, with a depth, a sort order and two more copies, it took 32.7
+    assert peak / points <= 20, (peak, points)
 
 
 def test_estimate_tau_exact_decay():
@@ -739,9 +846,10 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
 @pytest.mark.parametrize(
     "fit_min_scale, fit_max_scale, n_scales",
     [
-        (None, None, 65),  # eight blocks of 8 rows, then one of 1
-        (None, 1000.0, 64),  # exactly eight blocks
-        (4.0, 6.0, 5),  # fewer scales than one block
+        (None, None, 65),  # sixteen blocks of 4 rows, then one of 1
+        (None, 1000.0, 64),  # exactly sixteen blocks
+        (4.0, 6.0, 5),  # one block of 4 rows, then one of 1
+        (4.0, 4.9, 3),  # fewer scales than one block: a 3-row buffer
     ],
 )
 def test_blocked_front_end_matches_the_whole_matrix(
@@ -796,8 +904,9 @@ def test_singular_spectrum_holds_no_whole_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # the 65-scale matrix alone would be 520 bytes per sample
-    assert peak / series.length <= 200, peak
+    # the 65-scale matrix alone would be 520 bytes per sample; with a new
+    # 8-row block per step the peak was 127 bytes per sample
+    assert peak / series.length <= 110, peak
 
 
 def test_lines_dying_inside_the_window_still_warn():
