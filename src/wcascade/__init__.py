@@ -45,6 +45,7 @@ from wcascade.stats import (
 )
 from wcascade.wtmm import (
     CwtMatrix,
+    MaximaLines,
     PartitionFunction,
     SingularSpectrum,
     WtmmConfig,

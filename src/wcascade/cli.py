@@ -41,21 +41,21 @@ EXIT_ANALYSIS = 4
 
 
 # Largest estimated allocation a command may make; a larger one is refused
-# before anything is allocated.  With the default fit window it admits a
-# 2**22-point spectrum (65 scales: a 2.03 GiB transform matrix, 2.53 GiB in
-# all) and refuses a 2**23-point one (5.06 GiB).  The spectrum estimate
-# still charges that whole matrix, though the transform is now held 4 rows
-# at a time, so it overestimates: `spectrum` peaked at 102 MiB at 2**19
-# points and 310 MiB at 2**21, against estimates of 324 and 1,296 MiB.
+# before anything is allocated.  It admits a 2**23-point spectrum (1.75 GiB
+# estimated) and refuses a 2**24-point one (3.5 GiB).
 MEMORY_BUDGET = 3 * 2**30
 # `simulate`'s peak grew by 40 bytes per path sample from depth 19 to 21
 # (76, 116 and 196 MiB): the pyramid, the path and the synthesis step's
 # buffers.  So depth 25 is estimated at 2.8 GiB and would peak near 2.5 GiB.
 _SIMULATE_BYTES_PER_SAMPLE = 45
-# When `spectrum` held the whole transform matrix, its peak RSS beyond the
-# matrix grew 124 bytes per sample from 2**19 to 2**21 points (95, 158 and
-# 281 MiB over matrices of 260, 520 and 1040 MiB, on lognormal cascade paths).
-_SPECTRUM_BYTES_PER_SAMPLE = 128
+# `spectrum` holds 2 transform rows, the maxima and the ridge lines, not a
+# whole matrix: on lognormal cascade paths it peaked at 83.7, 136.5, 241.5
+# and 457.6 MiB at 2**19, 2**20, 2**21 and 2**22 points, about 106 bytes
+# per added sample.  The interpreter's own 31 MiB makes the smallest size the
+# costliest per sample: 175 bytes at 2**19 with the fit window up to L/8
+# (113 scales, 87.4 MiB).  This charge is 28% above that peak and 96% above
+# the 2**22 one; the number of scales moves the peak little.
+_SPECTRUM_BYTES_PER_SAMPLE = 224
 # Per q value besides its log2_Z row: the fit's arrays and the report's floats
 # (a 4096-point spectrum traced 535 bytes per q, 456 of them its 57 log2_Z cells).
 _SPECTRUM_BYTES_PER_Q = 256
@@ -117,10 +117,9 @@ def _simulate_bytes(depth: int) -> float:
 
 
 def _spectrum_bytes(length: int, config: wtmm.WtmmConfig) -> int:
-    """Per sample a transform column and the rest of the peak, per q a log2_Z row and report."""
+    """Per sample the measured peak with a margin, per q a log2_Z row and report."""
     n_scales = config.scale_grid(length).size
-    return (length * (n_scales * 8 + _SPECTRUM_BYTES_PER_SAMPLE)
-            + config.n_q * (n_scales * 8 + _SPECTRUM_BYTES_PER_Q))
+    return length * _SPECTRUM_BYTES_PER_SAMPLE + config.n_q * (n_scales * 8 + _SPECTRUM_BYTES_PER_Q)
 
 
 def _within_budget(what: str, nbytes: float, error=InputError) -> None:
@@ -209,6 +208,8 @@ def _spectrum(path) -> wtmm.SingularSpectrum:
     data = json.loads(Path(path).read_text())
     columns = [json_floats(data[k], k) for k in ("q", "tau", "tau_stderr", "alpha", "D")]
     support = json_floats(data["support"], "support")
+    if support.size != 2:
+        raise ValueError(f"support must be a list of two numbers, got {data['support']!r}")
     support = (float(support[0]), float(support[1]))
     peak_alpha = json_float(data["peak_alpha"], "peak_alpha")
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1 or not columns[0].size:

@@ -176,7 +176,10 @@ class WaveletPyramid:
         depth = json_int(data["depth"], "depth")
         root_approx = json_float(data["root_approx"], "root_approx")
         root_detail = json_float(data["root_detail"], "root_detail")
-        layers = [json_floats(layer, f"layers[{i}]") for i, layer in enumerate(data["layers"])]
+        layers = data["layers"]
+        if not isinstance(layers, list):  # a string or a dict would be enumerated
+            raise ValueError(f"layers must be a list of lists of numbers, got {layers!r}")
+        layers = [json_floats(layer, f"layers[{i}]") for i, layer in enumerate(layers)]
         rescaled = json_bool(data["rescaled"], "rescaled")
         pyramid = cls(depth, root_approx, root_detail, layers)
         if rescaled:

@@ -20,10 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 MAX_THREADS = 4
 # In `cwt` the caller allocates each thread's product buffer, so a thread
 # itself allocates only the inverse FFT's work buffers, which stay in its
-# arena: about 8 MB at 2**19 points.  `spectrum`, which transforms 4 rows
-# at a time into one buffer, peaked at 93.5 MB on 1 CPU and at 101.5 MB on
-# 2 on a 2**19-point lognormal cascade path.  Three or more threads have not
-# been measured.
+# arena: about 8 MB at 2**19 points.  `spectrum`, which transforms 2 rows
+# at a time into one buffer, peaked at 75.7 MB in 1.59-1.70 s on 1 CPU and
+# at 83.8 MB in 1.29-1.46 s on 2 on a 2**19-point lognormal cascade path.
+# Three or more threads have not been measured.
 MAX_CWT_THREADS = 2
 # Items submitted and not yet collected: more than any scale grid's rows, so
 # `cwt` submits all of its rows at once.  Refilled four rows per thread,

@@ -14,7 +14,7 @@ Conventions frozen here because they move the estimates:
   up as modulus growth ``s**a``;
 * signals are treated as periodic: each transform row is the inverse DFT
   of the signal's DFT times the Mexican hat's closed-form spectrum;
-  ``singular_spectrum`` transforms the grid in blocks of 4 rows, each
+  ``singular_spectrum`` transforms the grid in blocks of 2 rows, each
   into the same buffer, and keeps only each row's maxima and their
   moduli, so no whole matrix is held;
 * the scale grid is geometric (8 voices per octave from 4 samples),
@@ -42,6 +42,7 @@ from wcascade.threads import MAX_CWT_THREADS, thread_map
 
 __all__ = [
     "CwtMatrix",
+    "MaximaLines",
     "PartitionFunction",
     "TauEstimate",
     "SingularSpectrum",
@@ -76,10 +77,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # of the line moduli, which stay alive through the partition
 _PARTITION_BLOCK = 1 << 13
 # Transform rows held at once by `singular_spectrum`, in one reused buffer.
-# On a 2**19-point path `spectrum` peaked at 101.5, 101.5, 115.2 and 148.4
-# MiB with blocks of 2, 4, 8 and 16 rows; a smaller block only adds thread
-# joins.
-_CWT_BLOCK = 4
+# On a 2**19-point path `spectrum` peaked at 73.6, 83.7 and 92.0 MiB with
+# blocks of 1, 2 and 4 rows; one row per block leaves the second thread idle
+# and took about 0.2 s longer.
+_CWT_BLOCK = 2
 
 
 def mexican_hat(x):
@@ -137,18 +138,24 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
         out = np.empty((scale_grid.size, n))
     elif out.shape != (scale_grid.size, n) or out.dtype != np.float64:
         raise ValueError(f"out must be a float array of shape {(scale_grid.size, n)}")
-    omega = 2.0 * np.pi * np.arange(spectrum.size) / n
-    # One (kernel, product) pair per thread, allocated here: what a thread
-    # allocates stays in its arena, where the later stages cannot reuse it.
+    # Only the finest scale's band is built, with 3 frequencies to spare for
+    # the estimate's rounding: a block of coarse rows reads a small prefix.
+    top = min(spectrum.size, int(_KERNEL_BAND / scale_grid[0] * n / (2.0 * np.pi)) + 3)
+    omega = np.arange(top, dtype=float)
+    omega *= 2.0 * np.pi
+    omega /= n  # the bits of 2.0 * np.pi * k / n
+    # One product buffer per thread, allocated here: what a thread allocates
+    # stays in its arena, where the later stages cannot reuse it.
     pool = queue.SimpleQueue()
     for _ in range(min(scale_grid.size, MAX_CWT_THREADS)):
-        pool.put((np.empty(spectrum.size), np.empty_like(spectrum)))
+        pool.put(np.empty_like(spectrum))
 
     def transform_row(i: int) -> None:
         s = scale_grid[i]
         band = int(np.searchsorted(omega, _KERNEL_BAND / s, side="right"))
-        kernel, product = pool.get()
-        w2 = np.multiply(omega[:band], s, out=kernel[:band])
+        product = pool.get()
+        # the row is the kernel's scratch until the inverse transform fills it
+        w2 = np.multiply(omega[:band], s, out=out[i, :band])
         np.square(w2, out=w2)
         e = np.multiply(w2, -0.5, out=product.real[:band])  # overwritten by the product below
         np.exp(e, out=e)
@@ -157,7 +164,7 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
         np.multiply(spectrum[:band], w2, out=product[:band])
         product[band:] = 0.0
         np.fft.irfft(product, n=n, out=out[i])
-        pool.put((kernel, product))
+        pool.put(product)
 
     thread_map(transform_row, range(scale_grid.size), MAX_CWT_THREADS)
     return CwtMatrix(scales=scale_grid, values=out)
@@ -244,7 +251,41 @@ def _greedy_matching(line: np.ndarray, cand: np.ndarray, dist: np.ndarray) -> np
     return order[won]
 
 
-def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> list:
+@dataclass(eq=False)
+class MaximaLines:
+    """Ridge lines held as one array: each line's moduli, line after line.
+
+    Line ``k`` has ``lengths[k]`` points and starts where line ``k - 1``
+    ends; its entry ``i`` lies at scale index ``i``.  ``len(lines)`` is the
+    line count, and ``lines[k]`` and iteration give each line as a view of
+    ``values``, made when asked for.
+    """
+
+    values: np.ndarray  # float moduli
+    lengths: np.ndarray  # int64, one per line
+
+    @classmethod
+    def from_list(cls, lines) -> "MaximaLines":
+        """The lines of a list of moduli arrays, copied into one array."""
+        lengths = np.array([len(line) for line in lines], dtype=np.int64)
+        return cls(np.concatenate([np.empty(0), *lines]), lengths)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        k = range(len(self))[k]  # an IndexError past either end, as for a list
+        start = int(self.lengths[:k].sum())
+        return self.values[start : start + int(self.lengths[k])]
+
+    def __iter__(self):
+        start = 0
+        for n in self.lengths.tolist():
+            yield self.values[start : start + n]
+            start += n
+
+
+def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> MaximaLines:
     """Link per-scale maxima into ridge lines from fine to coarse scales.
 
     Greedy nearest-neighbour matching between the heads of live lines and
@@ -261,17 +302,19 @@ def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> list:
 
     ``maxima[i]`` holds the sorted positions of the maxima at ``scales[i]``
     on a periodic series of ``length`` samples, and ``moduli[i]`` the
-    transform modulus at each of them.  Line ``k`` is the array of its
-    moduli, fine to coarse: it starts at ``maxima[0][k]`` and its entry
-    ``i`` lies at scale index ``i``.  The lines are slices of one array.
+    transform modulus at each of them.  Line ``k`` of the result is the
+    array of its moduli, fine to coarse: it starts at ``maxima[0][k]`` and
+    its entry ``i`` lies at scale index ``i``.
     """
     scales = np.asarray(scales, dtype=float)
     if len(maxima) != scales.size or len(moduli) != scales.size:
         raise ValueError("need one maxima list and one moduli list per scale")
     heads = np.asarray(maxima[0], dtype=np.int64)
     if heads.size == 0:
-        return []
-    alive = np.arange(heads.size)  # line ids, in the order the heads were accepted
+        return MaximaLines(np.empty(0), np.empty(0, dtype=np.int64))
+    # line ids, in the order the heads were accepted: fewer than the series
+    # length, which the memory budget keeps far below 2**31
+    alive = np.arange(heads.size, dtype=np.int32)
     line_ids = [alive]
     line_moduli = [moduli[0]]
     for i in range(1, scales.size):
@@ -291,13 +334,14 @@ def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> list:
         heads = cands[won]
         line_ids.append(alive)
         line_moduli.append(moduli[i][won])
-    lengths = np.bincount(np.concatenate(line_ids))
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
-    by_line = np.empty(stops[-1])
+    lengths = np.empty(line_ids[0].size, dtype=np.int64)
+    for i, ids in enumerate(line_ids):
+        lengths[ids] = i + 1  # the ids alive at scale i are alive at every finer one
+    starts = np.cumsum(lengths) - lengths
+    by_line = np.empty(lengths.sum())
     for i, (ids, values) in enumerate(zip(line_ids, line_moduli)):
         by_line[starts[ids] + i] = values
-    return [by_line[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+    return MaximaLines(by_line, lengths)
 
 
 @dataclass
@@ -329,20 +373,22 @@ def _log2_power_sums(q: np.ndarray, log_sup: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.sum(np.exp(terms, out=terms), axis=1))) / _LN2
 
 
-def partition_function(lines: list, q_grid, scales) -> PartitionFunction:
+def partition_function(lines, q_grid, scales) -> PartitionFunction:
     """Build ``Z(q, s)`` from per-line running modulus suprema.
 
-    Each line is the array of its moduli, entry ``i`` at scale index ``i``.
-    For each line alive at scale index i the contribution is
-    ``sup_{i' <= i} modulus(i')`` raised to the power q, so ``Z(0, s)``
-    counts the lines alive at s.  Sums are accumulated in the log domain,
-    over the lines in list order, for stability at large negative q.
+    ``lines`` is a :class:`MaximaLines`, or a list of lines, which is
+    copied into one first.  Each line is the array of its moduli, entry
+    ``i`` at scale index ``i``.  For each line alive at scale index i the
+    contribution is ``sup_{i' <= i} modulus(i')`` raised to the power q, so
+    ``Z(0, s)`` counts the lines alive at s.  Sums are accumulated in the
+    log domain, over the lines in order, for stability at large negative q.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     scales = np.asarray(scales, dtype=float)
     n_s = scales.size
-    lengths = np.array([len(line) for line in lines], dtype=np.int64)
-    moduli = np.concatenate([np.empty(0), *lines])
+    if not isinstance(lines, MaximaLines):
+        lines = MaximaLines.from_list(lines)
+    moduli, lengths = lines.values, lines.lengths
     if np.any(moduli <= 0):
         raise ValueError("maxima lines must have strictly positive moduli")
     log2_Z = np.full((q_grid.size, n_s), -np.inf)
@@ -532,7 +578,7 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
         scales = grid[k : k + _CWT_BLOCK]
         block = cwt(series, scales, dft, out=buffer[: scales.size])
         for row, idx in zip(block.values, find_modulus_maxima(block)):
-            maxima.append(idx)
+            maxima.append(idx.astype(np.int32))  # below the length, which fits 32 bits
             moduli.append(np.abs(row[idx]))
     del dft, buffer, block, row  # chaining and the partition reuse this memory
     lines = chain_maxima_lines(maxima, moduli, grid, series.length)

@@ -707,6 +707,12 @@ OVERFLOWING_LAW = {
 
 PYRAMID_WITHOUT_LAYERS = {"depth": 3, "rescaled": True, "root_approx": 0.0, "root_detail": 1.0}
 
+# tau is concave, and alpha and D are its exact Legendre pair
+SPECTRUM_FILE = {
+    "q": [-1.0, 0.0, 1.0], "tau": [-1.5, -1.0, -0.7], "tau_stderr": [0.01, 0.01, 0.01],
+    "alpha": [0.5, 0.4, 0.3], "D": [1.0, 1.0, 1.0], "support": [0.3, 0.5], "peak_alpha": 0.4,
+}
+
 CONTRACT_CASES = {
     "spectrum-nan": (
         lambda t: ["spectrum", "--input", str(_series_with_last_row(t, "4096,nan"))],
@@ -930,6 +936,25 @@ CONTRACT_CASES = {
             "layers": [[1.0] * 2, [1.0, 1e308, 1.0, 1.0], [1.0] * 8]}))],
         2, "layer 2 contains non-finite values",
     ),
+    # a pyramid's layers and a spectrum's support are refused by name, not
+    # enumerated or indexed as whatever they hold
+    **{
+        f"{command}-layers-{kind}": (
+            lambda t, command=command, value=value: [command, "--input", str(_json_file(t, {
+                **PYRAMID_WITHOUT_LAYERS, "layers": value}))],
+            2, f"layers must be a list of lists of numbers, got {value!r}",
+        )
+        for command in ("multipliers", "collapse")
+        for kind, value in [("int", 5), ("null", None), ("string", "ab"), ("object", {"a": 1})]
+    },
+    **{
+        f"check-spectrum-support-{kind}": (
+            lambda t, value=value: ["check-spectrum", "--input", str(_json_file(t, {
+                **SPECTRUM_FILE, "support": value}))],
+            2, f"support must be a list of two numbers, got {value!r}",
+        )
+        for kind, value in [("empty", []), ("one-number", [0.1]), ("three-numbers", [0.3, 0.5, 7.0])]
+    },
     # a 1,024-point path: no transition has 3 bins of 100 children
     "pipeline-no-variance-fit": (
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=9))],
@@ -1017,11 +1042,7 @@ JSON_INPUTS = {
         "depth": 3, "rescaled": True, "root_approx": 0.25, "root_detail": -1.5,
         "layers": [[1.0, -0.5], [0.5, 2, -1.0, 0.75], [0.5, -0.25, 1.5, -2.0, 1.0, 0.5, -1.0, 3.0]],
     }, {"depth"}),
-    # tau is concave, and alpha and D are its exact Legendre pair
-    "spectrum": (["check-spectrum", "--input"], "spectrum file {path}", {
-        "q": [-1.0, 0.0, 1.0], "tau": [-1.5, -1.0, -0.7], "tau_stderr": [0.01, 0.01, 0.01],
-        "alpha": [0.5, 0.4, 0.3], "D": [1.0, 1.0, 1.0], "support": [0.3, 0.5], "peak_alpha": 0.4,
-    }, set()),
+    "spectrum": (["check-spectrum", "--input"], "spectrum file {path}", SPECTRUM_FILE, set()),
 }
 JSON_LEAF_CASES = [
     (kind, path, leaf)
@@ -1068,15 +1089,16 @@ def test_memory_budget_admits_the_studied_sizes():
     assert cli._simulate_bytes(26) > cli.MEMORY_BUDGET
     assert cli._simulate_bytes(10**18) > cli.MEMORY_BUDGET
     # the default grid stops at the fit window's top, 1024 samples: 65 scales
-    per_sample = 65 * 8 + cli._SPECTRUM_BYTES_PER_SAMPLE
     per_q = 65 * 8 + cli._SPECTRUM_BYTES_PER_Q
-    assert cli._spectrum_bytes(2**22, config) == 2**22 * per_sample + 41 * per_q
-    assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**22, config)
-    assert cli._spectrum_bytes(2**22, config) <= cli.MEMORY_BUDGET
-    assert cli._spectrum_bytes(2**23, config) > cli.MEMORY_BUDGET
-    # a wider fit window extends the grid again, up to L/8
+    assert cli._spectrum_bytes(2**23, config) == 2**23 * cli._SPECTRUM_BYTES_PER_SAMPLE + 41 * per_q
+    assert cli._spectrum_bytes(2**19, config) < cli._spectrum_bytes(2**23, config)
+    assert cli._spectrum_bytes(2**23, config) <= cli.MEMORY_BUDGET
+    assert cli._spectrum_bytes(2**24, config) > cli.MEMORY_BUDGET
+    # a wider fit window extends the grid, up to L/8, and adds only log2_Z
+    # cells: no transform matrix is held (137 scales at 2**22)
     config.fit_max_scale = 2.0**19
-    assert cli._spectrum_bytes(2**22, config) > cli.MEMORY_BUDGET
+    wide = 2**22 * cli._SPECTRUM_BYTES_PER_SAMPLE + 41 * (137 * 8 + cli._SPECTRUM_BYTES_PER_Q)
+    assert cli._spectrum_bytes(2**22, config) == wide <= cli.MEMORY_BUDGET
     # a long q grid counts too, whatever the series' length
     assert cli._spectrum_bytes(4096, wtmm.WtmmConfig(n_q=10**8)) > cli.MEMORY_BUDGET
     assert cli._h_grid("0:1:1e-6").size == 10**6 + 1
@@ -1103,7 +1125,10 @@ def test_spectrum_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
 def test_bad_input_exit_code_without_traceback(tmp_path, case):
     make_argv, code, fragment = CONTRACT_CASES[case]
     out = tmp_path / "out"
-    proc = run_cli(*make_argv(tmp_path), "--out", str(out))
+    argv = make_argv(tmp_path)
+    if "--out" in COMMAND_FLAGS[argv[0]]:  # check-spectrum writes no files
+        argv += ["--out", str(out)]
+    proc = run_cli(*argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "encountered in" not in proc.stderr  # numpy overflow is not leaked

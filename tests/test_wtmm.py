@@ -20,6 +20,7 @@ from wcascade import threads, wtmm
 from wcascade.dwt import TimeSeries, dwt_inverse
 from wcascade.wtmm import (
     CwtMatrix,
+    MaximaLines,
     PartitionFunction,
     TauEstimate,
     WtmmConfig,
@@ -364,7 +365,7 @@ def test_two_steps_give_two_complete_lines():
 
 def test_chain_empty_maxima():
     matrix = CwtMatrix(scales=np.array([4.0, 8.0]), values=np.zeros((2, 64)))
-    assert chain_from_matrix(find_modulus_maxima(matrix), matrix) == []
+    assert len(chain_from_matrix(find_modulus_maxima(matrix), matrix)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +461,19 @@ def regrouped_partition_function(lines, q_grid, scales):
     return log2_Z, counts
 
 
+def assert_lines_equal(lines, expected):
+    """Line ``k`` of ``lines``, indexed and iterated, is bit-equal to ``expected[k]``."""
+    assert isinstance(lines, MaximaLines)
+    assert len(lines) == len(expected)
+    for k, (line, ref) in enumerate(zip(lines, expected)):
+        assert line.dtype == ref.dtype and line.tobytes() == ref.tobytes(), k
+        assert lines[k].tobytes() == ref.tobytes(), k
+    if len(expected):
+        assert lines[-1].tobytes() == expected[-1].tobytes()
+    with pytest.raises(IndexError):
+        lines[len(expected)]
+
+
 def chain_edges(chain, maxima, matrix):
     """Each line's ``(scale index) * n + position`` codes, read off a matrix of ``1 + code``."""
     n_scales, n = matrix.values.shape
@@ -476,9 +490,8 @@ def assert_chaining_matches_reference(maxima, matrix):
     assert all(np.array_equal(a, b) for a, b in zip(edges, expected_edges))
     lines = chain_from_matrix(maxima, matrix)
     expected = reference_chain_maxima_lines(maxima, matrix)
-    assert len(lines) == len(expected) == maxima[0].size
-    for line, ref in zip(lines, expected):
-        assert line.dtype == ref.dtype and line.tobytes() == ref.tobytes()
+    assert_lines_equal(lines, expected)
+    assert len(lines) == maxima[0].size
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pf = partition_function(lines, q, matrix.scales)
@@ -654,9 +667,14 @@ def test_partition_matches_the_regrouped_partition_bit_for_bit(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # lines that die before the top scale
         pf = partition_function(lines, q, scales)
+        held = MaximaLines.from_list(lines)
+        pf_held = partition_function(held, q, scales)
+    assert_lines_equal(held, lines)
     log2_Z, counts = regrouped_partition_function(lines, q, scales)
     assert pf.log2_Z.tobytes() == log2_Z.tobytes()
     assert pf.line_counts.tobytes() == np.asarray(counts, dtype=np.int64).tobytes()
+    assert pf_held.log2_Z.tobytes() == pf.log2_Z.tobytes()
+    assert pf_held.line_counts.tobytes() == pf.line_counts.tobytes()
 
 
 def test_partition_holds_about_one_float_per_line_point():
@@ -834,9 +852,11 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
         warnings.simplefilter("ignore", UserWarning)
         pf_full, expected = full_grid_reference(series, config)
         matrix = cwt(series, grid)
-        lines = chain_from_matrix(find_modulus_maxima(matrix), matrix)
+        maxima = find_modulus_maxima(matrix)
+        lines = chain_from_matrix(maxima, matrix)
         pf = partition_function(lines, config.q_grid(), grid)
         spectrum = singular_spectrum(series, config)
+    assert_lines_equal(lines, reference_chain_maxima_lines(maxima, matrix))
     assert pf.log2_Z.tobytes() == pf_full.log2_Z[:, :n_scales].tobytes()
     assert np.array_equal(pf.line_counts, pf_full.line_counts[:n_scales])
     for field in ("tau", "tau_stderr", "alpha", "D", "fit_r2"):
@@ -846,10 +866,10 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
 @pytest.mark.parametrize(
     "fit_min_scale, fit_max_scale, n_scales",
     [
-        (None, None, 65),  # sixteen blocks of 4 rows, then one of 1
-        (None, 1000.0, 64),  # exactly sixteen blocks
-        (4.0, 6.0, 5),  # one block of 4 rows, then one of 1
-        (4.0, 4.9, 3),  # fewer scales than one block: a 3-row buffer
+        (None, None, 65),  # 32 blocks of 2 rows, then one of 1
+        (None, 1000.0, 64),  # exactly 32 blocks
+        (4.0, 6.0, 5),  # two blocks of 2 rows, then one of 1
+        (4.0, 4.9, 3),  # the fewest scales a fit takes: one block of 2, then one of 1
     ],
 )
 def test_blocked_front_end_matches_the_whole_matrix(
@@ -883,7 +903,7 @@ def test_blocked_front_end_matches_the_whole_matrix(
     (blocked_maxima, blocked_moduli, _, _), blocked_lines = seen["chain_maxima_lines"]
     assert len(blocked_maxima) == len(blocked_moduli) == n_scales
     for i, (m, moduli) in enumerate(zip(blocked_maxima, blocked_moduli)):
-        assert np.array_equal(m, maxima[i])
+        assert m.dtype == np.int32 and np.array_equal(m, maxima[i])
         assert moduli.tobytes() == np.abs(matrix.values[i, maxima[i]]).tobytes()
     assert len(blocked_lines) == len(lines)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked_lines, lines))
@@ -905,8 +925,9 @@ def test_singular_spectrum_holds_no_whole_matrix():
         finally:
             tracemalloc.stop()
     # the 65-scale matrix alone would be 520 bytes per sample; with a new
-    # 8-row block per step the peak was 127 bytes per sample
-    assert peak / series.length <= 110, peak
+    # 8-row block per step the peak was 127 bytes per sample, with a reused
+    # 4-row buffer and the lines as a list of slices 95.7
+    assert peak / series.length <= 85, peak
 
 
 def test_lines_dying_inside_the_window_still_warn():
