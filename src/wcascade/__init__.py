@@ -55,7 +55,6 @@ from wcascade.wtmm import (
     estimate_tau,
     find_modulus_maxima,
     legendre_spectrum,
-    mexican_hat,
     partition_function,
     singular_spectrum,
 )

@@ -153,11 +153,6 @@ class WaveletPyramid:
             layers.append(arr)
         self.layers = layers
 
-    @property
-    def length(self) -> int:
-        """Length of the series this pyramid reconstructs to."""
-        return 2 ** (self.depth + 1)
-
     def scale(self, j: int) -> float:
         """Scale of layer ``j`` in sample units (root layer is ``j = 0``)."""
         if not 0 <= j <= self.depth:

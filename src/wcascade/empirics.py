@@ -560,7 +560,8 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
     layer is smaller than ``min_layer_size`` are omitted, and so is a side
     with fewer than 3 usable bins (with a warning if its children could
     have filled 3 bins), except that an exactly deterministic transition
-    reports zero variances directly.
+    reports zero variances directly.  A squared ratio of layer spreads past
+    the float range is an error.
     """
     rows = []
     for j in range(1, pyramid.depth):
@@ -583,12 +584,17 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
                         stacklevel=2,
                     )
             continue
-        ratio_sq = (h_j1 / h_j) ** 2
+        try:
+            ratio_sq = (h_j1 / h_j) ** 2
+        except OverflowError:  # the square is past 1.8e308
+            ratio_sq = math.inf
+        if ratio_sq == math.inf:  # the ratio or its square is past the float range
+            raise ValueError(f"transition {j}->{j + 1}: the squared layer spread ratio overflows")
         for side, kids in sides:
             table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j, _MIN_COUNT)
             inc = table.included
             if int(np.count_nonzero(inc)) < 3:
-                if table.conditional_variances.size and table.conditional_variances.max() == 0.0:
+                if table.conditional_variances.max() == 0.0:
                     rows.append(_zero_variance_row(j, side, ratio_sq))
                 elif kids.size >= 3 * _MIN_COUNT:  # too few children is no news
                     warnings.warn(

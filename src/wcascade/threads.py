@@ -25,10 +25,10 @@ MAX_THREADS = 4
 # at 83.8 MB in 1.29-1.46 s on 2 on a 2**19-point lognormal cascade path.
 # Three or more threads have not been measured.
 MAX_CWT_THREADS = 2
-# Items submitted and not yet collected: more than any scale grid's rows, so
-# `cwt` submits all of its rows at once.  Refilled four rows per thread,
-# `spectrum` on a 2**19-point path peaked 11.5 MB higher in 8 of 15 runs,
-# against 1 of 15 with every row submitted at once.
+# Items submitted and not yet collected.  `singular_spectrum` hands `cwt` at
+# most 2 rows per call, so the window bounds `collapse_H`'s futures: the
+# memory budget admits an H grid of about 33.5 million points, and no future
+# is held per point.
 _MAX_PENDING = 256
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "TauEstimate",
     "SingularSpectrum",
     "WtmmConfig",
-    "mexican_hat",
     "default_scale_grid",
     "cwt",
     "find_modulus_maxima",
@@ -76,16 +75,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (q, line) terms per block of the partition sums; the blocks come on top
 # of the line moduli, which stay alive through the partition
 _PARTITION_BLOCK = 1 << 13
-# Transform rows held at once by `singular_spectrum`, in one reused buffer.
-# On a 2**19-point path `spectrum` peaked at 73.6, 83.7 and 92.0 MiB with
-# blocks of 1, 2 and 4 rows; one row per block leaves the second thread idle
-# and took about 0.2 s longer.
-_CWT_BLOCK = 2
-
-
-def mexican_hat(x):
-    """``(x^2 - 1) exp(-x^2/2)``, the Mexican hat up to sign: even, two vanishing moments."""
-    return (x * x - 1.0) * np.exp(-0.5 * x * x)
+# Transform rows held at once by `singular_spectrum`, in one reused buffer:
+# one per `cwt` thread.  On a 2**19-point path `spectrum` peaked at 73.6,
+# 83.7 and 92.0 MiB with blocks of 1, 2 and 4 rows; one row per block leaves
+# the second thread idle and took about 0.2 s longer.
+_CWT_BLOCK = MAX_CWT_THREADS
 
 
 @dataclass
@@ -94,10 +88,6 @@ class CwtMatrix:
 
     scales: np.ndarray
     values: np.ndarray  # shape (n_scales, n_positions), positions 0..n-1
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
 
 
 def default_scale_grid(length: int) -> np.ndarray:
@@ -138,6 +128,8 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
         out = np.empty((scale_grid.size, n))
     elif out.shape != (scale_grid.size, n) or out.dtype != np.float64:
         raise ValueError(f"out must be a float array of shape {(scale_grid.size, n)}")
+    if not scale_grid.size:
+        return CwtMatrix(scales=scale_grid, values=out)
     # Only the finest scale's band is built, with 3 frequencies to spare for
     # the estimate's rounding: a block of coarse rows reads a small prefix.
     top = min(spectrum.size, int(_KERNEL_BAND / scale_grid[0] * n / (2.0 * np.pi)) + 3)
@@ -257,26 +249,15 @@ class MaximaLines:
 
     Line ``k`` has ``lengths[k]`` points and starts where line ``k - 1``
     ends; its entry ``i`` lies at scale index ``i``.  ``len(lines)`` is the
-    line count, and ``lines[k]`` and iteration give each line as a view of
-    ``values``, made when asked for.
+    line count, and iteration gives each line, in order, as a view of
+    ``values``.
     """
 
     values: np.ndarray  # float moduli
     lengths: np.ndarray  # int64, one per line
 
-    @classmethod
-    def from_list(cls, lines) -> "MaximaLines":
-        """The lines of a list of moduli arrays, copied into one array."""
-        lengths = np.array([len(line) for line in lines], dtype=np.int64)
-        return cls(np.concatenate([np.empty(0), *lines]), lengths)
-
     def __len__(self) -> int:
         return self.lengths.size
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        k = range(len(self))[k]  # an IndexError past either end, as for a list
-        start = int(self.lengths[:k].sum())
-        return self.values[start : start + int(self.lengths[k])]
 
     def __iter__(self):
         start = 0
@@ -309,7 +290,7 @@ def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> Maxim
     scales = np.asarray(scales, dtype=float)
     if len(maxima) != scales.size or len(moduli) != scales.size:
         raise ValueError("need one maxima list and one moduli list per scale")
-    heads = np.asarray(maxima[0], dtype=np.int64)
+    heads = np.asarray(maxima[0] if maxima else [], dtype=np.int64)
     if heads.size == 0:
         return MaximaLines(np.empty(0), np.empty(0, dtype=np.int64))
     # line ids, in the order the heads were accepted: fewer than the series
@@ -356,14 +337,6 @@ class PartitionFunction:
     log2_Z: np.ndarray  # shape (n_q, n_scales)
     line_counts: np.ndarray
 
-    def __post_init__(self):
-        self.q_grid = np.asarray(self.q_grid, dtype=float)
-        self.scales = np.asarray(self.scales, dtype=float)
-        self.log2_Z = np.asarray(self.log2_Z, dtype=float)
-        self.line_counts = np.asarray(self.line_counts, dtype=np.int64)
-        if self.log2_Z.shape != (self.q_grid.size, self.scales.size):
-            raise ValueError("log2_Z shape inconsistent with grids")
-
 
 def _log2_power_sums(q: np.ndarray, log_sup: np.ndarray) -> np.ndarray:
     """``log2 sum_j exp(q_k log_sup_j)`` per ``q_k``, shifted by each row's largest term."""
@@ -373,21 +346,19 @@ def _log2_power_sums(q: np.ndarray, log_sup: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.sum(np.exp(terms, out=terms), axis=1))) / _LN2
 
 
-def partition_function(lines, q_grid, scales) -> PartitionFunction:
+def partition_function(lines: MaximaLines, q_grid, scales) -> PartitionFunction:
     """Build ``Z(q, s)`` from per-line running modulus suprema.
 
-    ``lines`` is a :class:`MaximaLines`, or a list of lines, which is
-    copied into one first.  Each line is the array of its moduli, entry
-    ``i`` at scale index ``i``.  For each line alive at scale index i the
-    contribution is ``sup_{i' <= i} modulus(i')`` raised to the power q, so
-    ``Z(0, s)`` counts the lines alive at s.  Sums are accumulated in the
-    log domain, over the lines in order, for stability at large negative q.
+    ``lines`` is the :class:`MaximaLines` that :func:`chain_maxima_lines`
+    returns: each line is the array of its moduli, entry ``i`` at scale
+    index ``i``.  For each line alive at scale index i the contribution is
+    ``sup_{i' <= i} modulus(i')`` raised to the power q, so ``Z(0, s)``
+    counts the lines alive at s.  Sums are accumulated in the log domain,
+    over the lines in order, for stability at large negative q.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     scales = np.asarray(scales, dtype=float)
     n_s = scales.size
-    if not isinstance(lines, MaximaLines):
-        lines = MaximaLines.from_list(lines)
     moduli, lengths = lines.values, lines.lengths
     if np.any(moduli <= 0):
         raise ValueError("maxima lines must have strictly positive moduli")
@@ -507,7 +478,7 @@ def legendre_spectrum(tau_est: TauEstimate) -> SingularSpectrum:
     if q.size < 3:
         raise ValueError("need at least 3 q points")
     slopes = np.diff(tau) / np.diff(q)
-    violation = float(max(0.0, np.max(np.diff(slopes)))) if slopes.size > 1 else 0.0
+    violation = float(max(0.0, np.max(np.diff(slopes))))
     noise = 3.0 * float(np.max(tau_est.stderr)) + 1e-12
     if violation > noise:
         warnings.warn(

@@ -692,6 +692,13 @@ def _json_file(tmp_path, obj):
     return path
 
 
+def _pyramid_with_spread_jump():
+    """A rescaled depth-10 pyramid of standard normal layers, layers 1-8 times 1e-156."""
+    rng = np.random.default_rng(0)
+    layers = [(rng.standard_normal(2**j) * (1e-156 if j < 9 else 1.0)).tolist() for j in range(1, 11)]
+    return {"depth": 10, "rescaled": True, "root_approx": 0.0, "root_detail": 1.0, "layers": layers}
+
+
 def _nested_json(tmp_path):
     """A JSON file nested 200,000 arrays deep: deeper than Python's recursion limit."""
     path = tmp_path / "nested.json"
@@ -959,6 +966,11 @@ CONTRACT_CASES = {
     "pipeline-no-variance-fit": (
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=9))],
         4, "no transition had enough data",
+    ),
+    # the 8->9 spread ratio is about 1e156, whose square is past the float range
+    "variances-overflowing-spread-ratio": (
+        lambda t: ["variances", "--input", str(_json_file(t, _pyramid_with_spread_jump()))],
+        4, "stage variances: transition 8->9: the squared layer spread ratio overflows",
     ),
 }
 

@@ -705,6 +705,18 @@ def test_variance_deterministic_cascade_is_zero():
         assert f.var_w == 0.0 and f.var_eta == 0.0
 
 
+@pytest.mark.parametrize(
+    "low, high",
+    [(1e-156, 1.0), (1e-160, 1e150)],  # the ratio's square past 1.8e308, then the ratio itself
+)
+def test_variances_refuse_a_spread_ratio_past_the_float_range(low, high):
+    rng = np.random.default_rng(0)
+    layers = [rng.standard_normal(2**j) * (low if j < 9 else high) for j in range(1, 11)]
+    pyramid = WaveletPyramid(depth=10, root_approx=0.0, root_detail=1.0, layers=layers)
+    with pytest.raises(ValueError, match="transition 8->9: the squared layer spread ratio overflows"):
+        estimate_variances(pyramid)
+
+
 def test_clamped_variance_fit_serializes():
     spec = CascadeSpec(depth=14, multiplier_law=SignedLognormal.from_log2(-0.3, 0.02), seed=1)
     with warnings.catch_warnings():
