@@ -48,13 +48,15 @@ MEMORY_BUDGET = 3 * 2**30
 # (76, 116 and 196 MiB): the pyramid, the path and the synthesis step's
 # buffers.  So depth 25 is estimated at 2.8 GiB and would peak near 2.5 GiB.
 _SIMULATE_BYTES_PER_SAMPLE = 45
-# `spectrum` holds 2 transform rows, the maxima and the ridge lines, not a
-# whole matrix: on lognormal cascade paths it peaked at 83.7, 136.5, 241.5
-# and 457.6 MiB at 2**19, 2**20, 2**21 and 2**22 points, about 106 bytes
-# per added sample.  The interpreter's own 31 MiB makes the smallest size the
-# costliest per sample: 175 bytes at 2**19 with the fit window up to L/8
-# (113 scales, 87.4 MiB).  This charge is 28% above that peak and 96% above
-# the 2**22 one; the number of scales moves the peak little.
+# `spectrum` holds one transform row and one product buffer per worker
+# thread, the series' DFT and the ridge lines chained so far, not a whole
+# matrix: on lognormal cascade paths it peaked at 87.5, 143.0, 253.6 and
+# 488.7 MiB at 2**19, 2**20, 2**21 and 2**22 points, about 115 bytes per
+# added sample, so 2**23 points would peak near 0.93 GiB.  The interpreter's
+# own 31 MiB makes the smallest size the costliest per sample: 175 bytes at
+# 2**19, also with the fit window up to L/8 (113 scales, 87.4 MiB).  This
+# charge is 28% above that peak and 83% above the 2**22 one; the number of
+# scales moves the peak little.
 _SPECTRUM_BYTES_PER_SAMPLE = 224
 # Per q value besides its log2_Z row: the fit's arrays and the report's floats
 # (a 4096-point spectrum traced 535 bytes per q, 456 of them its 57 log2_Z cells).

@@ -491,7 +491,7 @@ def collapse_H(
 
     # searchsorted releases the GIL; each row sums its pairs in order,
     # so the distances do not depend on the number of threads
-    distances = np.array(thread_map(mean_distance, h_grid))
+    distances = np.array(list(thread_map(mean_distance, h_grid)))
     best = int(np.argmin(distances))
     boundary = best in (0, h_grid.size - 1)
     if boundary:

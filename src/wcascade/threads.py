@@ -1,9 +1,11 @@
 """The package's one thread-count rule.
 
-``empirics.collapse_H`` maps its H rows and ``wtmm.cwt`` its scale rows
-through :func:`thread_map`.  Each row is computed by numpy calls that
-release the GIL and does not depend on any other row, so no bit of a
-result depends on the number of threads.
+``empirics.collapse_H`` maps its H values and ``wtmm.singular_spectrum``
+its scale rows through :func:`thread_map`: each spectrum worker transforms
+one row and finds its maxima while the main thread chains the rows before
+it.  Each item is computed by numpy calls that release the GIL and does not
+depend on any other item, so no bit of a result depends on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -13,23 +15,25 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 # Each thread holds its own scratch, which glibc keeps in a per-thread
-# arena after the row is done.  In `collapse_H` that is a scaled copy of
+# arena after the item is done.  In `collapse_H` that is a scaled copy of
 # every usable layer, about 2.5 MB on a depth-17 pyramid: with four threads
 # the `collapse` process peaked at 74 MB on a depth-17 pyramid, as
 # `simulate` does at that depth; eight took 84 MB.
 MAX_THREADS = 4
-# In `cwt` the caller allocates each thread's product buffer, so a thread
-# itself allocates only the inverse FFT's work buffers, which stay in its
-# arena: about 8 MB at 2**19 points.  `spectrum`, which transforms 2 rows
-# at a time into one buffer, peaked at 75.7 MB in 1.59-1.70 s on 1 CPU and
-# at 83.8 MB in 1.29-1.46 s on 2 on a 2**19-point lognormal cascade path.
-# Three or more threads have not been measured.
+# `singular_spectrum` allocates each worker's row and product buffers, so a
+# worker itself allocates only the inverse FFT's work buffers and its row's
+# maxima scratch, which stay in its arena: about 9 MiB at 2**19 points.  On
+# a 2**19-point lognormal cascade path `spectrum` peaked at 78.7-78.9 MiB in
+# 1.45-1.77 s on 1 CPU and at 87.2-87.5 MiB in 0.93-1.28 s on 2, while the
+# main thread chains the finished rows.  Three or more threads have not been
+# measured.
 MAX_CWT_THREADS = 2
-# Items submitted and not yet collected.  `singular_spectrum` hands `cwt` at
-# most 2 rows per call, so the window bounds `collapse_H`'s futures: the
-# memory budget admits an H grid of about 33.5 million points, and no future
-# is held per point.
-_MAX_PENDING = 256
+# Items submitted and not yet yielded, per thread: each thread may finish
+# one item ahead of the one it runs, so at most a few finished spectrum rows
+# wait for the chain, and no future is held per H value of a long grid.  One
+# per thread left the 2**19-point `spectrum` 0.6 MiB lower but about 0.2 s
+# slower: a worker waits whenever the chain falls a row behind.
+_PENDING_PER_THREAD = 2
 
 
 def _usable_cpus() -> int:
@@ -39,24 +43,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def thread_map(fn, items, max_threads: int = MAX_THREADS) -> list:
-    """``[fn(item) for item in items]`` on ``min(len(items), usable CPUs, max_threads)`` threads.
+def thread_map(fn, items, max_threads: int = MAX_THREADS):
+    """Yield ``fn(item)`` for each item, in item order, as the results complete.
 
-    Items start in order, and at most ``_MAX_PENDING`` are submitted and not
-    yet collected, so a long list holds no future per item.
+    The items run on ``min(len(items), usable CPUs, max_threads)`` threads.
+    They start in order, and at most ``_PENDING_PER_THREAD`` per thread are
+    submitted and not yet yielded.  Closing the generator, or an exception
+    from ``fn``, cancels the items not yet started and waits for the running
+    ones, so no thread outlives it.
     """
     workers = max(1, min(len(items), _usable_cpus(), max_threads))
-    results = []
     pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for item in items:
-                if len(pending) == _MAX_PENDING:
-                    results.append(pending.popleft().result())
+                if len(pending) == _PENDING_PER_THREAD * workers:
+                    yield pending.popleft().result()
                 pending.append(pool.submit(fn, item))
             while pending:
-                results.append(pending.popleft().result())
+                yield pending.popleft().result()
         finally:
             for future in pending:
                 future.cancel()
-    return results

@@ -14,9 +14,10 @@ Conventions frozen here because they move the estimates:
   up as modulus growth ``s**a``;
 * signals are treated as periodic: each transform row is the inverse DFT
   of the signal's DFT times the Mexican hat's closed-form spectrum;
-  ``singular_spectrum`` transforms the grid in blocks of 2 rows, each
-  into the same buffer, and keeps only each row's maxima and their
-  moduli, so no whole matrix is held;
+  ``singular_spectrum`` transforms each row on a worker thread, into a
+  buffer the worker reuses, and keeps only the row's maxima and their
+  moduli, which the main thread chains while later rows are transformed,
+  so no whole matrix is held;
 * the scale grid is geometric (8 voices per octave from 4 samples),
   and the power-law fit defaults to scales below 1024 samples where the
   scaling regime is clean; the grid stops at the fit window's top (at
@@ -29,6 +30,7 @@ Conventions frozen here because they move the estimates:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import queue
 import warnings
@@ -75,11 +77,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (q, line) terms per block of the partition sums; the blocks come on top
 # of the line moduli, which stay alive through the partition
 _PARTITION_BLOCK = 1 << 13
-# Transform rows held at once by `singular_spectrum`, in one reused buffer:
-# one per `cwt` thread.  On a 2**19-point path `spectrum` peaked at 73.6,
-# 83.7 and 92.0 MiB with blocks of 1, 2 and 4 rows; one row per block leaves
-# the second thread idle and took about 0.2 s longer.
-_CWT_BLOCK = MAX_CWT_THREADS
 
 
 @dataclass
@@ -100,7 +97,21 @@ def default_scale_grid(length: int) -> np.ndarray:
     return grid[grid <= max_scale * (1 + 1e-12)]
 
 
-def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
+def _frequencies(scale: float, n: int) -> np.ndarray:
+    """The DFT frequencies ``2 pi k / n`` up to the kernel's band at ``scale``.
+
+    Three frequencies are kept to spare for the estimate's rounding; the
+    grid covers the band of every coarser scale too.
+    """
+    top = min(n // 2 + 1, int(_KERNEL_BAND / scale * n / (2.0 * np.pi)) + 3)
+    omega = np.arange(top, dtype=float)
+    omega *= 2.0 * np.pi
+    omega /= n  # the bits of 2.0 * np.pi * k / n
+    return omega
+
+
+def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None, frequencies=None,
+        product=None) -> CwtMatrix:
     """Periodic continuous wavelet transform with 1/s normalization.
 
     ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the Mexican
@@ -109,12 +120,16 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
     exp(-(s w)^2 / 2)`` is the closed-form Fourier transform of
     ``psi(t / s) / s`` at the DFT frequencies ``w = 2 pi k / n``.  Scales
     must lie in ``[2, L/4]`` where the wavelet is well sampled and not yet
-    wrap-dominated.  ``spectrum``, when given, must be
-    ``np.fft.rfft(series.values)``: a caller that transforms the grid in
-    blocks computes it once.  ``out``, when given, is the float array of
-    shape ``(scales, n)`` the rows are written to, whatever it held, so such
-    a caller can reuse one buffer.  The rows are computed on a few threads;
-    no bit depends on their number.
+    wrap-dominated.
+
+    A caller that transforms one row per call passes what every call
+    shares.  ``spectrum`` must be ``np.fft.rfft(series.values)``.  ``out``
+    is the float array of shape ``(scales, n)`` the rows are written to,
+    whatever it held.  ``frequencies`` must hold ``2 pi k / n`` in the
+    bits of ``2.0 * np.pi * k / n`` for ``k = 0, 1, ...``, through the band
+    of the grid's finest scale.  ``product`` is a complex array shaped like
+    ``spectrum``, the scratch of the kernel product.  Each is made here
+    when not given.
     """
     scale_grid = np.asarray(scale_grid, dtype=float)
     n = series.length
@@ -128,26 +143,14 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
         out = np.empty((scale_grid.size, n))
     elif out.shape != (scale_grid.size, n) or out.dtype != np.float64:
         raise ValueError(f"out must be a float array of shape {(scale_grid.size, n)}")
-    if not scale_grid.size:
-        return CwtMatrix(scales=scale_grid, values=out)
-    # Only the finest scale's band is built, with 3 frequencies to spare for
-    # the estimate's rounding: a block of coarse rows reads a small prefix.
-    top = min(spectrum.size, int(_KERNEL_BAND / scale_grid[0] * n / (2.0 * np.pi)) + 3)
-    omega = np.arange(top, dtype=float)
-    omega *= 2.0 * np.pi
-    omega /= n  # the bits of 2.0 * np.pi * k / n
-    # One product buffer per thread, allocated here: what a thread allocates
-    # stays in its arena, where the later stages cannot reuse it.
-    pool = queue.SimpleQueue()
-    for _ in range(min(scale_grid.size, MAX_CWT_THREADS)):
-        pool.put(np.empty_like(spectrum))
-
-    def transform_row(i: int) -> None:
-        s = scale_grid[i]
-        band = int(np.searchsorted(omega, _KERNEL_BAND / s, side="right"))
-        product = pool.get()
+    if frequencies is None and scale_grid.size:
+        frequencies = _frequencies(scale_grid[0], n)
+    if product is None:
+        product = np.empty_like(spectrum)
+    for row, s in zip(out, scale_grid):
+        band = int(np.searchsorted(frequencies, _KERNEL_BAND / s, side="right"))
         # the row is the kernel's scratch until the inverse transform fills it
-        w2 = np.multiply(omega[:band], s, out=out[i, :band])
+        w2 = np.multiply(frequencies[:band], s, out=row[:band])
         np.square(w2, out=w2)
         e = np.multiply(w2, -0.5, out=product.real[:band])  # overwritten by the product below
         np.exp(e, out=e)
@@ -155,10 +158,7 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None) -> CwtMatrix:
         w2 *= e  # Psi(s w) = (-sqrt(2 pi) (s w)^2) exp(-(s w)^2 / 2)
         np.multiply(spectrum[:band], w2, out=product[:band])
         product[band:] = 0.0
-        np.fft.irfft(product, n=n, out=out[i])
-        pool.put(product)
-
-    thread_map(transform_row, range(scale_grid.size), MAX_CWT_THREADS)
+        np.fft.irfft(product, n=n, out=row)
     return CwtMatrix(scales=scale_grid, values=out)
 
 
@@ -197,21 +197,17 @@ def find_modulus_maxima(matrix: CwtMatrix) -> list:
 
     Maxima below 1e-13 times the row's largest modulus are discarded: they
     are FFT roundoff ripple on regions where the transform vanishes
-    identically, far below any genuine singularity response.
+    identically, far below any genuine singularity response.  The moduli
+    are taken in place: ``matrix.values`` holds ``|W|`` afterwards.
     """
     out = []
-    for row in matrix.values:
-        m = np.abs(row)
+    for m in matrix.values:
+        np.abs(m, out=m)
         idx = _local_maxima_circular(m)
         if idx.size:
             idx = idx[m[idx] > _NOISE_FLOOR * m.max()]
         out.append(idx)
     return out
-
-
-def _circular_distance(a, b, n):
-    d = np.abs(a - b)
-    return np.minimum(d, n - d)
 
 
 def _greedy_matching(line: np.ndarray, cand: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -225,14 +221,14 @@ def _greedy_matching(line: np.ndarray, cand: np.ndarray, dist: np.ndarray) -> np
     """
     order = np.argsort(dist, kind="stable")
     line, cand = line[order], cand[order]
-    rank = np.arange(order.size)
+    rank = np.arange(order.size, dtype=np.int32)
     won = np.zeros(order.size, dtype=bool)  # by rank
     line_free = np.ones(line.max(initial=-1) + 1, dtype=bool)
     cand_free = np.ones(cand.max(initial=-1) + 1, dtype=bool)
     while rank.size:
-        line_best = np.full(line_free.size, order.size)
+        line_best = np.full(line_free.size, order.size, dtype=np.int32)
         np.minimum.at(line_best, line, rank)
-        cand_best = np.full(cand_free.size, order.size)
+        cand_best = np.full(cand_free.size, order.size, dtype=np.int32)
         np.minimum.at(cand_best, cand, rank)
         first = (line_best[line] == rank) & (cand_best[cand] == rank)
         won[rank[first]] = True
@@ -241,6 +237,25 @@ def _greedy_matching(line: np.ndarray, cand: np.ndarray, dist: np.ndarray) -> np
         keep = line_free[line] & cand_free[cand]
         line, cand, rank = line[keep], cand[keep], rank[keep]
     return order[won]
+
+
+def _link(heads: np.ndarray, cands: np.ndarray, radius: float, length: int) -> tuple:
+    """Indices into ``heads`` and into ``cands`` of the edges that chaining accepts, in order.
+
+    Each head is offered its left and right neighbours among the sorted
+    ``cands``, if within ``radius`` in circular distance on ``length``
+    samples; positions and indices are int32.  The pair arrays die on
+    return, so none is held while the next row is transformed.
+    """
+    idx = np.searchsorted(cands, heads).astype(np.int32)
+    pair_line = np.tile(np.arange(heads.size, dtype=np.int32), 2)
+    pair_cand = np.concatenate([(idx - 1) % cands.size, idx % cands.size])
+    dist = np.abs(heads[pair_line] - cands[pair_cand])
+    np.minimum(dist, length - dist, out=dist)  # circular
+    ok = dist <= radius
+    pair_line, pair_cand = pair_line[ok], pair_cand[ok]
+    accepted = _greedy_matching(pair_line, pair_cand, dist[ok])
+    return pair_line[accepted], pair_cand[accepted]
 
 
 @dataclass(eq=False)
@@ -266,7 +281,7 @@ class MaximaLines:
             start += n
 
 
-def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> MaximaLines:
+def chain_maxima_lines(rows, scales, length: int) -> MaximaLines:
     """Link per-scale maxima into ridge lines from fine to coarse scales.
 
     Greedy nearest-neighbour matching between the heads of live lines and
@@ -281,40 +296,38 @@ def chain_maxima_lines(maxima: list, moduli: list, scales, length: int) -> Maxim
     distance; equal distances take every head's left neighbour before any
     right one, and the heads in the order they were accepted.
 
-    ``maxima[i]`` holds the sorted positions of the maxima at ``scales[i]``
-    on a periodic series of ``length`` samples, and ``moduli[i]`` the
-    transform modulus at each of them.  Line ``k`` of the result is the
-    array of its moduli, fine to coarse: it starts at ``maxima[0][k]`` and
-    its entry ``i`` lies at scale index ``i``.
+    ``rows`` yields one ``(positions, moduli)`` pair per scale, fine to
+    coarse: the sorted positions of the maxima at ``scales[i]`` on a
+    periodic series of ``length`` samples, below ``2**31``, and the
+    transform modulus at each of them.  Rows are pulled one at a time, and
+    none once no line is alive.  Line ``k`` of the result is the array of
+    its moduli, fine to coarse: it starts at the ``k``-th position of the
+    first row and its entry ``i`` lies at scale index ``i``.
     """
     scales = np.asarray(scales, dtype=float)
-    if len(maxima) != scales.size or len(moduli) != scales.size:
-        raise ValueError("need one maxima list and one moduli list per scale")
-    heads = np.asarray(maxima[0] if maxima else [], dtype=np.int64)
-    if heads.size == 0:
-        return MaximaLines(np.empty(0), np.empty(0, dtype=np.int64))
-    # line ids, in the order the heads were accepted: fewer than the series
-    # length, which the memory budget keeps far below 2**31
-    alive = np.arange(heads.size, dtype=np.int32)
-    line_ids = [alive]
-    line_moduli = [moduli[0]]
-    for i in range(1, scales.size):
-        cands = np.asarray(maxima[i], dtype=np.int64)
-        if alive.size == 0 or cands.size == 0:
+    # line ids, in the order the heads were accepted, alive at each scale
+    line_ids, line_moduli = [], []
+    for i, (positions, moduli) in enumerate(rows):
+        if i == scales.size:
+            raise ValueError("need one row of maxima per scale")
+        cands = np.asarray(positions, dtype=np.int32)
+        if i == 0:
+            alive, won = np.arange(cands.size, dtype=np.int32), slice(None)
+        elif cands.size:
+            linked, won = _link(heads, cands, max(1.0, _LINK_FACTOR * scales[i]), length)
+            alive = alive[linked]
+        else:
             break
-        radius = max(1.0, _LINK_FACTOR * scales[i])
-        idx = np.searchsorted(cands, heads)
-        pair_line = np.tile(np.arange(alive.size), 2)
-        pair_cand = np.concatenate([(idx - 1) % cands.size, idx % cands.size])
-        dist = _circular_distance(heads[pair_line], cands[pair_cand], length)
-        ok = dist <= radius
-        pair_line, pair_cand = pair_line[ok], pair_cand[ok]
-        accepted = _greedy_matching(pair_line, pair_cand, dist[ok])
-        won = pair_cand[accepted]
-        alive = alive[pair_line[accepted]]
         heads = cands[won]
         line_ids.append(alive)
-        line_moduli.append(moduli[i][won])
+        line_moduli.append(moduli[won])
+        if not alive.size:
+            break
+    else:
+        if len(line_ids) != scales.size:
+            raise ValueError("need one row of maxima per scale")
+    if not line_ids:
+        return MaximaLines(np.empty(0), np.empty(0, dtype=np.int64))
     lengths = np.empty(line_ids[0].size, dtype=np.int64)
     for i, ids in enumerate(line_ids):
         lengths[ids] = i + 1  # the ids alive at scale i are alive at every finer one
@@ -532,6 +545,34 @@ class WtmmConfig:
         return np.linspace(self.q_min, self.q_max, self.n_q)
 
 
+def _maxima_rows(series: TimeSeries, grid: np.ndarray):
+    """Each row's maxima positions, as int32, and the moduli there, in grid order.
+
+    Each of ``MAX_CWT_THREADS`` workers transforms one row at a time with
+    :func:`cwt`, into a row and a product buffer of its own, and finds the
+    row's maxima with :func:`find_modulus_maxima`.  The buffers are made
+    here, once, and released when the rows run out or the generator is
+    closed.
+    """
+    n = series.length
+    dft = np.fft.rfft(series.values)
+    frequencies = _frequencies(grid[0], n)
+    buffers = queue.SimpleQueue()
+    for _ in range(MAX_CWT_THREADS):
+        buffers.put((np.empty((1, n)), np.empty_like(dft)))
+
+    def maxima_row(i: int):
+        row, product = buffers.get()
+        try:
+            matrix = cwt(series, grid[i : i + 1], dft, row, frequencies, product)
+            idx = find_modulus_maxima(matrix)[0]
+            return idx.astype(np.int32), row[0, idx]
+        finally:
+            buffers.put((row, product))
+
+    yield from thread_map(maxima_row, range(grid.size), MAX_CWT_THREADS)
+
+
 def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> SingularSpectrum:
     """Full modulus-maxima spectrum estimate for a series of length >= 1024."""
     config = config or WtmmConfig()
@@ -542,18 +583,8 @@ def singular_spectrum(series: TimeSeries, config: WtmmConfig | None = None) -> S
     grid = config.scale_grid(series.length)
     fit_range = config.fit_window(series.length)
     _fit_scales(grid, fit_range)  # refused before the transform is computed
-    dft = np.fft.rfft(series.values)
-    buffer = np.empty((min(_CWT_BLOCK, grid.size), series.length))
-    maxima, moduli = [], []
-    for k in range(0, grid.size, _CWT_BLOCK):
-        scales = grid[k : k + _CWT_BLOCK]
-        block = cwt(series, scales, dft, out=buffer[: scales.size])
-        for row, idx in zip(block.values, find_modulus_maxima(block)):
-            maxima.append(idx.astype(np.int32))  # below the length, which fits 32 bits
-            moduli.append(np.abs(row[idx]))
-    del dft, buffer, block, row  # chaining and the partition reuse this memory
-    lines = chain_maxima_lines(maxima, moduli, grid, series.length)
-    del maxima, moduli  # the partition needs only the lines
+    with contextlib.closing(_maxima_rows(series, grid)) as rows:
+        lines = chain_maxima_lines(rows, grid, series.length)
     # overflow at extreme q shows up as inf or nan and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         pf = partition_function(lines, config.q_grid(), grid)

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -215,6 +216,23 @@ def test_spectrum_empty_input_exits_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["spectrum", "--input", str(empty), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_a_transform_worker_error_exits_4_with_no_worker_left(tmp_path, capsys, monkeypatch):
+    original = wtmm.find_modulus_maxima
+    before = threading.active_count()
+
+    def failing(matrix):
+        if matrix.scales[0] > 20.0:
+            raise ValueError("row failed")
+        return original(matrix)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(wtmm, "find_modulus_maxima", failing)
+    argv = ["spectrum", "--input", str(brownian_csv(tmp_path)), "--out", str(tmp_path / "o")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.splitlines() == ["analysis error: stage spectrum: row failed"]
+    assert threading.active_count() == before
 
 
 def test_spectrum_short_input_exits_2(tmp_path):

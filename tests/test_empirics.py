@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -620,10 +622,28 @@ def test_thread_map_bounds_the_futures_in_flight(monkeypatch):
     monkeypatch.setattr(threads, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     items = range(1000)
-    assert threads.thread_map(lambda i: i * i, items) == [i * i for i in items]
+    assert list(threads.thread_map(lambda i: i * i, items)) == [i * i for i in items]
     assert submitted == list(items)
     # a worker may still hold the item it has just finished
-    assert max(most_live) <= threads._MAX_PENDING + 2
+    assert max(most_live) <= 2 * threads._PENDING_PER_THREAD + 2
+
+
+def test_closing_thread_map_cancels_the_items_not_started(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.active_count()
+    started = []
+
+    def slow(i):
+        started.append(i)
+        time.sleep(0.01)
+        return i
+
+    results = threads.thread_map(slow, range(1000))
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    results.close()
+    # the window: 2 items a thread submitted and not yet yielded
+    assert len(started) <= 3 + 2 * threads._PENDING_PER_THREAD
+    assert threading.active_count() == before
 
 
 def test_collapse_brownian_near_half():

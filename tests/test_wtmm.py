@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -189,24 +190,20 @@ def test_cwt_matches_sampled_kernel_up_to_roundoff(length, make_series):
     assert np.all(gap <= 1e-12 * np.max(np.abs(expected), axis=1))
 
 
-def test_cwt_thread_count_changes_no_bit(monkeypatch):
-    used = []
-
-    class RecordingPool(threads.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            used.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(threads, "ThreadPoolExecutor", RecordingPool)
+def test_cwt_with_shared_frequencies_and_product_matches_a_fresh_transform():
     series = TimeSeries(_random_walk(4096))
     grid = default_scale_grid(4096)
-    values = {}
-    for cpus in (1, 2, 16):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        values[cpus] = cwt(series, grid).values
-    assert used == [1, 2, threads.MAX_CWT_THREADS]
-    assert np.array_equal(values[1].view(np.int64), values[2].view(np.int64))
-    assert np.array_equal(values[1].view(np.int64), values[16].view(np.int64))
+    dft = np.fft.rfft(series.values)
+    frequencies = wtmm._frequencies(grid[0], 4096)
+    assert frequencies.tobytes() == (2.0 * np.pi * np.arange(frequencies.size) / 4096).tobytes()
+    product = np.full_like(dft, np.nan)  # whatever it held
+    row = np.full((1, 4096), np.nan)
+    whole = cwt(series, grid).values
+    for i in range(grid.size):
+        # a coarse row reads the finest row's frequency grid
+        shared = cwt(series, grid[i : i + 1], dft, row, frequencies, product)
+        assert shared.values is row
+        assert row.tobytes() == whole[i].tobytes(), i
 
 
 def test_cwt_into_a_reused_buffer_matches_a_fresh_transform():
@@ -266,6 +263,17 @@ def test_bump_has_three_maxima_at_fine_scale():
     assert 512 in maxima  # center plus two symmetric flanks
     flanks = np.sort(maxima[maxima != 512])
     assert abs((512 - flanks[0]) - (flanks[1] - 512)) <= 1
+
+
+def test_maxima_leave_the_moduli_in_the_matrix():
+    series = TimeSeries(_random_walk(4096))
+    matrix = cwt(series, default_scale_grid(4096)[:5])
+    transform = matrix.values.copy()
+    assert np.any(transform < 0)
+    maxima = find_modulus_maxima(matrix)
+    assert matrix.values.tobytes() == np.abs(transform).tobytes()
+    for row, found in zip(transform, maxima):
+        assert np.array_equal(found, brute_force_maxima(row))
 
 
 def test_maxima_constant_field_empty():
@@ -350,7 +358,7 @@ def test_step_response_maxima_flank_each_step():
 def chain_from_matrix(maxima, matrix):
     """``chain_maxima_lines`` on the moduli at the maxima, read off a whole matrix."""
     moduli = [np.abs(matrix.values[i, m]) for i, m in enumerate(maxima)]
-    return chain_maxima_lines(maxima, moduli, matrix.scales, matrix.values.shape[1])
+    return chain_maxima_lines(zip(maxima, moduli), matrix.scales, matrix.values.shape[1])
 
 
 def test_two_steps_give_two_complete_lines():
@@ -378,8 +386,28 @@ def test_chain_empty_maxima():
 
 
 def test_chain_without_scales_gives_no_lines():
-    lines = chain_maxima_lines([], [], [], 64)
+    lines = chain_maxima_lines(zip([], []), [], 64)
     assert len(lines) == 0 and list(lines) == []
+
+
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_chain_refuses_a_row_count_other_than_the_scales(n_rows):
+    maxima = [np.array([5, 20, 40]), np.array([6, 21, 41]), np.array([7, 22, 42])][:n_rows]
+    moduli = [np.ones(3)] * n_rows
+    with pytest.raises(ValueError, match="need one row of maxima per scale"):
+        chain_maxima_lines(zip(maxima, moduli), [4.0, 8.0], 64)
+
+
+def test_chain_pulls_no_row_once_every_line_has_ended():
+    pulled = []
+
+    def rows():
+        for i, positions in enumerate([[5, 20], [40], [41], [42]]):
+            pulled.append(i)
+            yield np.array(positions), np.ones(len(positions))
+
+    lines = chain_maxima_lines(rows(), [4.0, 8.0, 16.0, 32.0], 64)
+    assert pulled == [0, 1] and [len(line) for line in lines] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -877,52 +905,97 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
 @pytest.mark.parametrize(
     "fit_min_scale, fit_max_scale, n_scales",
     [
-        (None, None, 65),  # 32 blocks of 2 rows, then one of 1
-        (None, 1000.0, 64),  # exactly 32 blocks
-        (4.0, 6.0, 5),  # two blocks of 2 rows, then one of 1
-        (4.0, 4.9, 3),  # the fewest scales a fit takes: one block of 2, then one of 1
+        (None, None, 65),  # the default window: an odd row count
+        (None, 1000.0, 64),  # an even one
+        (4.0, 6.0, 5),
+        (4.0, 4.9, 3),  # the fewest scales a fit takes
     ],
 )
 def test_blocked_front_end_matches_the_whole_matrix(
     monkeypatch, fit_min_scale, fit_max_scale, n_scales
 ):
+    # the front end streams one row per worker into the chain
     series = _cascade_path()
     config = WtmmConfig(fit_min_scale=fit_min_scale, fit_max_scale=fit_max_scale)
     grid = config.scale_grid(series.length)
     assert grid.size == n_scales
     seen = {}
+    chain, partition = wtmm.chain_maxima_lines, wtmm.partition_function
 
-    def spy(name):
-        original = getattr(wtmm, name)
+    def recorded_chain(rows, scales, length):
+        def recording():
+            for row in rows:
+                seen.setdefault("rows", []).append(row)
+                yield row
 
-        def recorded(*args):
-            seen[name] = (args, original(*args))
-            return seen[name][1]
+        seen["lines"] = chain(recording(), scales, length)
+        return seen["lines"]
 
-        monkeypatch.setattr(wtmm, name, recorded)
+    def recorded_partition(*args):
+        seen["pf"] = partition(*args)
+        return seen["pf"]
 
-    spy("chain_maxima_lines")
-    spy("partition_function")
+    monkeypatch.setattr(wtmm, "chain_maxima_lines", recorded_chain)
+    monkeypatch.setattr(wtmm, "partition_function", recorded_partition)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         spectrum = singular_spectrum(series, config)
         matrix = cwt(series, grid)
+        transform = matrix.values.copy()
         maxima = find_modulus_maxima(matrix)
         lines = chain_from_matrix(maxima, matrix)
-        pf = partition_function(lines, config.q_grid(), grid)
+        pf = partition(lines, config.q_grid(), grid)
     expected = legendre_spectrum(estimate_tau(pf, config.fit_window(series.length)))
-    (blocked_maxima, blocked_moduli, _, _), blocked_lines = seen["chain_maxima_lines"]
-    assert len(blocked_maxima) == len(blocked_moduli) == n_scales
-    for i, (m, moduli) in enumerate(zip(blocked_maxima, blocked_moduli)):
-        assert m.dtype == np.int32 and np.array_equal(m, maxima[i])
-        assert moduli.tobytes() == np.abs(matrix.values[i, maxima[i]]).tobytes()
-    assert len(blocked_lines) == len(lines)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked_lines, lines))
-    blocked_pf = seen["partition_function"][1]
-    assert blocked_pf.log2_Z.tobytes() == pf.log2_Z.tobytes()
-    assert np.array_equal(blocked_pf.line_counts, pf.line_counts)
+    assert len(seen["rows"]) == n_scales
+    for i, (positions, moduli) in enumerate(seen["rows"]):
+        assert positions.dtype == np.int32 and np.array_equal(positions, maxima[i])
+        assert moduli.tobytes() == np.abs(transform[i, maxima[i]]).tobytes()
+    assert len(seen["lines"]) == len(lines)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen["lines"], lines))
+    assert seen["pf"].log2_Z.tobytes() == pf.log2_Z.tobytes()
+    assert np.array_equal(seen["pf"].line_counts, pf.line_counts)
     for field in ("tau", "tau_stderr", "alpha", "D", "fit_r2"):
         assert getattr(spectrum, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+def test_spectrum_cpu_count_changes_no_bit(monkeypatch):
+    used = []
+
+    class RecordingPool(threads.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            used.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", RecordingPool)
+    series = _cascade_path()
+    spectra = {}
+    for cpus in (1, 2, 16):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        spectra[cpus] = singular_spectrum(series)
+    # one pool per spectrum, none per row
+    assert used == [1, 2, threads.MAX_CWT_THREADS]
+    for field in ("tau", "tau_stderr", "alpha", "D", "fit_r2"):
+        assert getattr(spectra[1], field).tobytes() == getattr(spectra[2], field).tobytes(), field
+        assert getattr(spectra[1], field).tobytes() == getattr(spectra[16], field).tobytes(), field
+
+
+@pytest.mark.parametrize("failing_row", [0, 7, 64])
+def test_a_worker_error_is_the_spectrum_error_and_stops_every_worker(monkeypatch, failing_row):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    original = wtmm.find_modulus_maxima
+    before = threading.active_count()
+
+    def failing(matrix):
+        if matrix.scales[0] == grid[failing_row]:
+            raise ValueError("row failed")
+        return original(matrix)
+
+    series = _cascade_path()
+    grid = WtmmConfig().scale_grid(series.length)
+    monkeypatch.setattr(wtmm, "find_modulus_maxima", failing)
+    with pytest.raises(ValueError, match="^row failed$"):
+        singular_spectrum(series)
+    assert threading.active_count() == before
 
 
 def test_singular_spectrum_holds_no_whole_matrix():
