@@ -8,7 +8,6 @@ from wcascade.cascade import (
     PointMass,
     SignedLognormal,
     synthesize_mixed,
-    theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
 from wcascade.dwt import (

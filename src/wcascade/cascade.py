@@ -17,8 +17,8 @@ is drawn before the noise block, each laid out child-minor with the left
 child before the right.  A noise law of variance 0 consumes no draws, so
 switching the noise off reproduces the pure cascade stream bit for bit.
 
-Closed forms for the scaling exponents and singular spectrum of the
-lognormal-factor cascade are provided as ground truth for estimator tests.
+The closed-form scaling exponents tau(q) of the lognormal-factor cascade
+are provided as ground truth for the WTMM estimator.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wcascade.dwt import WaveletPyramid, json_bool, json_float, json_int
-from wcascade.wtmm import SingularSpectrum
 
 __all__ = [
     "SignedLognormal",
@@ -40,7 +39,6 @@ __all__ = [
     "CascadeSpec",
     "synthesize_mixed",
     "theoretical_tau_lognormal",
-    "theoretical_spectrum_lognormal",
     "multiplier_law_from_dict",
     "additive_law_from_dict",
 ]
@@ -239,31 +237,3 @@ def theoretical_tau_lognormal(mean_log: float, var_log: float, q):
     tau = -(q * mean_log + 0.5 * q * q * var_log) / _LN2 - 1.0
     return tau if tau.ndim else float(tau)
 
-
-def theoretical_spectrum_lognormal(mean_log: float, var_log: float, alpha_grid) -> SingularSpectrum:
-    """Parabolic singular spectrum of the pure lognormal-factor cascade.
-
-    ``D(alpha) = 1 - (alpha - alpha0)^2 ln2 / (2 v)`` with the peak
-    ``alpha0 = -m / ln 2``; values below zero are clipped and the support
-    is the interval where the parabola is non-negative.
-    """
-    if not var_log > 0:
-        raise ValueError(
-            "var_log must be positive; a zero-variance factor gives a "
-            "single-point spectrum"
-        )
-    alpha = np.asarray(alpha_grid, dtype=float)
-    alpha0 = -mean_log / _LN2
-    parabola = 1.0 - (alpha - alpha0) ** 2 * _LN2 / (2.0 * var_log)
-    q_of_alpha = -(alpha * _LN2 + mean_log) / var_log
-    tau = theoretical_tau_lognormal(mean_log, var_log, q_of_alpha)
-    half_width = math.sqrt(2.0 * var_log / _LN2)
-    return SingularSpectrum(
-        q_grid=q_of_alpha,
-        tau=tau,
-        tau_stderr=np.zeros_like(alpha),
-        alpha=alpha,
-        D=np.maximum(parabola, 0.0),
-        support=(alpha0 - half_width, alpha0 + half_width),
-        peak_alpha=alpha0,
-    )

@@ -213,6 +213,7 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
                 sigma = global_std
                 fallbacks.append(int(v))
             sigmas[k] = sigma
+        del grouped
         if fallbacks:
             warnings.warn(
                 f"issue {panel.issues[i]!r}: time-of-day bins {fallbacks} are too "
@@ -226,6 +227,7 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
                 f"issue {panel.issues[i]!r} has degenerate normalized returns"
             )
         averaged += (normalized - normalized.mean()) / spread
+        del r, normalized
     return averaged / n_issues
 
 

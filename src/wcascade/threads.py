@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 # Each thread holds its own scratch, which glibc keeps in a per-thread
 # arena after the item is done.  In `collapse_H` that is a scaled copy of
@@ -52,9 +51,12 @@ def thread_map(fn, items, max_threads: int = MAX_THREADS):
     from ``fn``, cancels the items not yet started and waits for the running
     ones, so no thread outlives it.
     """
+    # imported here, so a command that starts no thread skips its ~0.5 MB of RSS
+    import concurrent.futures
+
     workers = max(1, min(len(items), _usable_cpus(), max_threads))
     pending = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for item in items:
                 if len(pending) == _PENDING_PER_THREAD * workers:

@@ -204,9 +204,7 @@ def find_modulus_maxima(matrix: CwtMatrix) -> list:
     for m in matrix.values:
         np.abs(m, out=m)
         idx = _local_maxima_circular(m)
-        if idx.size:
-            idx = idx[m[idx] > _NOISE_FLOOR * m.max()]
-        out.append(idx)
+        out.append(idx[m[idx] > _NOISE_FLOOR * m.max()])
     return out
 
 

@@ -14,7 +14,6 @@ from wcascade.cascade import (
     SignedLognormal,
     additive_law_from_dict,
     synthesize_mixed,
-    theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
 
@@ -164,33 +163,6 @@ def test_theoretical_tau_concave_and_peak_location():
     ) / (2 * eps)
     assert abs(alpha0 - 0.33) < 1e-6
     assert abs(alpha0 - (-m / LN2)) < 1e-9
-
-
-def test_theoretical_spectrum_shape():
-    m, v = -0.33 * LN2, 0.02 * LN2
-    alpha0 = -m / LN2
-    half_width = math.sqrt(2 * v / LN2)
-    grid = np.linspace(alpha0 - 1.5 * half_width, alpha0 + 1.5 * half_width, 301)
-    spectrum = theoretical_spectrum_lognormal(m, v, grid)
-    # peak exactly 1 at alpha0
-    center = np.argmin(np.abs(grid - alpha0))
-    assert spectrum.D[center] == pytest.approx(1.0, abs=1e-9)
-    assert spectrum.peak_alpha == pytest.approx(alpha0)
-    # zero at the parabola roots, clipped beyond
-    for root in (alpha0 - half_width, alpha0 + half_width):
-        k = np.argmin(np.abs(grid - root))
-        assert spectrum.D[k] < 1e-4
-    assert np.all(spectrum.D >= 0.0)
-    # symmetry about the peak
-    d_plus = spectrum.D[center + 50]
-    d_minus = spectrum.D[center - 50]
-    assert d_plus == pytest.approx(d_minus, abs=1e-9)
-    assert spectrum.support == pytest.approx((alpha0 - half_width, alpha0 + half_width))
-
-
-def test_theoretical_spectrum_rejects_zero_variance():
-    with pytest.raises(ValueError):
-        theoretical_spectrum_lognormal(-0.2, 0.0, np.linspace(0, 1, 11))
 
 
 def test_spec_serialization_round_trip():

@@ -488,7 +488,7 @@ def test_every_exported_name_exists():
 
 
 # Runs each argv through main() in one process and prints, after each,
-# whether any scipy module is loaded.
+# whether any scipy module is loaded and whether concurrent.futures is.
 SCIPY_PROBE = """
 import json, sys
 from wcascade.cli import main
@@ -498,7 +498,8 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:  # --help
         code = exc.code
     assert code == 0, argv
-    print(any(name.partition(".")[0] == "scipy" for name in sys.modules))
+    scipy = any(name.partition(".")[0] == "scipy" for name in sys.modules)
+    print("probe", json.dumps([scipy, "concurrent.futures" in sys.modules]))
 """
 
 
@@ -506,18 +507,23 @@ def test_no_command_loads_scipy(tmp_path):
     config = write_config(tmp_path)
     pyramid = str(tmp_path / "sim" / "pyramid.json")
     panel = str(write_cascade_panel(tmp_path, depth=12))
+    # the commands that start no thread run first
     commands = [
         ["--help"],
         ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")],
-        ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
-        ["variances", "--input", pyramid, "--out", str(tmp_path / "var")],
         ["multipliers", "--input", pyramid, "--out", str(tmp_path / "mult")],
+        ["variances", "--input", pyramid, "--out", str(tmp_path / "var")],
+        ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
         ["pipeline", "--input", panel, "--out", str(tmp_path / "report"), "--h-grid", "0:1:0.25"],
     ]
     proc = run_python("-c", SCIPY_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
-    # --help prints first; multipliers and pipeline fit the normal law
-    assert proc.stdout.split()[-(len(commands) - 1):] == ["False"] * (len(commands) - 1)
+    probes = [json.loads(line.removeprefix("probe ")) for line in proc.stdout.splitlines()
+              if line.startswith("probe ")]
+    # multipliers and pipeline fit the normal law without scipy
+    assert [scipy for scipy, _ in probes] == [False] * len(commands)
+    # only collapse and pipeline start threads
+    assert [futures for _, futures in probes] == [False] * 4 + [True] * 2
 
 
 def test_spectrum_file_passes_its_own_check(tmp_path):
@@ -1253,6 +1259,16 @@ def test_traced_replay_opens_every_traced_span(tmp_path):
     seeds = wtmm.find_modulus_maxima(wtmm.cwt(path, finest))[0]
     assert seeds.size and metrics["wtmm.lines_count"] == seeds.size
     assert 0 < metrics["wtmm.lines_complete_ratio"] <= 1
+
+
+def test_seed_sweep_runs_one_seed():
+    # nothing else runs the sweep behind the benchmark's tolerances, so a
+    # rename in the package would break it silently
+    sweep = Path(__file__).resolve().parents[1] / "wcbench" / "sweep.py"
+    proc = run_python(str(sweep), "1", "1")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["seeds"] == "1-1" and math.isfinite(summary["max_tau_error"])
 
 
 def test_regression_renders_two_decimals(tmp_path):

@@ -1,5 +1,6 @@
 """Panel pipeline, factor extraction and layer diagnostics."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -586,12 +587,12 @@ def test_collapse_counts_ties_made_by_scaling():
 def test_collapse_thread_count_changes_no_bit(monkeypatch, affinity):
     used = []
 
-    class RecordingPool(threads.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             used.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(threads, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     pyramid = quantized_pyramid()
     distances = {}
     for cpus in (1, 2, 16):
@@ -611,7 +612,7 @@ def test_thread_map_bounds_the_futures_in_flight(monkeypatch):
     live = weakref.WeakSet()  # futures submitted and not yet collected
     submitted, most_live = [], []
 
-    class CountingPool(threads.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, /, *args):
             future = super().submit(fn, *args)
             live.add(future)
@@ -619,7 +620,7 @@ def test_thread_map_bounds_the_futures_in_flight(monkeypatch):
             most_live.append(len(live))
             return future
 
-    monkeypatch.setattr(threads, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     items = range(1000)
     assert list(threads.thread_map(lambda i: i * i, items)) == [i * i for i in items]

@@ -1,5 +1,6 @@
 """Modulus-maxima pipeline: stage-by-stage oracles and end-to-end checks."""
 
+import concurrent.futures
 import math
 import os
 import threading
@@ -14,7 +15,6 @@ from wcascade.cascade import (
     PointMass,
     SignedLognormal,
     synthesize_mixed,
-    theoretical_spectrum_lognormal,
     theoretical_tau_lognormal,
 )
 from wcascade import threads, wtmm
@@ -784,8 +784,9 @@ def test_legendre_matches_analytic_pair_on_interior():
     tau = theoretical_tau_lognormal(m, v, q)
     est = TauEstimate(q, tau, np.zeros_like(q), np.ones_like(q))
     spectrum = legendre_spectrum(est)
-    analytic = theoretical_spectrum_lognormal(m, v, spectrum.alpha[1:-1])
-    assert np.max(np.abs(spectrum.D[1:-1] - analytic.D)) < 1e-6
+    # the lognormal cascade's parabola D(alpha), peaked at alpha0 = -m / ln 2
+    analytic = 1.0 - (spectrum.alpha[1:-1] + m / LN2) ** 2 * LN2 / (2.0 * v)
+    assert np.max(np.abs(spectrum.D[1:-1] - analytic)) < 1e-6
     # centered differences are exact for a quadratic on the interior
     alpha_exact = -(m + q[1:-1] * v) / LN2
     assert np.max(np.abs(spectrum.alpha[1:-1] - alpha_exact)) < 1e-12
@@ -961,12 +962,12 @@ def test_blocked_front_end_matches_the_whole_matrix(
 def test_spectrum_cpu_count_changes_no_bit(monkeypatch):
     used = []
 
-    class RecordingPool(threads.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             used.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(threads, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     series = _cascade_path()
     spectra = {}
     for cpus in (1, 2, 16):
