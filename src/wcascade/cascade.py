@@ -3,7 +3,7 @@
 Starting from a single root detail coefficient, each node of the dyadic
 tree spawns two children equal to the parent value times an independent
 random factor, optionally plus an independent noise draw scaled by the
-sample standard deviation of the parent layer:
+parent layer's spread (:func:`wcascade.dwt.layer_spread`):
 
     child = W * parent + eta * h_layer
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wcascade.dwt import WaveletPyramid, json_bool, json_float, json_int
+from wcascade.dwt import WaveletPyramid, json_bool, json_float, json_int, layer_spread
 
 __all__ = [
     "SignedLognormal",
@@ -201,9 +201,7 @@ def synthesize_mixed(spec: CascadeSpec) -> WaveletPyramid:
     use_noise = spec.additive_law.variance > 0.0
     layers = []
     parents = np.array([spec.root_detail])
-    # Layer-0 statistic: a single root coefficient has no spread, so its
-    # magnitude stands in for the standard deviation.
-    h = abs(spec.root_detail)
+    h = layer_spread(parents)
     for j in range(1, spec.depth + 1):
         # Overflow shows up as inf or nan and is rejected below, so numpy
         # need not warn about it.
@@ -212,7 +210,7 @@ def synthesize_mixed(spec: CascadeSpec) -> WaveletPyramid:
             children = w * np.repeat(parents, 2)
             if use_noise:
                 children += spec.additive_law.sample(rng, children.size) * h
-                h = float(children.std())
+                h = layer_spread(children)
         if not np.all(np.isfinite(children)):
             raise ValueError(f"layer {j} contains non-finite values")
         layers.append(children)

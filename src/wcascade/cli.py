@@ -110,7 +110,11 @@ def _h_grid(text: str) -> np.ndarray:
     points = (stop + step / 2 - start) / step  # np.arange's length, before rounding up
     what = f"an H grid of {points:.3g} points"
     _within_budget(what, points * _COLLAPSE_BYTES_PER_H, argparse.ArgumentTypeError)
-    return np.arange(start, stop + step / 2, step)
+    grid = np.arange(start, stop + step / 2, step)
+    # the text can pass and the grid still be one point, or repeat values at a large magnitude
+    if grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise argparse.ArgumentTypeError(f"need at least 2 increasing points, got {text!r}")
+    return grid
 
 
 def _simulate_bytes(depth: int) -> float:

@@ -185,6 +185,11 @@ class WaveletPyramid:
         return cls(depth, root_approx, root_detail, layers)
 
 
+def layer_spread(values: np.ndarray) -> float:
+    """A layer's ``h_j``: its population std, or the magnitude of a size-one layer, which has no spread."""
+    return float(values.std()) if values.size > 1 else float(abs(values[0]))
+
+
 def save_pyramid(pyramid: WaveletPyramid, path) -> None:
     """Write ``{depth, rescaled, root_approx, root_detail, layers}`` as JSON.
 
@@ -273,7 +278,7 @@ def dwt_forward(series: TimeSeries) -> WaveletPyramid:
     while approx.size > 1:
         approx, det = _analysis_step(approx)
         details.append(det)
-    root_detail = float(details[-1][0]) if details else 0.0
+    root_detail = float(details[-1][0])
     layers = details[:-1][::-1]  # coarse (layer 1) to fine (layer depth)
     return WaveletPyramid(
         depth=len(layers),

@@ -12,9 +12,7 @@ decomposition
     (h_{j+1} / h_j)^2   = Var(W) + Var(eta),
 
 fitted by regressing binned conditional variances on the squared bin
-center.  All layer statistics use the population convention (divisor n);
-the size-one root layer uses the magnitude of the root coefficient in
-place of its (vanishing) standard deviation.
+center.  Every layer spread ``h_j`` is :func:`wcascade.dwt.layer_spread`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wcascade.dwt import TimeSeries, WaveletPyramid
+from wcascade.dwt import TimeSeries, WaveletPyramid, layer_spread
 from wcascade.stats import binned_conditional_variance, ols, pearson_correlation
 from wcascade.threads import thread_map
 
@@ -267,11 +265,6 @@ class MultiplierSet:
     transitions: list  # entry j is the transition with parent layer j
 
 
-def _layer_spread(values: np.ndarray) -> float:
-    # Size-one layers carry no spread; use the coefficient magnitude.
-    return float(values.std()) if values.size > 1 else float(abs(values[0]))
-
-
 def extract_multipliers(pyramid: WaveletPyramid) -> MultiplierSet:
     """Backward child/parent ratios for every layer transition.
 
@@ -283,7 +276,7 @@ def extract_multipliers(pyramid: WaveletPyramid) -> MultiplierSet:
     for j in range(pyramid.depth):
         parents = pyramid.layer(j)
         children = pyramid.layer(j + 1)
-        threshold = _ZERO_TOL * _layer_spread(parents)
+        threshold = _ZERO_TOL * layer_spread(parents)
         valid = np.abs(parents) > threshold
         left = np.full(parents.size, np.nan)
         right = np.full(parents.size, np.nan)
@@ -368,7 +361,7 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
         j = outgoing.parent_layer
         out_x2 = np.concatenate([outgoing.left, outgoing.right])
         if out_x2.size < _MIN_PAIRS:
-            continue  # too few nodes to ever give enough pairs
+            continue  # too few pairs ever; skips transition 0, which has no incoming factor
         out_valid2 = np.concatenate([outgoing.valid, outgoing.valid])
         # Parent coefficient against each outgoing factor.
         parents = pyramid.layer(j)
@@ -377,8 +370,6 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
         )
         if row is not None:
             parent_vs.append(row)
-        if j == 0:
-            continue
         # Incoming factor of each layer-j node against its outgoing factors.
         incoming_t = ms.transitions[j - 1]
         incoming = _interleave(incoming_t.left, incoming_t.right)
@@ -571,8 +562,8 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
         if parents.size < min_layer_size:
             continue
         children = pyramid.layer(j + 1)
-        h_j = float(parents.std())
-        h_j1 = float(children.std())
+        h_j = layer_spread(parents)
+        h_j1 = layer_spread(children)
         sides = (("left", children[0::2]), ("right", children[1::2]))
         if h_j == 0.0:
             ratio_sq = float("nan")

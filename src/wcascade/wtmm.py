@@ -181,9 +181,7 @@ def _local_maxima_circular(m: np.ndarray) -> np.ndarray:
         if head or tail:
             idx = np.concatenate([np.array(head, dtype=idx.dtype), idx, np.array(tail, dtype=idx.dtype)])
         return idx
-    if np.all(m == m[0]):
-        return np.empty(0, dtype=np.int64)
-    # Run-based scan for data with exact ties.
+    # Run-based scan for data with exact ties; a constant row has no run start.
     change = np.flatnonzero(m != np.roll(m, 1))  # run starts, circular
     run_vals = m[change]
     prev_vals = np.roll(run_vals, 1)

@@ -485,6 +485,21 @@ def test_every_exported_name_exists():
     exported = [(module, name) for module in modules for name in getattr(module, "__all__", [])]
     assert len({module for module, _ in exported}) >= 5
     assert [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)] == []
+    # the package exports the module lists, joined in order, and nothing by hand
+    joined = [name for module in ("cascade", "dwt", "empirics", "stats", "wtmm")
+              for name in importlib.import_module(f"wcascade.{module}").__all__]
+    assert wcascade.__all__ == joined
+    assert [name for name in joined if not hasattr(wcascade, name)] == []
+    assert len(set(joined)) == len(joined)
+
+
+def test_readme_library_example_runs():
+    # the documented example runs on the flat namespace, with no numpy warning
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-W", "error::RuntimeWarning", "-c", example)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Runs each argv through main() in one process and prints, after each,
@@ -804,6 +819,17 @@ CONTRACT_CASES = {
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
                    "--h-grid", "bad"],
         2, "--h-grid",
+    ),
+    # refused before any stage runs: the text passes, the grid it gives does not
+    "pipeline-one-point-h-grid": (
+        lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
+                   "--h-grid", "0:1:2"],
+        2, "argument --h-grid: ",
+    ),
+    "collapse-repeating-h-grid": (
+        lambda t: ["collapse", "--input", str(t / "pyramid.json"),
+                   "--h-grid", "1e16:1.0000000000000004e16:1"],
+        2, "argument --h-grid: ",
     ),
     "pipeline-bad-q-range": (
         lambda t: ["pipeline", "--input", str(write_cascade_panel(t, depth=10)),
