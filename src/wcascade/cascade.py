@@ -216,7 +216,6 @@ def synthesize_mixed(spec: CascadeSpec) -> WaveletPyramid:
         layers.append(children)
         parents = children
     return WaveletPyramid(
-        depth=spec.depth,
         root_approx=spec.root_approx,
         root_detail=spec.root_detail,
         layers=layers,

@@ -342,7 +342,7 @@ def _multiplier_report(pyramid) -> dict:
     ms = _stage("multipliers", empirics.extract_multipliers, pyramid)
     corr = _stage("multipliers", empirics.multiplier_correlations, ms, pyramid)
     fits = {}
-    for t in ms.transitions:
+    for j, t in enumerate(ms.transitions):
         pooled = t.pooled
         if pooled.size < 100:
             continue
@@ -356,7 +356,7 @@ def _multiplier_report(pyramid) -> dict:
             with contextlib.suppress(ValueError):
                 result = fitter(pooled)
                 entry[name] = {"scale": result.scale, "goodness": result.goodness}
-        fits[str(t.parent_layer)] = {"n_valid": int(pooled.size), "fits": entry}
+        fits[str(j)] = {"n_valid": int(pooled.size), "fits": entry}
     report = {"transitions": fits}
     rows = []
     tables = {"successive": corr.successive, "parent_vs_factor": corr.parent_vs_factor}

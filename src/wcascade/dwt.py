@@ -121,24 +121,16 @@ class WaveletPyramid:
 
     ``layers[i]`` holds layer ``j = i + 1`` with ``2**j`` entries, in the
     rescaled convention; the reconstructed series has length
-    ``2**(depth+1)``.
+    ``2**(depth+1)``, where ``depth`` is the layer count.
     """
 
-    depth: int
     root_approx: float
     root_detail: float
     layers: list
 
     def __post_init__(self):
-        self.depth = int(self.depth)
         self.root_approx = float(self.root_approx)
         self.root_detail = float(self.root_detail)
-        if self.depth < 0:
-            raise ValueError("depth must be non-negative")
-        if len(self.layers) != self.depth:
-            raise ValueError(
-                f"expected {self.depth} layers, got {len(self.layers)}"
-            )
         if not (math.isfinite(self.root_approx) and math.isfinite(self.root_detail)):
             raise ValueError("root coefficients must be finite")
         layers = []
@@ -152,6 +144,10 @@ class WaveletPyramid:
                 raise ValueError(f"layer {i + 1} contains non-finite values")
             layers.append(arr)
         self.layers = layers
+
+    @property
+    def depth(self) -> int:
+        return len(self.layers)
 
     def scale(self, j: int) -> float:
         """Scale of layer ``j`` in sample units (root layer is ``j = 0``)."""
@@ -176,13 +172,15 @@ class WaveletPyramid:
             raise ValueError(f"layers must be a list of lists of numbers, got {layers!r}")
         layers = [json_floats(layer, f"layers[{i}]") for i, layer in enumerate(layers)]
         rescaled = json_bool(data["rescaled"], "rescaled")
-        pyramid = cls(depth, root_approx, root_detail, layers)
-        if rescaled:
-            return pyramid
-        # checked again: the factor can overflow a finite raw coefficient
-        with np.errstate(over="ignore"):
-            layers = rescale(pyramid.layers)
-        return cls(depth, root_approx, root_detail, layers)
+        if depth < 0:
+            raise ValueError("depth must be non-negative")
+        if len(layers) != depth:
+            raise ValueError(f"expected {depth} layers, got {len(layers)}")
+        if not rescaled:
+            # the factor can take a finite raw coefficient to inf, which `cls` refuses
+            with np.errstate(over="ignore"):
+                layers = rescale(layers)
+        return cls(root_approx, root_detail, layers)
 
 
 def layer_spread(values: np.ndarray) -> float:
@@ -281,7 +279,6 @@ def dwt_forward(series: TimeSeries) -> WaveletPyramid:
     root_detail = float(details[-1][0])
     layers = details[:-1][::-1]  # coarse (layer 1) to fine (layer depth)
     return WaveletPyramid(
-        depth=len(layers),
         root_approx=float(approx[0]),
         root_detail=root_detail,
         layers=rescale(layers),

@@ -236,7 +236,7 @@ def accumulate_path(deltas) -> TimeSeries:
         raise ValueError("need a vector of at least 2 increments")
     if not np.all(np.isfinite(deltas)):
         raise ValueError("increments contain non-finite values")
-    keep = 2 ** int(math.floor(math.log2(deltas.size)))
+    keep = 1 << (deltas.size.bit_length() - 1)
     return TimeSeries(np.cumsum(deltas[-keep:]))
 
 
@@ -249,7 +249,6 @@ class MultiplierTransition:
     NaN and ``valid[k] = False``.
     """
 
-    parent_layer: int
     left: np.ndarray
     right: np.ndarray
     valid: np.ndarray
@@ -288,7 +287,7 @@ def extract_multipliers(pyramid: WaveletPyramid) -> MultiplierSet:
                 stacklevel=2,
             )
         transitions.append(
-            MultiplierTransition(parent_layer=j, left=left, right=right, valid=valid)
+            MultiplierTransition(left=left, right=right, valid=valid)
         )
     return MultiplierSet(transitions=transitions)
 
@@ -357,8 +356,7 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
         raise ValueError("need at least 2 layer transitions")
     successive = []
     parent_vs = []
-    for outgoing in ms.transitions:
-        j = outgoing.parent_layer
+    for j, outgoing in enumerate(ms.transitions):
         out_x2 = np.concatenate([outgoing.left, outgoing.right])
         if out_x2.size < _MIN_PAIRS:
             continue  # too few pairs ever; skips transition 0, which has no incoming factor
@@ -539,7 +537,7 @@ def _zero_variance_row(j: int, side: str, ratio_sq: float) -> TransitionVariance
         var_eta=0.0,
         clamped=False,
         ratio_sq=ratio_sq,
-        identity_residual=abs(ratio_sq) if math.isfinite(ratio_sq) else float("nan"),
+        identity_residual=abs(ratio_sq),
         n_bins=0,
     )
 
@@ -584,8 +582,8 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
         if ratio_sq == math.inf:  # the ratio or its square is past the float range
             raise ValueError(f"transition {j}->{j + 1}: the squared layer spread ratio overflows")
         for side, kids in sides:
-            table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j, _MIN_COUNT)
-            inc = table.included
+            table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j)
+            inc = table.bin_counts >= _MIN_COUNT
             if int(np.count_nonzero(inc)) < 3:
                 if table.conditional_variances.max() == 0.0:
                     rows.append(_zero_variance_row(j, side, ratio_sq))

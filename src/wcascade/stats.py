@@ -54,15 +54,13 @@ class RegressionResult:
 class BinnedVariance:
     """Per-bin sample variance of a successor conditioned on its predecessor.
 
-    Bins are half-open ``[k*width, (k+1)*width)``.  ``included`` marks bins
-    holding at least ``min_count`` samples; the full table is retained for
-    the all-bins view.
+    Bins are half-open ``[k*width, (k+1)*width)``; every bin holding a
+    sample is listed, so a caller picks the bins it trusts by their counts.
     """
 
     bin_centers: np.ndarray
     bin_counts: np.ndarray
     conditional_variances: np.ndarray
-    included: np.ndarray
 
 
 def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-8):
@@ -201,9 +199,7 @@ def pearson_correlation(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def binned_conditional_variance(
-    predecessor, successor, bin_width: float, min_count: int
-) -> BinnedVariance:
+def binned_conditional_variance(predecessor, successor, bin_width: float) -> BinnedVariance:
     """Population variance of ``successor`` within equal-width predecessor bins.
 
     Bin ``k`` covers ``[k*bin_width, (k+1)*bin_width)``; every sample lands
@@ -228,5 +224,4 @@ def binned_conditional_variance(
         bin_centers=centers,
         bin_counts=counts,
         conditional_variances=variances,
-        included=counts >= min_count,
     )

@@ -22,10 +22,10 @@ MAX_THREADS = 4
 # `singular_spectrum` allocates each worker's row and product buffers, so a
 # worker itself allocates only the inverse FFT's work buffers and its row's
 # maxima scratch, which stay in its arena: about 9 MiB at 2**19 points.  On
-# a 2**19-point lognormal cascade path `spectrum` peaked at 78.7-78.9 MiB in
-# 1.45-1.77 s on 1 CPU and at 87.2-87.5 MiB in 0.93-1.28 s on 2, while the
-# main thread chains the finished rows.  Three or more threads have not been
-# measured.
+# a 2**19-point lognormal cascade path `spectrum` peaked at 71.6-73.0 MiB in
+# 1.50-1.96 s on 1 CPU and at 87.1-87.4 MiB in 0.95-1.35 s on 2 (a shared
+# 2 vCPU host), while the main thread chains the finished rows.  Three or
+# more threads have not been measured.
 MAX_CWT_THREADS = 2
 # Items submitted and not yet yielded, per thread: each thread may finish
 # one item ahead of the one it runs, so at most a few finished spectrum rows

@@ -358,7 +358,7 @@ def test_no_csv_block_outlives_its_write(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "save_pyramid", lambda pyramid, path: held.append(
         tracemalloc.get_traced_memory()[0]))
     files = {"path.csv": cli._indexed_csv("value", np.random.default_rng(0).standard_normal(2**15)),
-             "pyramid.json": WaveletPyramid(1, 0.0, 1.0, [np.zeros(2)])}
+             "pyramid.json": WaveletPyramid(0.0, 1.0, [np.zeros(2)])}
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -993,6 +993,18 @@ CONTRACT_CASES = {
             "layers": [[1.0] * 2, [1.0, 1e308, 1.0, 1.0], [1.0] * 8]}))],
         2, "layer 2 contains non-finite values",
     ),
+    # a file's depth is checked against its own layer count, in either convention
+    **{
+        f"multipliers-depth-{name}-{'rescaled' if rescaled else 'raw'}": (
+            lambda t, depth=depth, rescaled=rescaled: ["multipliers", "--input", str(_json_file(t, {
+                **PYRAMID_WITHOUT_LAYERS, "depth": depth, "rescaled": rescaled,
+                "layers": [[1.0] * 2, [1.0] * 4]}))],
+            2, fragment,
+        )
+        for name, depth, fragment in [("negative", -1, "depth must be non-negative"),
+                                      ("above-layer-count", 3, "expected 3 layers, got 2")]
+        for rescaled in (True, False)
+    },
     # a pyramid's layers and a spectrum's support are refused by name, not
     # enumerated or indexed as whatever they hold
     **{

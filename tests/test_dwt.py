@@ -85,7 +85,6 @@ def roll_synthesis_step(low, high):
 def random_pyramid(depth, seed):
     rng = np.random.default_rng(seed)
     return WaveletPyramid(
-        depth=depth,
         root_approx=rng.normal(),
         root_detail=rng.normal(),
         layers=[rng.normal(size=2 ** (j + 1)) for j in range(depth)],
@@ -130,7 +129,6 @@ def test_inverse_matches_matrix_oracle_column():
     matrix = analysis_matrix(length)
     # unit raw detail at layer 1, position 0: third flattened coefficient
     p = WaveletPyramid(
-        depth=5,
         root_approx=0.0,
         root_detail=0.0,
         layers=rescale([np.array([1.0, 0.0])] + [np.zeros(2 ** (j + 1)) for j in range(1, 5)]),
@@ -141,7 +139,6 @@ def test_inverse_matches_matrix_oracle_column():
 
 def test_inverse_of_constant_pyramid():
     p = WaveletPyramid(
-        depth=2,
         root_approx=np.sqrt(8),
         root_detail=0.0,
         layers=[np.zeros(2), np.zeros(4)],
@@ -325,7 +322,7 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         TimeSeries(np.array([1.0, np.nan, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        WaveletPyramid(depth=2, root_approx=0, root_detail=0,
+        WaveletPyramid(root_approx=0, root_detail=0,
                        layers=[np.zeros(2), np.zeros(3)])
 
 

@@ -460,7 +460,7 @@ def test_variance_sides_too_small_for_three_bins_are_skipped_silently():
     # a deterministic transition is still reported as zero variances
     parents = np.tile([1.0, -1.0], 128)
     layers = [np.ones(2**j) for j in range(1, 8)] + [parents, np.repeat(0.7 * parents, 2)]
-    pyramid = WaveletPyramid(depth=9, root_approx=0.0, root_detail=1.0, layers=layers)
+    pyramid = WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
     fits, messages = caught_messages(estimate_variances, pyramid)
     assert messages == []
     assert [(f.parent_layer, f.side, f.var_w, f.var_eta) for f in fits] == [
@@ -524,7 +524,7 @@ def shared_grid_pyramid():
     """
     rng = np.random.default_rng(12)
     layers = [rng.integers(-8, 9 - 4 * (j % 3), 2**j) / 4.0 for j in range(1, 11)]
-    return WaveletPyramid(depth=10, root_approx=0.0, root_detail=1.0, layers=layers)
+    return WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
 
 
 COLLAPSE_PYRAMIDS = {
@@ -576,7 +576,7 @@ def test_collapse_counts_ties_made_by_scaling():
     layers[5][:2] = v, np.nextafter(v, np.inf)
     layers[6][:4] = w7
     layers[7][:8] = w8
-    pyramid = WaveletPyramid(depth=8, root_approx=0.0, root_detail=1.0, layers=layers)
+    pyramid = WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
     h_grid = np.array([0.0, 0.5, 1.0])
     result = collapse_H(pyramid, h_grid)
     assert result.distances[1] == 0.0 and result.h == 0.5
@@ -733,7 +733,7 @@ def test_variance_deterministic_cascade_is_zero():
 def test_variances_refuse_a_spread_ratio_past_the_float_range(low, high):
     rng = np.random.default_rng(0)
     layers = [rng.standard_normal(2**j) * (low if j < 9 else high) for j in range(1, 11)]
-    pyramid = WaveletPyramid(depth=10, root_approx=0.0, root_detail=1.0, layers=layers)
+    pyramid = WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
     with pytest.raises(ValueError, match="transition 8->9: the squared layer spread ratio overflows"):
         estimate_variances(pyramid)
 

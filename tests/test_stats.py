@@ -175,9 +175,9 @@ def test_binned_variance_homoskedastic():
     rng = np.random.default_rng(60)
     pred = rng.uniform(-3, 3, 100_000)
     succ = rng.normal(scale=np.sqrt(0.5), size=100_000)
-    table = binned_conditional_variance(pred, succ, bin_width=0.5, min_count=100)
+    table = binned_conditional_variance(pred, succ, bin_width=0.5)
     assert int(table.bin_counts.sum()) == pred.size
-    included = table.conditional_variances[table.included]
+    included = table.conditional_variances[table.bin_counts >= 100]
     assert np.max(np.abs(included - 0.5)) < 0.05
 
 
@@ -190,17 +190,17 @@ def test_binned_variance_recovers_quadratic_law():
     succ = rng.normal(scale=np.sqrt(0.2), size=n) * pred + rng.normal(
         scale=np.sqrt(0.3), size=n
     )
-    table = binned_conditional_variance(pred, succ, bin_width=0.2, min_count=100)
+    table = binned_conditional_variance(pred, succ, bin_width=0.2)
     expected = 0.2 * table.bin_centers**2 + 0.3
     rel = np.abs(table.conditional_variances - expected) / expected
-    assert np.max(rel[table.included]) < 0.15
-    assert np.median(rel[table.included]) < 0.05
+    assert np.max(rel[table.bin_counts >= 100]) < 0.15
+    assert np.median(rel[table.bin_counts >= 100]) < 0.05
 
 
 def test_binned_variance_edge_rule():
     pred = np.array([0.0, 0.19, 0.2, -0.05, 100.0])
     succ = np.zeros(5)
-    table = binned_conditional_variance(pred, succ, bin_width=0.2, min_count=1)
+    table = binned_conditional_variance(pred, succ, bin_width=0.2)
     # [0, 0.2) holds two, [0.2, 0.4) one, [-0.2, 0) one, [100, 100.2) one
     lookup = dict(zip(np.round(table.bin_centers, 10), table.bin_counts))
     assert lookup[0.1] == 2 and lookup[0.3] == 1 and lookup[-0.1] == 1

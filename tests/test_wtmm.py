@@ -980,6 +980,21 @@ def test_spectrum_cpu_count_changes_no_bit(monkeypatch):
         assert getattr(spectra[1], field).tobytes() == getattr(spectra[16], field).tobytes(), field
 
 
+def test_one_worker_transforms_every_row_into_one_buffer(monkeypatch):
+    # a second row buffer that a lone worker also writes is resident memory for nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    original = wtmm.cwt
+    buffers = set()
+
+    def recording_cwt(series, scale_grid, spectrum, out, *rest):
+        buffers.add(out.ctypes.data)
+        return original(series, scale_grid, spectrum, out, *rest)
+
+    monkeypatch.setattr(wtmm, "cwt", recording_cwt)
+    singular_spectrum(TimeSeries(_random_walk(2**14)))
+    assert len(buffers) == 1
+
+
 @pytest.mark.parametrize("failing_row", [0, 7, 64])
 def test_a_worker_error_is_the_spectrum_error_and_stops_every_worker(monkeypatch, failing_row):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
