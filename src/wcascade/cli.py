@@ -32,7 +32,7 @@ import numpy as np
 from wcascade import cascade, empirics, wtmm
 from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_forward, dwt_inverse, load_pyramid
 from wcascade.dwt import json_float, json_floats, save_pyramid
-from wcascade.stats import fit_cauchy, fit_normal, fit_student_t2
+from wcascade.stats import FIT_MIN_SAMPLES, fit_cauchy, fit_normal, fit_student_t2
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -344,7 +344,7 @@ def _multiplier_report(pyramid) -> dict:
     fits = {}
     for j, t in enumerate(ms.transitions):
         pooled = t.pooled
-        if pooled.size < 100:
+        if pooled.size < FIT_MIN_SAMPLES:
             continue
         entry = {}
         for name, fitter in (

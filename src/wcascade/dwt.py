@@ -121,7 +121,9 @@ class WaveletPyramid:
 
     ``layers[i]`` holds layer ``j = i + 1`` with ``2**j`` entries, in the
     rescaled convention; the reconstructed series has length
-    ``2**(depth+1)``, where ``depth`` is the layer count.
+    ``2**(depth+1)``, where ``depth`` is the layer count.  Node ``k`` of
+    layer ``j`` has children ``2k`` (left) and ``2k+1`` (right) in layer
+    ``j + 1``; ``children(j)`` holds those pairs as rows.
     """
 
     root_approx: float
@@ -160,6 +162,12 @@ class WaveletPyramid:
         if not 0 <= j <= self.depth:
             raise ValueError(f"layer index {j} outside 0..{self.depth}")
         return self.layers[j - 1] if j else np.array([self.root_detail])
+
+    def children(self, j: int) -> np.ndarray:
+        """Layer ``j + 1`` as a ``(2**j, 2)`` view: row ``k`` is node ``k``'s children, left first."""
+        if not 0 <= j < self.depth:
+            raise ValueError(f"parent layer index {j} outside 0..{self.depth - 1}")
+        return self.layers[j].reshape(-1, 2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "WaveletPyramid":

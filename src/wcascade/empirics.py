@@ -244,19 +244,19 @@ def accumulate_path(deltas) -> TimeSeries:
 class MultiplierTransition:
     """Backward factor estimates for one layer transition j -> j+1.
 
-    ``left[k] = child(2k)/parent(k)`` and ``right[k] = child(2k+1)/parent(k)``;
-    entries whose parent magnitude falls below the masking threshold carry
-    NaN and ``valid[k] = False``.
+    ``ratios`` has the shape of ``pyramid.children(j)``: ``ratios[k]`` is
+    node ``k``'s children over node ``k``, left first.  A row whose parent
+    magnitude falls below the masking threshold is NaN and has
+    ``valid[k] = False``.
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    ratios: np.ndarray
     valid: np.ndarray
 
     @property
     def pooled(self) -> np.ndarray:
-        """Valid left and right ratios concatenated."""
-        return np.concatenate([self.left[self.valid], self.right[self.valid]])
+        """The valid left ratios, then the valid right ones."""
+        return self.ratios[self.valid].T.ravel()
 
 
 @dataclass
@@ -274,21 +274,16 @@ def extract_multipliers(pyramid: WaveletPyramid) -> MultiplierSet:
     transitions = []
     for j in range(pyramid.depth):
         parents = pyramid.layer(j)
-        children = pyramid.layer(j + 1)
         threshold = _ZERO_TOL * layer_spread(parents)
         valid = np.abs(parents) > threshold
-        left = np.full(parents.size, np.nan)
-        right = np.full(parents.size, np.nan)
-        np.divide(children[0::2], parents, out=left, where=valid)
-        np.divide(children[1::2], parents, out=right, where=valid)
+        ratios = np.full((parents.size, 2), np.nan)
+        np.divide(pyramid.children(j), parents[:, None], out=ratios, where=valid[:, None])
         if not np.any(valid):
             warnings.warn(
                 f"transition {j}->{j + 1}: every parent is masked; no ratios",
                 stacklevel=2,
             )
-        transitions.append(
-            MultiplierTransition(left=left, right=right, valid=valid)
-        )
+        transitions.append(MultiplierTransition(ratios=ratios, valid=valid))
     return MultiplierSet(transitions=transitions)
 
 
@@ -320,19 +315,12 @@ class MultiplierCorrelations:
     parent_vs_factor: list
 
 
-def _interleave(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    out = np.empty(left.size * 2, dtype=left.dtype)
-    out[0::2] = left
-    out[1::2] = right
-    return out
-
-
-def _correlation_row(x, y, valid, layer: int, label: str):
-    # log of a zero magnitude is -inf; treat such pairs as masked
+def _correlation_row(x, y, layer: int, label: str):
+    # a masked factor is NaN and the log of a zero magnitude is -inf; both drop the pair
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.log(np.abs(x))
         y = np.log(np.abs(y))
-    valid = valid & np.isfinite(x) & np.isfinite(y)
+    valid = np.isfinite(x) & np.isfinite(y)
     n = int(np.count_nonzero(valid))
     if n < _MIN_PAIRS:
         warnings.warn(
@@ -357,30 +345,18 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
     successive = []
     parent_vs = []
     for j, outgoing in enumerate(ms.transitions):
-        out_x2 = np.concatenate([outgoing.left, outgoing.right])
-        if out_x2.size < _MIN_PAIRS:
+        factors = outgoing.ratios.T.ravel()  # every left factor, then every right one
+        if factors.size < _MIN_PAIRS:
             continue  # too few pairs ever; skips transition 0, which has no incoming factor
-        out_valid2 = np.concatenate([outgoing.valid, outgoing.valid])
-        # Parent coefficient against each outgoing factor.
-        parents = pyramid.layer(j)
-        row = _correlation_row(
-            np.concatenate([parents, parents]), out_x2, out_valid2, j, "parent-vs-factor"
-        )
-        if row is not None:
-            parent_vs.append(row)
-        # Incoming factor of each layer-j node against its outgoing factors.
-        incoming_t = ms.transitions[j - 1]
-        incoming = _interleave(incoming_t.left, incoming_t.right)
-        in_valid = np.repeat(incoming_t.valid, 2)
-        row = _correlation_row(
-            np.concatenate([incoming, incoming]),
-            out_x2,
-            np.concatenate([in_valid & outgoing.valid, in_valid & outgoing.valid]),
-            j,
-            "successive-factor",
-        )
-        if row is not None:
-            successive.append(row)
+        # The parent coefficient, then the incoming factor of each layer-j
+        # node, against each of its outgoing factors.
+        for rows, label, x in (
+            (parent_vs, "parent-vs-factor", pyramid.layer(j)),
+            (successive, "successive-factor", ms.transitions[j - 1].ratios.ravel()),
+        ):
+            row = _correlation_row(np.tile(x, 2), factors, j, label)
+            if row is not None:
+                rows.append(row)
     return MultiplierCorrelations(successive=successive, parent_vs_factor=parent_vs)
 
 
@@ -559,10 +535,9 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
         parents = pyramid.layer(j)
         if parents.size < min_layer_size:
             continue
-        children = pyramid.layer(j + 1)
         h_j = layer_spread(parents)
-        h_j1 = layer_spread(children)
-        sides = (("left", children[0::2]), ("right", children[1::2]))
+        h_j1 = layer_spread(pyramid.layer(j + 1))
+        sides = tuple(zip(("left", "right"), pyramid.children(j).T))
         if h_j == 0.0:
             ratio_sq = float("nan")
             for side, kids in sides:

@@ -29,6 +29,8 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+FIT_MIN_SAMPLES = 100  # the fewest samples a scale fit accepts
+
 # Scale fits bin the central 99% of the samples into 101 equal bins.
 _HIST_BINS = 101
 _HIST_TAIL = (1.0 - 0.99) / 2.0
@@ -104,8 +106,8 @@ def _normal_cdf(x, scale):
 
 def _fit_scale(samples, cdf) -> FitResult:
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 100:
-        raise ValueError(f"scale fit needs >= 100 samples, got {samples.size}")
+    if samples.size < FIT_MIN_SAMPLES:
+        raise ValueError(f"scale fit needs >= {FIT_MIN_SAMPLES} samples, got {samples.size}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain non-finite values")
     if samples.max() == samples.min():

@@ -365,3 +365,16 @@ def test_scale_indexing():
     for j in (-1, 5):
         with pytest.raises(ValueError, match="outside 0..4"):
             p.layer(j)
+
+
+def test_children_are_rows_of_the_next_layer():
+    p = random_pyramid(depth=4, seed=2)
+    for j in range(p.depth):
+        rows, finer = p.children(j), p.layer(j + 1)
+        assert rows.shape == (2**j, 2)
+        assert np.shares_memory(rows, p.layers[j])
+        for k in range(2**j):
+            assert (rows[k, 0], rows[k, 1]) == (finer[2 * k], finer[2 * k + 1])
+    for j in (-1, 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            p.children(j)

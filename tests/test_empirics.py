@@ -34,7 +34,7 @@ from wcascade.empirics import (
     load_panel_csv,
     multiplier_correlations,
 )
-from wcascade.stats import fit_normal, fit_student_t2
+from wcascade.stats import fit_normal, fit_student_t2, pearson_correlation
 
 LN2 = math.log(2.0)
 H_GRID = np.arange(0.0, 1.005, 0.01)
@@ -332,12 +332,11 @@ def test_extract_recovers_generator_draws():
     rng = np.random.Generator(np.random.Philox(key=17))
     law = spec.multiplier_law
     for t in ms.transitions:
-        n = 2 * t.left.size
+        n = t.ratios.size
         w = np.exp(rng.normal(law.mean_log, math.sqrt(law.var_log), n))
         w *= rng.integers(0, 2, n) * 2.0 - 1.0
         assert np.all(t.valid)
-        assert np.max(np.abs(t.left - w[0::2])) < 1e-12
-        assert np.max(np.abs(t.right - w[1::2])) < 1e-12
+        assert np.max(np.abs(t.ratios.ravel() - w)) < 1e-12
 
 
 def test_extract_masks_zero_parent():
@@ -347,7 +346,7 @@ def test_extract_masks_zero_parent():
     ms = extract_multipliers(pyramid)
     t = ms.transitions[1]
     assert not t.valid[0]
-    assert np.isnan(t.left[0]) and np.isnan(t.right[0])
+    assert np.all(np.isnan(t.ratios[0]))
     assert np.all(np.isfinite(t.pooled))
 
 
@@ -398,6 +397,38 @@ def test_mixed_cascade_factor_correlations_negative():
     for j in range(10, 14):
         assert successive[j] < -0.1
         assert parent[j] < -0.1
+
+
+def test_correlations_pair_each_node_with_its_children():
+    spec = CascadeSpec(
+        depth=9,
+        multiplier_law=SignedLognormal.from_log2(-0.33, 0.02),
+        additive_law=NormalNoise(0.09),
+        seed=5,
+    )
+    pyramid = synthesize_mixed(spec)
+    pyramid.layers[5][:7] = 0.0  # layer 6: zero children of layer 5, zero parents of layer 7
+    corr = multiplier_correlations(extract_multipliers(pyramid), pyramid)
+    layer = pyramid.layer
+    expected = {"parent_vs_factor": {}, "successive": {}}
+    for j in range(4, pyramid.depth):  # layers 0-3 have fewer than 30 pairs
+        pairs = {"parent_vs_factor": ([], []), "successive": ([], [])}
+        for side in (0, 1):  # every left child first, then every right one
+            for k in range(2**j):
+                parent, node = layer(j - 1)[k // 2], layer(j)[k]
+                kid = layer(j + 1)[2 * k + side]
+                if node == 0.0 or kid == 0.0:
+                    continue
+                pairs["parent_vs_factor"][0].append(node)
+                pairs["parent_vs_factor"][1].append(kid / node)
+                if parent != 0.0:
+                    pairs["successive"][0].append(node / parent)
+                    pairs["successive"][1].append(kid / node)
+        for kind, (xs, ys) in pairs.items():
+            r = pearson_correlation(np.log(np.abs(xs)), np.log(np.abs(ys)))
+            expected[kind][j] = (r, len(xs))
+    for kind, rows in (("parent_vs_factor", corr.parent_vs_factor), ("successive", corr.successive)):
+        assert {row.layer: (row.r, row.n_pairs) for row in rows} == expected[kind]
 
 
 def test_deterministic_cascade_correlations_omitted():
