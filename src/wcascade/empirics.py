@@ -175,26 +175,28 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
         raise ValueError("dt must be >= 1")
     days = panel.timestamps.astype("datetime64[D]")
     # stamps increase, so row r returns from row r - dt exactly when both lie on one day
-    slots = np.flatnonzero(days[dt:] == days[:-dt])
-    if not slots.size:
+    same_day = days[dt:] == days[:-dt]
+    if not same_day.any():
         raise ValueError(f"no day is longer than the return lag dt={dt}")
-    slots += dt
-    lagged = slots - dt
-    minutes = (panel.timestamps[slots] - days[slots]).astype("timedelta64[m]").astype(np.int64)
-    tod_values, slot_of_row = np.unique(minutes, return_inverse=True)
-    # an issue's returns grouped by time of day, in row order, are r[order]
-    order = np.argsort(slot_of_row, kind="stable")
-    bounds = np.searchsorted(slot_of_row[order], np.arange(tod_values.size + 1))
+    # the minute of the day (0..1439) at which each return ends; it is also its bin's id
+    minutes = (panel.timestamps[dt:][same_day] - days[dt:][same_day]).astype("timedelta64[m]")
+    minutes = minutes.astype(np.int32)
+    del days
+    counts = np.bincount(minutes)
+    # an issue's returns grouped by time of day, in row order, are r[order];
+    # bin v holds grouped[bounds[v]:bounds[v + 1]]
+    order = np.argsort(minutes, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(counts)))
     n_issues = len(panel.issues)
-    averaged = np.zeros(slots.size)
-    del days, minutes
-    # One issue at a time, so no array spans the whole panel.  The column is
-    # copied first: numpy's log then sees the contiguous layout it gets on
-    # the whole panel's rows.
+    averaged = np.zeros(minutes.size)
+    sigmas = np.empty(counts.size)
+    # One issue at a time, so no array spans the whole panel.  Each issue's
+    # log is taken in place on a private copy of its price column, so the
+    # panel is left as it was.
     for i in range(n_issues):
-        log_price = np.log(np.ascontiguousarray(panel.prices[:, i]))
-        r = log_price[slots]
-        r -= log_price[lagged]
+        log_price = panel.prices[:, i].copy()
+        np.log(log_price, out=log_price)
+        r = (log_price[dt:] - log_price[:-dt])[same_day]
         del log_price
         global_std = float(r.std())
         if global_std == 0.0:
@@ -202,15 +204,14 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
                 f"issue {panel.issues[i]!r} has degenerate returns (zero variance)"
             )
         grouped = r[order]
-        sigmas = np.empty(tod_values.size)
         fallbacks = []
-        for k, v in enumerate(tod_values):
-            obs = grouped[bounds[k]:bounds[k + 1]]
-            sigma = float(obs.std()) if obs.size >= 2 else 0.0
+        for v in np.flatnonzero(counts):
+            # no name is bound to a bin's view, which would keep grouped alive
+            sigma = float(grouped[bounds[v]:bounds[v + 1]].std()) if counts[v] >= 2 else 0.0
             if sigma == 0.0:
                 sigma = global_std
                 fallbacks.append(int(v))
-            sigmas[k] = sigma
+            sigmas[v] = sigma
         del grouped
         if fallbacks:
             warnings.warn(
@@ -218,15 +219,18 @@ def deseasonalize_returns(panel: ReturnPanel, dt: int = 1) -> np.ndarray:
                 "sparse; using the global standard deviation there",
                 stacklevel=2,
             )
-        normalized = r / sigmas[slot_of_row]
-        spread = float(normalized.std())
+        r /= sigmas[minutes]
+        spread = float(r.std())
         if spread == 0.0:
             raise ValueError(
                 f"issue {panel.issues[i]!r} has degenerate normalized returns"
             )
-        averaged += (normalized - normalized.mean()) / spread
-        del r, normalized
-    return averaged / n_issues
+        r -= r.mean()
+        r /= spread
+        averaged += r
+        del r
+    averaged /= n_issues
+    return averaged
 
 
 def accumulate_path(deltas) -> TimeSeries:

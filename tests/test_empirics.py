@@ -148,15 +148,44 @@ def masking_loop_deseasonalize(panel, dt):
     return averaged / len(panel.issues)
 
 
+def pre_epoch_panel(n_issues, seed):
+    """Days before 1970 whose stamps carry seconds, skip minutes and reach both ends of the day."""
+    rng = np.random.default_rng(seed)
+    minutes_of_day = np.concatenate([np.arange(15), np.arange(1425, 1440)])
+    stamps = []
+    for day in range(40):
+        minutes = np.sort(rng.choice(minutes_of_day, 22, replace=False))
+        seconds = minutes * 60 + rng.integers(0, 60, minutes.size)
+        day_start = np.datetime64("1969-11-01", "s") + np.timedelta64(day, "D")
+        stamps.append(day_start + seconds.astype("timedelta64[s]"))
+    stamps = np.concatenate(stamps)
+    log_prices = np.cumsum(0.01 * rng.standard_normal((stamps.size, n_issues)), axis=0)
+    return ReturnPanel(timestamps=stamps, issues=[f"I{i}" for i in range(n_issues)],
+                       prices=np.exp(log_prices))
+
+
 def test_deseasonalize_bit_equal_to_masking_loop():
     rng = np.random.default_rng(8)
     # uneven days; the one 30-minute day leaves its last slots sparse
     days = [rng.normal(size=18 + day % 5) for day in range(40)] + [rng.normal(size=30)]
-    panel = build_panel(days, n_issues=3, issue_fn=lambda i, d: d * (1 + i) + 0.01 * i)
+    uneven = build_panel(days, n_issues=3, issue_fn=lambda i, d: d * (1 + i) + 0.01 * i)
+    # the minute of the day must floor into 0..1439 before 1970 too
+    pre_epoch = pre_epoch_panel(n_issues=3, seed=9)
+    assert pre_epoch.timestamps[0] < np.datetime64("1970-01-01")
+    for source in (uneven, pre_epoch):
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            panel = ReturnPanel(source.timestamps, source.issues, layout(source.prices))
+            prices = panel.prices.copy()
+            for dt in (1, 4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # sparse time-of-day bins
+                    out = deseasonalize_returns(panel, dt=dt)
+                assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+                # each issue's log is taken in place on a copy, never on the panel
+                assert np.array_equal(panel.prices, prices)
     for dt in (1, 4):
         with pytest.warns(UserWarning, match="sparse"):
-            out = deseasonalize_returns(panel, dt=dt)
-        assert np.array_equal(out, masking_loop_deseasonalize(panel, dt))
+            deseasonalize_returns(uneven, dt=dt)
 
 
 def test_one_comparison_slots_match_the_per_day_reference():
@@ -215,6 +244,25 @@ def test_deseasonalize_holds_a_few_columns_not_the_panel(tmp_path):
             tracemalloc.stop()
     # whole-panel log and return arrays would peak near 3 * panel.prices.nbytes
     assert peak < 16 * column_bytes, peak / column_bytes
+
+
+def test_deseasonalize_peaks_under_seven_columns_above_the_panel():
+    rng = np.random.default_rng(13)
+    n_days, per_day = 60, 390
+    stamps = (np.datetime64("2010-01-04T09:30", "s")
+              + (np.arange(n_days)[:, None] * 86400 + np.arange(per_day) * 60).ravel())
+    log_prices = np.cumsum(1e-3 * rng.standard_normal((stamps.size, 20)), axis=0)
+    panel = ReturnPanel(stamps, [f"I{i}" for i in range(20)], np.exp(log_prices))
+    column_bytes = stamps.size * 8
+    tracemalloc.start()
+    try:
+        deseasonalize_returns(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the day mask, bin ids, grouping order and average, then one issue's
+    # prices, returns and their bin spreads
+    assert peak < 6.5 * column_bytes, peak / column_bytes
 
 
 def write_rows(path, lines):
@@ -348,6 +396,28 @@ def test_extract_masks_zero_parent():
     assert not t.valid[0]
     assert np.all(np.isnan(t.ratios[0]))
     assert np.all(np.isfinite(t.pooled))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 300, 600, 1000])
+def test_extract_multipliers_scale_by_a_power_of_two(k):
+    spec = CascadeSpec(
+        depth=10,
+        multiplier_law=SignedLognormal.from_log2(-0.33, 0.02),
+        additive_law=NormalNoise(0.09),
+        seed=42,
+    )
+    pyramid = synthesize_mixed(spec)
+    scaled = WaveletPyramid(
+        root_approx=math.ldexp(pyramid.root_approx, k),
+        root_detail=math.ldexp(pyramid.root_detail, k),
+        layers=[np.ldexp(layer, k) for layer in pyramid.layers],
+    )
+    # squaring a value past 2**512 overflows and one below 2**-537 underflows
+    # to zero, which would mask or unmask parents that the unscaled run does not
+    for t, u in zip(extract_multipliers(scaled).transitions,
+                    extract_multipliers(pyramid).transitions):
+        assert np.array_equal(t.valid, u.valid)
+        assert np.array_equal(t.ratios, u.ratios, equal_nan=True)
 
 
 def test_mixed_ratios_prefer_heavy_tailed_family():
