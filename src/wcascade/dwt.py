@@ -194,17 +194,18 @@ class WaveletPyramid:
 def layer_spread(values: np.ndarray) -> float:
     """A layer's ``h_j``: its population std, or the magnitude of a size-one layer, which has no spread.
 
-    A layer whose largest magnitude lies beyond ``2**±256`` is measured in
-    units of ``2**e``, ``e = frexp(max |x|)[1]``, so its squares neither
-    overflow nor underflow.  Power-of-two scaling is exact away from
-    subnormals, so ``layer_spread(x * 2**k) == layer_spread(x) * 2**k``.
+    It is ``std()``'s steps, worked in place on one copy scaled by
+    ``2**-e``, ``e = frexp(max |x|)[1]``, so no square overflows.  Such
+    scaling is exact away from subnormals: the bits are ``values.std()``'s
+    wherever that is finite, and ``layer_spread(x * 2**k) == layer_spread(x) * 2**k``.
     """
     if values.size == 1:
         return float(abs(values[0]))
     e = math.frexp(max(values.max(), -values.min()))[1]
-    if abs(e) < 256:  # the largest squares are normal and any layer's sum of them finite
-        return float(values.std())
-    return math.ldexp(float(np.ldexp(values, -e).std()), e)
+    scaled = np.ldexp(values, -e)
+    scaled -= scaled.mean()
+    scaled *= scaled
+    return math.ldexp(math.sqrt(scaled.mean()), e)
 
 
 def save_pyramid(pyramid: WaveletPyramid, path) -> None:

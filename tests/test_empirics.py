@@ -246,7 +246,7 @@ def test_deseasonalize_holds_a_few_columns_not_the_panel(tmp_path):
     assert peak < 16 * column_bytes, peak / column_bytes
 
 
-def test_deseasonalize_peaks_under_seven_columns_above_the_panel():
+def test_deseasonalize_peaks_under_six_and_a_half_columns_above_the_panel():
     rng = np.random.default_rng(13)
     n_days, per_day = 60, 390
     stamps = (np.datetime64("2010-01-04T09:30", "s")
