@@ -1,8 +1,8 @@
 """Command-line front end: simulate cascades, analyze series, emit tables.
 
 Exit codes are a frozen contract: 0 success, 2 invalid input or config,
-3 I/O failure, 4 analysis failure.  Every command is deterministic given
-its config and seed; rerunning produces byte-identical artifacts.
+3 I/O failure, 4 analysis failure.  Commands are deterministic: with one
+numpy build at one SIMD dispatch level, reruns give byte-identical artifacts.
 
 Each command is one row of :data:`_COMMANDS`: its flags, named in
 :data:`_FLAGS`, and a function from the parsed arguments to its
@@ -239,7 +239,7 @@ def _spec(path, seed: int | None) -> cascade.CascadeSpec:
     return cascade.CascadeSpec.from_dict(data)
 
 
-def _write_report(out, files: dict, fmt: str = "both") -> None:
+def _write_report(out, files: dict, fmt: str) -> None:
     """Create ``out`` and write the ``{name: content}`` files that ``fmt`` selects.
 
     ``fmt`` selects by suffix: ``json``, ``csv`` or ``both``.  A

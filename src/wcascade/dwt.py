@@ -308,23 +308,20 @@ def dwt_forward(series: TimeSeries) -> WaveletPyramid:
 def dwt_inverse(pyramid: WaveletPyramid) -> TimeSeries:
     """Reconstruct the series a pyramid expands.
 
-    The ``2**(j/2)`` factor is removed from copies of the layers before
-    synthesis; the pyramid is left untouched.
+    Each layer is divided by its ``2**(j/2)`` factor just before its
+    synthesis step; the pyramid is left untouched.
     """
     approx = _synthesis_step(np.array([pyramid.root_approx]), np.array([pyramid.root_detail]))
-    for layer in rescale(pyramid.layers, undo=True):
-        approx = _synthesis_step(approx, layer)
+    for j, layer in enumerate(pyramid.layers, start=1):
+        approx = _synthesis_step(approx, layer / _layer_factor(j))
     return TimeSeries(approx)
 
 
-def rescale(layers: list, undo: bool = False) -> list:
-    """New detail layers ``1..depth`` with the ``2**(j/2)`` factor applied, or removed if ``undo``.
+def _layer_factor(j: int) -> float:
+    """Detail layer ``j``'s rescaling factor ``2**(j/2)``, a Python float power."""
+    return 2.0 ** (j / 2.0)
 
-    Removing divides by the factor, so applying and then removing it is the
-    identity up to one rounding per coefficient.
-    """
-    scaled = []
-    for j, layer in enumerate(layers, start=1):
-        factor = 2.0 ** (j / 2.0)
-        scaled.append(layer / factor if undo else layer * factor)
-    return scaled
+
+def rescale(layers: list) -> list:
+    """New detail layers ``1..depth`` with the ``2**(j/2)`` factor applied."""
+    return [layer * _layer_factor(j) for j, layer in enumerate(layers, start=1)]

@@ -522,6 +522,26 @@ def _zero_variance_row(j: int, side: str, ratio_sq: float) -> TransitionVariance
     )
 
 
+def _square(x: float) -> float:
+    """``x**2``, or inf where Python's float power raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _require_finite(j: int, side: str, values: dict) -> None:
+    """Refuse a transition side whose fit input or result is not finite, naming the value."""
+    for name, value in values.items():
+        value = np.ravel(value)
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(
+                f"transition {j}->{j + 1} ({side}): {name} is {bad[0]}; "
+                "the layer values are too large to square"
+            )
+
+
 def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> list:
     """Per-transition, per-side variance decomposition fits.
 
@@ -532,7 +552,8 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
     with fewer than 3 usable bins (with a warning if its children could
     have filled 3 bins), except that an exactly deterministic transition
     reports zero variances directly.  A squared ratio of layer spreads past
-    the float range is an error.
+    the float range is an error, and so is a fit input or result that is
+    not finite.
     """
     rows = []
     for j in range(1, pyramid.depth):
@@ -554,14 +575,16 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
                         stacklevel=2,
                     )
             continue
-        try:
-            ratio_sq = (h_j1 / h_j) ** 2
-        except OverflowError:  # the square is past 1.8e308
-            ratio_sq = math.inf
+        ratio_sq, h_sq = _square(h_j1 / h_j), _square(h_j)
         if ratio_sq == math.inf:  # the ratio or its square is past the float range
             raise ValueError(f"transition {j}->{j + 1}: the squared layer spread ratio overflows")
         for side, kids in sides:
-            table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j)
+            # a square past the float range is refused below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j)
+                x = table.bin_centers**2
+            _require_finite(j, side, {"squared bin center": x,
+                                      "conditional variance": table.conditional_variances})
             inc = table.bin_counts >= _MIN_COUNT
             if int(np.count_nonzero(inc)) < 3:
                 if table.conditional_variances.max() == 0.0:
@@ -573,9 +596,11 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
                         stacklevel=2,
                     )
                 continue
-            fit = ols(table.bin_centers[inc] ** 2, table.conditional_variances[inc])
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit = ols(x[inc], table.conditional_variances[inc])
+            _require_finite(j, side, {**vars(fit), "h_j**2": h_sq})
             var_w = max(fit.slope, 0.0)
-            var_eta = max(fit.intercept, 0.0) / h_j**2
+            var_eta = max(fit.intercept, 0.0) / h_sq
             rows.append(
                 TransitionVarianceFit(
                     parent_layer=j,

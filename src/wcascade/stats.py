@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_REL_TOL = 1e-8  # the search stops at this bracket width relative to its ends
 
 FIT_MIN_SAMPLES = 100  # the fewest samples a scale fit accepts
 
@@ -65,14 +66,14 @@ class BinnedVariance:
     conditional_variances: np.ndarray
 
 
-def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-8):
+def _golden_section(f, lo: float, hi: float):
     """Minimize a unimodal function on [lo, hi] by golden-section search."""
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(400):
-        if (b - a) <= rel_tol * max(abs(a), abs(b)):
+        if (b - a) <= _GOLDEN_REL_TOL * max(abs(a), abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc

@@ -110,8 +110,7 @@ def _frequencies(scale: float, n: int) -> np.ndarray:
     return omega
 
 
-def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None, frequencies=None,
-        product=None) -> CwtMatrix:
+def cwt(series: TimeSeries, scale_grid, spectrum, out, frequencies, product) -> CwtMatrix:
     """Periodic continuous wavelet transform with 1/s normalization.
 
     ``W(x, s) = (1/s) sum_u f(u) psi((u - x)/s)`` with ``psi`` the Mexican
@@ -122,14 +121,13 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None, frequencies=Non
     must lie in ``[2, L/4]`` where the wavelet is well sampled and not yet
     wrap-dominated.
 
-    A caller that transforms one row per call passes what every call
-    shares.  ``spectrum`` must be ``np.fft.rfft(series.values)``.  ``out``
-    is the float array of shape ``(scales, n)`` the rows are written to,
-    whatever it held.  ``frequencies`` must hold ``2 pi k / n`` in the
-    bits of ``2.0 * np.pi * k / n`` for ``k = 0, 1, ...``, through the band
-    of the grid's finest scale.  ``product`` is a complex array shaped like
-    ``spectrum``, the scratch of the kernel product.  Each is made here
-    when not given.
+    The caller passes what every call shares.  ``spectrum`` must be
+    ``np.fft.rfft(series.values)``.  ``out`` is the float array of shape
+    ``(scales, n)`` the rows are written to, whatever it held.
+    ``frequencies`` must hold ``2 pi k / n`` in the bits of
+    ``2.0 * np.pi * k / n`` for ``k = 0, 1, ...``, through the band of the
+    grid's finest scale.  ``product`` is a complex array shaped like
+    ``spectrum``, the scratch of the kernel product.
     """
     scale_grid = np.asarray(scale_grid, dtype=float)
     n = series.length
@@ -137,16 +135,8 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None, frequencies=Non
         raise ValueError(f"scales must lie within [2, {n / 4:g}] samples")
     if np.any(np.diff(scale_grid) <= 0):
         raise ValueError("scales must be strictly increasing")
-    if spectrum is None:
-        spectrum = np.fft.rfft(series.values)
-    if out is None:
-        out = np.empty((scale_grid.size, n))
-    elif out.shape != (scale_grid.size, n) or out.dtype != np.float64:
+    if out.shape != (scale_grid.size, n) or out.dtype != np.float64:
         raise ValueError(f"out must be a float array of shape {(scale_grid.size, n)}")
-    if frequencies is None and scale_grid.size:
-        frequencies = _frequencies(scale_grid[0], n)
-    if product is None:
-        product = np.empty_like(spectrum)
     for row, s in zip(out, scale_grid):
         band = int(np.searchsorted(frequencies, _KERNEL_BAND / s, side="right"))
         # the row is the kernel's scratch until the inverse transform fills it
@@ -156,7 +146,11 @@ def cwt(series: TimeSeries, scale_grid, spectrum=None, out=None, frequencies=Non
         np.exp(e, out=e)
         w2 *= -_SQRT_2PI
         w2 *= e  # Psi(s w) = (-sqrt(2 pi) (s w)^2) exp(-(s w)^2 / 2)
-        np.multiply(spectrum[:band], w2, out=product[:band])
+        # Psi as complex, as numpy's cast makes it: a float operand has numpy allocate a cast
+        # buffer without the GIL, which a tracemalloc.stop() on another thread can crash (3.11)
+        product.real[:band] = w2
+        product.imag[:band] = 0.0
+        np.multiply(spectrum[:band], product[:band], out=product[:band])
         product[band:] = 0.0
         np.fft.irfft(product, n=n, out=row)
     return CwtMatrix(scales=scale_grid, values=out)
@@ -248,7 +242,7 @@ def _link(heads: np.ndarray, cands: np.ndarray, radius: float, length: int) -> t
     pair_cand = np.concatenate([(idx - 1) % cands.size, idx % cands.size])
     dist = np.abs(heads[pair_line] - cands[pair_cand])
     np.minimum(dist, length - dist, out=dist)  # circular
-    ok = dist <= radius
+    ok = dist <= int(radius)  # for integer distances the same test, with no float cast
     pair_line, pair_cand = pair_line[ok], pair_cand[ok]
     accepted = _greedy_matching(pair_line, pair_cand, dist[ok])
     return pair_line[accepted], pair_cand[accepted]

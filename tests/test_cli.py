@@ -19,7 +19,7 @@ import wcascade
 from wcascade import cli, wtmm
 from wcascade.cascade import CascadeSpec, NormalNoise, SignedLognormal, synthesize_mixed
 from wcascade.cli import main
-from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_inverse, load_pyramid
+from wcascade.dwt import TimeSeries, WaveletPyramid, dwt_inverse, load_pyramid, save_pyramid
 
 REFERENCE_CONFIG = {
     "depth": 12,
@@ -341,7 +341,7 @@ def test_csv_columns_render_as_the_row_by_row_join(tmp_path):
         "path.csv": cli._indexed_csv("value", column),
         "table.csv": ("kind,layer,r,n_pairs", tuple(zip(*table))),
         "empty.csv": ("kind,layer,r,n_pairs", ()),
-    })
+    }, "both")
 
     def joined(header, rows):
         return (header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)).encode()
@@ -362,7 +362,7 @@ def test_no_csv_block_outlives_its_write(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cli._write_report(tmp_path, files)
+        cli._write_report(tmp_path, files, "both")
     finally:
         tracemalloc.stop()
     assert len(held) == 1 and held[0] - before < 100_000, held[0] - before
@@ -738,6 +738,19 @@ def _pyramid_with_spread_jump():
     return {"depth": 10, "rescaled": True, "root_approx": 0.0, "root_detail": 1.0, "layers": layers}
 
 
+def _scaled_study_pyramid(tmp_path, k):
+    """A depth-14 pyramid of the benchmark study's laws (seed 7), every value times ``2**k``."""
+    pyramid = synthesize_mixed(CascadeSpec(
+        depth=14, multiplier_law=SignedLognormal(-0.8713, 0.01386), additive_law=NormalNoise(0.32), seed=7,
+    ))
+    path = tmp_path / "scaled.json"
+    save_pyramid(WaveletPyramid(
+        math.ldexp(pyramid.root_approx, k), math.ldexp(pyramid.root_detail, k),
+        [np.ldexp(layer, k) for layer in pyramid.layers],
+    ), path)
+    return path
+
+
 def _nested_json(tmp_path):
     """A JSON file nested 200,000 arrays deep: deeper than Python's recursion limit."""
     path = tmp_path / "nested.json"
@@ -1034,6 +1047,11 @@ CONTRACT_CASES = {
         lambda t: ["variances", "--input", str(_json_file(t, _pyramid_with_spread_jump()))],
         4, "stage variances: transition 8->9: the squared layer spread ratio overflows",
     ),
+    # every value times 2**800: the squares of the spreads and of the children pass the float range
+    "variances-layers-times-2**800": (
+        lambda t: ["variances", "--input", str(_scaled_study_pyramid(t, 800))],
+        4, "stage variances: transition 8->9 (left): squared bin center is inf",
+    ),
 }
 
 
@@ -1274,29 +1292,63 @@ def test_traced_replay_opens_every_traced_span(tmp_path):
     # the benchmark's --trace 1 wraps package functions by name and reads
     # some of their argument names; a rename breaks it silently otherwise
     replay, layers = load_wcbench("replay"), load_wcbench("layers")
-    pyramid = str(tmp_path / "sim" / "pyramid.json")
-    commands = [
-        ["pipeline", "--input", str(write_cascade_panel(tmp_path, depth=12)),
-         "--out", str(tmp_path / "report")],
-        ["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "sim")],
-        ["collapse", "--input", pyramid, "--out", str(tmp_path / "col"), "--h-grid", "0:1:0.25"],
+    replayed, untraced = tmp_path / "replayed", tmp_path / "untraced"
+    simulated = replayed / "simulate"
+    pyramid = str(simulated / "pyramid.json")
+    commands = [  # each takes its --out last
+        ["pipeline", "--input", str(write_cascade_panel(tmp_path, depth=12)), "--out"],
+        ["simulate", "--config", str(write_config(tmp_path)), "--out"],
+        ["collapse", "--input", pyramid, "--h-grid", "0:1:0.25", "--out"],
+        ["spectrum", "--input", str(simulated / "path.csv"), "--out"],
+        ["multipliers", "--input", pyramid, "--out"],
+        ["variances", "--input", pyramid, "--out"],
     ]
     docs = []
     for i, argv in enumerate(commands):
         spans = tmp_path / f"spans{i}.json"
-        proc = run_python(replay.__file__, str(spans), *argv)
+        proc = run_python(replay.__file__, str(spans), *argv, str(replayed / argv[0]))
         assert proc.returncode == 0, proc.stderr
         docs.append(json.loads(spans.read_text()))
+        # the benchmark refuses a traced run whose replay writes other files than the CLI
+        assert main([*argv, str(untraced / argv[0])]) == 0
+        files = read_tree(replayed / argv[0])
+        assert files and files == read_tree(untraced / argv[0]), argv[0]
     opened = {span["name"] for doc in docs for span in doc["spans"]}
     traced = {f"{layer}.{name}" for layer, names in replay.TRACED.items() for name in names}
     assert traced and traced <= opened, sorted(traced - opened)
     # the WTMM counters read the chaining result: one line per finest-scale maximum
     metrics = layers.layer_metrics(docs[:1], 0.0, 0.0, 0.0)
-    path = TimeSeries(np.loadtxt(tmp_path / "report" / "path.csv", delimiter=",", skiprows=1)[:, 1])
+    path = TimeSeries(np.loadtxt(replayed / "pipeline" / "path.csv", delimiter=",", skiprows=1)[:, 1])
     finest = wtmm.default_scale_grid(path.length)[:1]
-    seeds = wtmm.find_modulus_maxima(wtmm.cwt(path, finest))[0]
+    dft = np.fft.rfft(path.values)
+    row = wtmm.cwt(path, finest, dft, np.empty((1, path.length)),
+                   wtmm._frequencies(finest[0], path.length), np.empty_like(dft))
+    seeds = wtmm.find_modulus_maxima(row)[0]
     assert seeds.size and metrics["wtmm.lines_count"] == seeds.size
     assert 0 < metrics["wtmm.lines_complete_ratio"] <= 1
+
+
+TRACED_SPECTRA = """
+import importlib.util, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("replay", sys.argv[1])
+replay = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(replay)
+from wcascade import wtmm
+from wcascade.dwt import TimeSeries
+replay.Tracer().install()
+series = TimeSeries(np.cumsum(np.random.default_rng(0).standard_normal(2**14)))
+for _ in range(60):
+    wtmm.singular_spectrum(series)
+"""
+
+
+def test_traced_spectra_survive_tracemalloc_toggled_on_the_workers():
+    # the replay starts and stops tracemalloc around each `cwt` on a worker thread; under
+    # Python 3.11 an allocation another thread makes without the GIL meanwhile, such as a
+    # numpy cast buffer, can segfault (here within 60 spectra when `cwt` or the chaining cast)
+    proc = run_python("-c", TRACED_SPECTRA, load_wcbench("replay").__file__)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_seed_sweep_runs_one_seed():

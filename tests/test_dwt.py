@@ -12,6 +12,7 @@ from wcascade.dwt import (
     TimeSeries,
     WaveletPyramid,
     _analysis_step,
+    _layer_factor,
     _synthesis_step,
     dwt_forward,
     dwt_inverse,
@@ -52,9 +53,14 @@ def flatten_pyramid(p):
     )
 
 
+def unscaled(layers):
+    """New layers with the ``2**(j/2)`` factor divided out, as `dwt_inverse` does per layer."""
+    return [layer / _layer_factor(j) for j, layer in enumerate(layers, start=1)]
+
+
 def flatten_raw(p):
     """`flatten_pyramid` with the layer rescaling removed: the oracle's coefficients."""
-    return np.concatenate([[p.root_approx, p.root_detail]] + rescale(p.layers, undo=True))
+    return np.concatenate([[p.root_approx, p.root_detail]] + unscaled(p.layers))
 
 
 def roll_analysis_step(approx):
@@ -251,7 +257,7 @@ def test_db4_annihilates_lines_but_not_parabolas():
 
 def test_rescale_layer_factor():
     ones = [np.ones(2**j) for j in range(1, 4)]
-    for j, (scaled, raw) in enumerate(zip(rescale(ones), rescale(ones, undo=True)), start=1):
+    for j, (scaled, raw) in enumerate(zip(rescale(ones), unscaled(ones)), start=1):
         assert np.array_equal(scaled, np.full(2**j, 2.0 ** (j / 2.0)))
         assert np.array_equal(raw, np.full(2**j, 1.0 / 2.0 ** (j / 2.0)))
     assert all(np.array_equal(o, np.ones(2**j)) for j, o in enumerate(ones, start=1))
@@ -262,20 +268,37 @@ def test_rescale_involution_and_std_scaling():
     scaled = rescale(layers)
     for j in range(1, 7):
         assert np.isclose(scaled[j - 1].std(), layers[j - 1].std() * 2 ** (j / 2))
-    back = rescale(scaled, undo=True)
+    back = unscaled(scaled)
     for j in range(1, 7):
         # odd layers scale by an irrational factor, so allow 1 ulp
         assert np.all(np.abs(back[j - 1] - layers[j - 1]) <= np.spacing(np.abs(layers[j - 1])))
 
 
 def test_inverse_handles_rescaled_pyramid():
-    # the factor comes off copies of the layers: the oracle synthesizes the raw ones
+    # the factor comes off each layer before its step: the oracle synthesizes the raw ones
     p = random_pyramid(depth=5, seed=13)
     before = [layer.copy() for layer in p.layers]
     series = dwt_inverse(p)
     oracle = analysis_matrix(2 ** (p.depth + 1)).T @ flatten_raw(p)
     assert np.max(np.abs(series.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert all(np.array_equal(a, b) for a, b in zip(p.layers, before))
+    # dividing one layer at a time gives the bits of synthesizing a whole unscaled copy
+    approx = _synthesis_step(np.array([p.root_approx]), np.array([p.root_detail]))
+    for layer in unscaled(p.layers):
+        approx = _synthesis_step(approx, layer)
+    assert series.values.tobytes() == approx.tobytes()
+
+
+def test_inverse_holds_one_unscaled_layer_at_a_time():
+    # an undone copy of the whole pyramid, held through the synthesis, read 3.50 path sizes
+    pyramid = random_pyramid(depth=16, seed=23)
+    tracemalloc.start()
+    try:
+        dwt_inverse(pyramid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2**17 * 8, peak / (2**17 * 8)
 
 
 def test_serialization_round_trip(tmp_path):

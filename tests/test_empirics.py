@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -418,6 +419,29 @@ def test_extract_multipliers_scale_by_a_power_of_two(k):
                     extract_multipliers(pyramid).transitions):
         assert np.array_equal(t.valid, u.valid)
         assert np.array_equal(t.ratios, u.ratios, equal_nan=True)
+
+
+@pytest.mark.parametrize("k", [300, 500, 800, 1000])
+def test_estimate_variances_refuses_squares_past_the_float_range(k):
+    # at 2**300 and 2**500 the fit's sums of squares overflow, above that the bins' squares;
+    # a leaked numpy warning fails here as an error, before the ValueError
+    spec = CascadeSpec(
+        depth=14,
+        multiplier_law=SignedLognormal(-0.8713, 0.01386),
+        additive_law=NormalNoise(0.32),
+        seed=7,
+    )
+    pyramid = synthesize_mixed(spec)
+    scaled = WaveletPyramid(
+        root_approx=math.ldexp(pyramid.root_approx, k),
+        root_detail=math.ldexp(pyramid.root_detail, k),
+        layers=[np.ldexp(layer, k) for layer in pyramid.layers],
+    )
+    first = "11->12 (left): slope is nan" if k < 512 else "8->9 (left): squared bin center is inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the transitions omitted for too few bins
+        with pytest.raises(ValueError, match=rf"^transition {re.escape(first)};"):
+            estimate_variances(scaled)
 
 
 def test_mixed_ratios_prefer_heavy_tailed_family():
@@ -862,7 +886,7 @@ def test_variance_table_schema(tmp_path):
     )
     fits = estimate_variances(synthesize_mixed(spec))
     assert fits
-    _write_report(tmp_path, _variance_files(fits))
+    _write_report(tmp_path, _variance_files(fits), "both")
     table = (tmp_path / "variance_table.csv").read_text().splitlines()
     assert table[0] == "Scale,side,a,b,Std a,Std b,Adj R2,Var(W),Var(eta)"
     assert table[1].split(",")[:2] == [str(fits[0].parent_layer), fits[0].side]

@@ -72,16 +72,26 @@ def test_wavelet_vanishing_moments_by_quadrature():
 # continuous transform
 
 
+def fresh_cwt(series, scale_grid, out=None):
+    """``cwt`` of a whole grid, with every buffer it shares made here."""
+    scale_grid = np.asarray(scale_grid, dtype=float)
+    spectrum = np.fft.rfft(series.values)
+    if out is None:
+        out = np.empty((scale_grid.size, series.length))
+    frequencies = wtmm._frequencies(scale_grid[0], series.length) if scale_grid.size else None
+    return cwt(series, scale_grid, spectrum, out, frequencies, np.empty_like(spectrum))
+
+
 def test_cwt_constant_is_zero():
     series = TimeSeries(np.full(256, 3.7))
-    matrix = cwt(series, [4.0, 8.0, 16.0])
+    matrix = fresh_cwt(series, [4.0, 8.0, 16.0])
     assert np.max(np.abs(matrix.values)) < 1e-12
 
 
 def test_cwt_ramp_vanishes_away_from_wrap():
     length = 512
     series = TimeSeries(np.arange(length, dtype=float))
-    matrix = cwt(series, [4.0, 8.0])
+    matrix = fresh_cwt(series, [4.0, 8.0])
     # two vanishing moments annihilate the linear trend; only the periodic
     # wrap jump at position 0 responds
     inner = matrix.values[:, 128:384]
@@ -94,7 +104,7 @@ def test_cwt_impulse_matches_direct_evaluation():
     values = np.zeros(length)
     values[x0] = 1.0
     for s in (4.0, 10.0):
-        matrix = cwt(TimeSeries(values), [s])
+        matrix = fresh_cwt(TimeSeries(values), [s])
         positions = np.arange(length)
         expected = np.zeros(length)
         for image in (-length, 0, length):
@@ -103,18 +113,18 @@ def test_cwt_impulse_matches_direct_evaluation():
 
 
 def test_cwt_of_an_empty_grid_is_an_empty_matrix():
-    matrix = cwt(TimeSeries(np.arange(64.0)), [])
+    matrix = fresh_cwt(TimeSeries(np.arange(64.0)), [])
     assert matrix.values.shape == (0, 64) and matrix.scales.size == 0
 
 
 def test_cwt_scale_validation():
     series = TimeSeries(np.zeros(128) + np.arange(128.0))
     with pytest.raises(ValueError):
-        cwt(series, [1.5])
+        fresh_cwt(series, [1.5])
     with pytest.raises(ValueError):
-        cwt(series, [64.0])  # beyond L/4
+        fresh_cwt(series, [64.0])  # beyond L/4
     with pytest.raises(ValueError):
-        cwt(series, [8.0, 8.0])
+        fresh_cwt(series, [8.0, 8.0])
 
 
 def rolled_kernel(s, n):
@@ -170,7 +180,7 @@ def _two_steps(n):
 def test_cwt_matches_dense_loop_bit_for_bit(length, make_series):
     series = TimeSeries(make_series(length))
     grid = straddling_grid(length)
-    values = cwt(series, grid).values
+    values = fresh_cwt(series, grid).values
     expected = dense_reference_cwt(series, grid)
     assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
@@ -184,7 +194,7 @@ def test_cwt_matches_sampled_kernel_up_to_roundoff(length, make_series):
     series = TimeSeries(make_series(length))
     grid = np.unique(np.concatenate([np.geomspace(2.5, length / 100, 9), default_scale_grid(length)]))
     grid = grid[grid <= length / 100]
-    values = cwt(series, grid).values
+    values = fresh_cwt(series, grid).values
     expected = sampled_kernel_cwt(series, grid)
     gap = np.max(np.abs(values - expected), axis=1)
     assert np.all(gap <= 1e-12 * np.max(np.abs(expected), axis=1))
@@ -198,7 +208,7 @@ def test_cwt_with_shared_frequencies_and_product_matches_a_fresh_transform():
     assert frequencies.tobytes() == (2.0 * np.pi * np.arange(frequencies.size) / 4096).tobytes()
     product = np.full_like(dft, np.nan)  # whatever it held
     row = np.full((1, 4096), np.nan)
-    whole = cwt(series, grid).values
+    whole = fresh_cwt(series, grid).values
     for i in range(grid.size):
         # a coarse row reads the finest row's frequency grid
         shared = cwt(series, grid[i : i + 1], dft, row, frequencies, product)
@@ -210,14 +220,15 @@ def test_cwt_into_a_reused_buffer_matches_a_fresh_transform():
     series = TimeSeries(_random_walk(4096))
     grid = default_scale_grid(4096)
     dft = np.fft.rfft(series.values)
-    buffer = cwt(series, grid[4:8]).values  # holds another block's rows
-    fresh = cwt(series, grid[:4])
-    reused = cwt(series, grid[:4], dft, out=buffer)
+    frequencies, product = wtmm._frequencies(grid[0], 4096), np.empty_like(dft)
+    buffer = fresh_cwt(series, grid[4:8]).values  # holds another block's rows
+    fresh = fresh_cwt(series, grid[:4])
+    reused = cwt(series, grid[:4], dft, buffer, frequencies, product)
     assert reused.values is buffer
     assert reused.values.tobytes() == fresh.values.tobytes()
     # a leading slice of the buffer takes a shorter block
-    tail = cwt(series, grid[5:8], dft, out=buffer[:3])
-    assert tail.values.tobytes() == cwt(series, grid[5:8]).values.tobytes()
+    tail = cwt(series, grid[5:8], dft, buffer[:3], frequencies, product)
+    assert tail.values.tobytes() == fresh_cwt(series, grid[5:8]).values.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -228,7 +239,7 @@ def test_cwt_into_a_reused_buffer_matches_a_fresh_transform():
 def test_cwt_refuses_a_wrongly_shaped_out(out):
     series = TimeSeries(_random_walk(4096))
     with pytest.raises(ValueError, match=r"out must be a float array of shape \(4, 4096\)"):
-        cwt(series, default_scale_grid(4096)[:4], out=out)
+        fresh_cwt(series, default_scale_grid(4096)[:4], out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +258,7 @@ def test_maxima_match_brute_force_on_bump():
     length = 512
     x = np.arange(length, dtype=float)
     series = TimeSeries(np.exp(-0.5 * ((x - 256) / 16) ** 2))
-    matrix = cwt(series, [4.0, 8.0])
+    matrix = fresh_cwt(series, [4.0, 8.0])
     maxima = find_modulus_maxima(matrix)
     for row, found in zip(matrix.values, maxima):
         assert np.array_equal(found, brute_force_maxima(row))
@@ -257,7 +268,7 @@ def test_bump_has_three_maxima_at_fine_scale():
     length = 1024
     x = np.arange(length, dtype=float)
     series = TimeSeries(np.exp(-0.5 * ((x - 512) / 24) ** 2))
-    matrix = cwt(series, [6.0])
+    matrix = fresh_cwt(series, [6.0])
     maxima = find_modulus_maxima(matrix)[0]
     assert maxima.size == 3
     assert 512 in maxima  # center plus two symmetric flanks
@@ -267,7 +278,7 @@ def test_bump_has_three_maxima_at_fine_scale():
 
 def test_maxima_leave_the_moduli_in_the_matrix():
     series = TimeSeries(_random_walk(4096))
-    matrix = cwt(series, default_scale_grid(4096)[:5])
+    matrix = fresh_cwt(series, default_scale_grid(4096)[:5])
     transform = matrix.values.copy()
     assert np.any(transform < 0)
     maxima = find_modulus_maxima(matrix)
@@ -349,7 +360,7 @@ def test_step_response_maxima_flank_each_step():
     values = np.zeros(length)
     values[700:1600] = 1.0
     jumps = np.array([699.5, 1599.5])
-    matrix = cwt(TimeSeries(values), [4.0, 16.0, 64.0])
+    matrix = fresh_cwt(TimeSeries(values), [4.0, 16.0, 64.0])
     for s, row_maxima in zip(matrix.scales, find_modulus_maxima(matrix)):
         expected = np.sort(np.concatenate([jumps - s, jumps + s]))
         assert np.max(np.abs(row_maxima - expected)) <= 0.5
@@ -365,7 +376,7 @@ def test_two_steps_give_two_complete_lines():
     length = 4096
     series = TimeSeries(_two_steps(length))
     grid = default_scale_grid(length)
-    matrix = cwt(series, grid)
+    matrix = fresh_cwt(series, grid)
     maxima = find_modulus_maxima(matrix)
     lines = chain_from_matrix(maxima, matrix)
     assert len(lines) == 4  # two flanks per jump
@@ -557,7 +568,7 @@ def test_chaining_matches_reference_on_cascade_path():
         depth=13, multiplier_law=SignedLognormal.from_log2(-0.33, 0.02), seed=3
     )
     series = dwt_inverse(synthesize_mixed(spec))
-    matrix = cwt(series, default_scale_grid(series.length))
+    matrix = fresh_cwt(series, default_scale_grid(series.length))
     lines = assert_chaining_matches_reference(find_modulus_maxima(matrix), matrix)
     lengths = {len(line) for line in lines}
     assert min(lengths) < matrix.scales.size and max(lengths) == matrix.scales.size
@@ -720,7 +731,7 @@ def test_partition_holds_about_one_float_per_line_point():
     series = _cascade_path()
     config = WtmmConfig()
     grid = config.scale_grid(series.length)
-    matrix = cwt(series, grid)
+    matrix = fresh_cwt(series, grid)
     lines = chain_from_matrix(find_modulus_maxima(matrix), matrix)
     del matrix
     points = sum(len(line) for line in lines)
@@ -867,7 +878,7 @@ def _wave_packet(n=4096):
 
 def full_grid_reference(series, config):
     """The partition function and spectrum with every scale up to L/8 transformed."""
-    matrix = cwt(series, default_scale_grid(series.length))
+    matrix = fresh_cwt(series, default_scale_grid(series.length))
     lines = chain_from_matrix(find_modulus_maxima(matrix), matrix)
     pf = partition_function(lines, config.q_grid(), matrix.scales)
     return pf, legendre_spectrum(estimate_tau(pf, config.fit_window(series.length)))
@@ -891,7 +902,7 @@ def test_grid_cut_at_the_fit_window_changes_no_bit(make_series, fit_max_scale, n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         pf_full, expected = full_grid_reference(series, config)
-        matrix = cwt(series, grid)
+        matrix = fresh_cwt(series, grid)
         maxima = find_modulus_maxima(matrix)
         lines = chain_from_matrix(maxima, matrix)
         pf = partition_function(lines, config.q_grid(), grid)
@@ -941,7 +952,7 @@ def test_blocked_front_end_matches_the_whole_matrix(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         spectrum = singular_spectrum(series, config)
-        matrix = cwt(series, grid)
+        matrix = fresh_cwt(series, grid)
         transform = matrix.values.copy()
         maxima = find_modulus_maxima(matrix)
         lines = chain_from_matrix(maxima, matrix)
