@@ -364,53 +364,35 @@ def multiplier_correlations(ms: MultiplierSet, pyramid: WaveletPyramid) -> Multi
     return MultiplierCorrelations(successive=successive, parent_vs_factor=parent_vs)
 
 
-_GAP_BLOCK = 1 << 14  # sample points per searchsorted call
+_GAP_BLOCK = 1 << 14  # points of x per searchsorted call
 
 
-def _own_ecdf(x: np.ndarray, tie_free_cdf: np.ndarray) -> np.ndarray:
-    """``searchsorted(x, x, side="right") / x.size`` for sorted ``x``, in O(n).
+def _ks_statistic(x, shares, y) -> float:
+    """Two-sample KS statistic of sorted samples; ``shares`` is ``arange(n + 1) / n``.
 
-    Each sample's count is the end of its run of equal values; a sample
-    without ties gets the shared ``tie_free_cdf``, ``arange(1, n + 1) / n``.
+    Between two points of ``x`` its ECDF is constant while ``y``'s grows, so
+    ``F_x - F_y`` peaks at a point of ``x`` and ``F_y - F_x`` just below one:
+    one ``searchsorted`` of ``x`` into ``y`` gives both, and a second, on the
+    left side, runs only where a point of ``y`` equals one of ``x``.  The
+    i-th point takes ``(i + 1) / n`` of ``x`` up to it and ``i / n`` below
+    it, which is exact at the last and the first point of a run of ties, and
+    smaller gaps elsewhere in the run.  Each gap is a difference of ``k / n``
+    and ``l / m`` that the merged ECDFs also take, and rounding is monotone,
+    so the statistic is the same float as the largest gap over the merged
+    points, for any sample sizes.
     """
-    last_of_run = np.append(x[1:] != x[:-1], True)
-    if last_of_run.all():
-        return tie_free_cdf
-    counts = np.flatnonzero(last_of_run)
-    counts += 1
-    return np.repeat(counts, np.diff(counts, prepend=0)) / x.size
-
-
-def _ks_statistic(x, x_cdf, y, y_cdf) -> float:
-    """Two-sample KS statistic of sorted samples with their own ECDF values.
-
-    The ECDF difference peaks at a sample point, so it is evaluated on
-    each sample's points, one ``searchsorted`` into the other sample each.
-    When one sample has at least 4 times the other's points, only its last
-    point below each point of the smaller sample is searched.  The smaller
-    sample's points cover every peak of its own ECDF over the larger one's;
-    a peak the other way sits at the end of a run of the larger sample on
-    which the smaller one's ECDF is constant, and float subtraction is
-    monotone, so the statistic is the same float.
-    """
-    if x.size < y.size:
-        x, x_cdf, y, y_cdf = y, y_cdf, x, x_cdf
-    ends = slice(None)
-    if x.size >= 4 * y.size:
-        ends = np.searchsorted(x, y, side="left")
-        ends -= 1
-        np.maximum(ends, 0, out=ends)  # no point of x lies below y's first: any index does
-    return max(_max_ecdf_gap(x[ends], x_cdf[ends], y), _max_ecdf_gap(y, y_cdf, x))
-
-
-def _max_ecdf_gap(points, points_cdf, other) -> float:
-    # block by block, so each thread's scratch stays small
     largest = 0.0
-    for lo in range(0, points.size, _GAP_BLOCK):
-        block = slice(lo, lo + _GAP_BLOCK)
-        gap = np.searchsorted(other, points[block], side="right") / other.size
-        gap -= points_cdf[block]
-        largest = max(largest, float(np.abs(gap, out=gap).max()))
+    for lo in range(0, x.size, _GAP_BLOCK):  # block by block, so each thread's scratch stays small
+        points = x[lo : lo + _GAP_BLOCK]
+        hi = lo + points.size
+        right = np.searchsorted(y, points, side="right")
+        share = right / y.size
+        largest = max(largest, float((shares[lo + 1 : hi + 1] - share).max()))
+        right -= 1  # y's last point up to each point; at -1, y[-1] lies above it
+        if np.any(y[right] == points):
+            share = np.searchsorted(y, points, side="left") / y.size
+        share -= shares[lo:hi]
+        largest = max(largest, float(share.max()))
     return largest
 
 
@@ -434,11 +416,13 @@ def collapse_H(
     ``scale_j ** -H`` and the mean pairwise two-sample KS distance across
     layers is computed; the estimate is the grid argmin.  Needs at least
     three layers of ``min_layer_size`` coefficients; the layers are taken
-    in the pyramid's rescaled convention.
+    in the pyramid's rescaled convention.  Refuses, before any distance is
+    computed, a grid that is not finite and increasing and an H that takes
+    a layer past the float range.
     """
     h_grid = np.asarray(h_grid, dtype=float)
-    if h_grid.size < 2 or np.any(np.diff(h_grid) <= 0):
-        raise ValueError("h_grid must be an increasing vector of >= 2 values")
+    if not (h_grid.size >= 2 and np.all(np.isfinite(h_grid)) and np.all(np.diff(h_grid) > 0)):
+        raise ValueError("h_grid must be an increasing vector of >= 2 finite values")
     usable = [j for j in range(1, pyramid.depth + 1) if 2**j >= min_layer_size]
     if len(usable) < 3:
         raise ValueError(
@@ -447,16 +431,24 @@ def collapse_H(
         )
     sorted_layers = [np.sort(pyramid.layer(j)) for j in usable]
     log_scales = np.array([math.log(pyramid.scale(j)) for j in usable])
-    tie_free_cdfs = [np.arange(1, x.size + 1) / x.size for x in sorted_layers]
+    largest = np.array([max(-x[0], x[-1]) for x in sorted_layers])
+    # each row makes its H's factors again, so no array is held per H value;
+    # an infinite factor gives inf, or nan on a layer of zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in h_grid:
+            past = ~np.isfinite(largest * np.exp(-h * log_scales))
+            if past.any():
+                raise ValueError(f"H = {h:g} scales layer {usable[past.argmax()]} past the float range")
+    # each layer but the largest is searched into every larger one
+    shares = [np.arange(x.size + 1) / x.size for x in sorted_layers[:-1]]
 
     def mean_distance(h: float) -> float:
         scaled = [x * f for x, f in zip(sorted_layers, np.exp(-h * log_scales))]
-        own_cdf = [_own_ecdf(x, c) for x, c in zip(scaled, tie_free_cdfs)]
         total = 0.0
         n_pairs = 0
-        for a in range(len(usable)):
-            for b in range(a + 1, len(usable)):
-                total += _ks_statistic(scaled[a], own_cdf[a], scaled[b], own_cdf[b])
+        for a, x_shares in enumerate(shares):
+            for y in scaled[a + 1:]:
+                total += _ks_statistic(scaled[a], x_shares, y)
                 n_pairs += 1
         return total / n_pairs
 

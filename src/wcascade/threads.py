@@ -15,9 +15,10 @@ from collections import deque
 
 # Each thread holds its own scratch, which glibc keeps in a per-thread
 # arena after the item is done.  In `collapse_H` that is a scaled copy of
-# every usable layer, about 2.5 MB on a depth-17 pyramid: with four threads
-# the `collapse` process peaked at 74 MB on a depth-17 pyramid, as
-# `simulate` does at that depth; eight took 84 MB.
+# every usable layer, 2 MiB on a depth-17 pyramid, and one block of search
+# results.  With the 101-point default grid on a depth-17 pyramid, the
+# `collapse` process peaked at 45.4-45.5 MiB on one or two threads, which is
+# its `load_pyramid` peak, at 47.7-48.3 MiB on four and 57.7-59.2 MiB on eight.
 MAX_THREADS = 4
 # `singular_spectrum` allocates each worker's row and product buffers, so a
 # worker itself allocates only the inverse FFT's work buffers and its row's

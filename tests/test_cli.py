@@ -979,6 +979,13 @@ CONTRACT_CASES = {
             "layers": [[1.0] * 2, [1.0] * 4, [1.0] * 8]}))],
         2, "rescaled must be true or false, got 'false'",
     ),
+    # layer 6's factor at H = -400 is 8**400, past the float range
+    "collapse-overflowing-h": (
+        lambda t: ["collapse", "--input", str(_json_file(t, {
+            **PYRAMID_WITHOUT_LAYERS, "depth": 8,
+            "layers": [[0.5] * 2**j for j in range(1, 9)]})), "--h-grid=-400:0:200"],
+        4, "stage collapse: H = -400 scales layer 6 past the float range",
+    ),
     # a JSON integer is an int: int() would truncate 10.9 and read "42" and true
     **{
         f"simulate-{field}-{kind}": (
@@ -1197,6 +1204,23 @@ def test_memory_budget_admits_the_studied_sizes():
     # an H value costs a few floats, not a future
     assert 3 * 10**7 * cli._COLLAPSE_BYTES_PER_H <= cli.MEMORY_BUDGET
     assert 10**8 * cli._COLLAPSE_BYTES_PER_H > cli.MEMORY_BUDGET
+
+
+def test_collapse_holds_no_more_per_h_value_than_budgeted(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rng = np.random.default_rng(1)
+    layers = [rng.standard_normal(2**j) for j in range(1, 4)]
+    pyramid = WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
+    peaks = []
+    for n in (2, 2, 3000):  # the first call loads the thread pool's modules
+        tracemalloc.start()
+        try:
+            cli.empirics.collapse_H(pyramid, np.linspace(0.0, 1.0, n), min_layer_size=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 36 bytes per H value here; a factor array held per H value took 181
+    assert peaks[2] - peaks[1] < 2998 * cli._COLLAPSE_BYTES_PER_H, (peaks[2] - peaks[1]) / 2998
 
 
 def test_spectrum_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):

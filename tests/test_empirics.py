@@ -600,6 +600,14 @@ def test_correlations_need_two_transitions():
         multiplier_correlations(extract_multipliers(pyramid), pyramid)
 
 
+def merged_ks(x, y):
+    """KS statistic of sorted ``x`` and ``y``: the largest ECDF gap over their merged points."""
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / x.size
+    fy = np.searchsorted(y, grid, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
 def merge_reference_distances(pyramid, h_grid, min_layer_size=64):
     """Mean pairwise KS distances, each pair merged and searched 4 times."""
     usable = [j for j in range(1, pyramid.depth + 1) if 2**j >= min_layer_size]
@@ -613,11 +621,7 @@ def merge_reference_distances(pyramid, h_grid, min_layer_size=64):
         for a in range(len(usable)):
             x = sorted_layers[a] * factors[a]
             for b in range(a + 1, len(usable)):
-                y = sorted_layers[b] * factors[b]
-                grid = np.concatenate([x, y])
-                fx = np.searchsorted(x, grid, side="right") / x.size
-                fy = np.searchsorted(y, grid, side="right") / y.size
-                total += float(np.max(np.abs(fx - fy)))
+                total += merged_ks(x, sorted_layers[b] * factors[b])
                 n_pairs += 1
         distances.append(total / n_pairs)
     return np.array(distances)
@@ -675,6 +679,24 @@ def test_collapse_bit_equal_to_pairwise_merge(monkeypatch, name, block):
     assert np.array_equal(result.distances, merge_reference_distances(pyramid, h_grid))
 
 
+@pytest.mark.parametrize("block", [None, 7])  # 7 splits most samples into several blocks
+def test_ks_statistic_bit_equal_to_merged_ecdfs(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(empirics, "_GAP_BLOCK", block)
+    rng = np.random.default_rng(21)
+    shares_equal_points = below_all = 0
+    for _ in range(3000):
+        n, m = rng.integers(1, 90, size=2)  # either sample may be the larger
+        lo, hi = sorted(rng.integers(-12, 13, size=2))
+        # few values, so ties within and between the samples are common
+        x = np.sort(rng.integers(lo, hi + 1, n) / 4.0)
+        y = np.sort(rng.integers(-6, 7, m) / 4.0)
+        assert empirics._ks_statistic(x, np.arange(n + 1) / n, y) == merged_ks(x, y)
+        shares_equal_points += bool(np.isin(x, y).any())  # the side="left" search
+        below_all += bool(x[0] < y[0])  # a point at right == 0
+    assert shares_equal_points > 1000 and below_all > 1000
+
+
 def exact_preimage(target, factor):
     """A double ``w`` with ``w * factor == target``, or None."""
     w = target / factor
@@ -706,6 +728,46 @@ def test_collapse_counts_ties_made_by_scaling():
     result = collapse_H(pyramid, h_grid)
     assert result.distances[1] == 0.0 and result.h == 0.5
     assert np.array_equal(result.distances, merge_reference_distances(pyramid, h_grid))
+
+
+@pytest.mark.parametrize("h_grid", [[0.0, math.nan, 1.0], [math.nan, math.nan],
+                                    [0.0, math.inf], [-math.inf, 0.0], [0.5]])
+def test_collapse_refuses_a_grid_not_finite_and_increasing(h_grid):
+    pyramid = synthesize_mixed(CascadeSpec(depth=8, multiplier_law=PointMass(0.8), seed=1))
+    with pytest.raises(ValueError, match="increasing vector of >= 2 finite values"):
+        collapse_H(pyramid, h_grid)
+
+
+@pytest.mark.parametrize("h, big, message", [
+    (-400.0, 1.0, "H = -400 scales layer 6 past the float range"),  # the factor 8**400
+    (-20.0, 1e300, "H = -20 scales layer 7 past the float range"),  # 4**20 * 1e300
+])
+def test_collapse_refuses_an_h_that_overflows_a_layer(h, big, message):
+    layers = [np.full(2**j, 0.5) for j in range(1, 9)]
+    layers[6][3] = -big  # layer 7
+    pyramid = WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(ValueError, match=message):
+            collapse_H(pyramid, [h, 0.0, 0.5])
+
+
+def test_collapse_peak_on_one_worker_within_a_few_pyramids(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    spec = CascadeSpec(depth=16, multiplier_law=SignedLognormal.from_log2(-0.33, 0.3),
+                       additive_law=NormalNoise(0.09), seed=1)
+    pyramid = synthesize_mixed(spec)
+    pyramid_bytes = sum(layer.nbytes for layer in pyramid.layers)
+    tracemalloc.start()
+    try:
+        collapse_H(pyramid, np.arange(0.0, 1.005, 0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted layers, their shares and one scaled copy, then one pair's
+    # block scratch: 2.95-2.98 pyramids here; searching each sample into
+    # the other, with a 4x shortcut for unequal sizes, took 3.70-3.73
+    assert peak < 3.25 * pyramid_bytes, peak / pyramid_bytes
 
 
 @pytest.mark.parametrize("affinity", [False, True])
