@@ -191,17 +191,22 @@ class WaveletPyramid:
         return cls(root_approx, root_detail, layers)
 
 
+def layer_exponent(values: np.ndarray) -> int:
+    """A layer's unit ``2**e``, ``e = frexp(max |x|)[1]``: a nonzero layer's ``max |x| * 2**-e`` is in [0.5, 1)."""
+    return math.frexp(max(values.max(), -values.min()))[1]
+
+
 def layer_spread(values: np.ndarray) -> float:
     """A layer's ``h_j``: its population std, or the magnitude of a size-one layer, which has no spread.
 
-    It is ``std()``'s steps, worked in place on one copy scaled by
-    ``2**-e``, ``e = frexp(max |x|)[1]``, so no square overflows.  Such
-    scaling is exact away from subnormals: the bits are ``values.std()``'s
-    wherever that is finite, and ``layer_spread(x * 2**k) == layer_spread(x) * 2**k``.
+    It is ``std()``'s steps, worked in place on one copy in the layer's
+    unit (:func:`layer_exponent`), so no square overflows.  Such scaling is
+    exact away from subnormals: the bits are ``values.std()``'s wherever
+    that is finite, and ``layer_spread(x * 2**k) == layer_spread(x) * 2**k``.
     """
     if values.size == 1:
         return float(abs(values[0]))
-    e = math.frexp(max(values.max(), -values.min()))[1]
+    e = layer_exponent(values)
     scaled = np.ldexp(values, -e)
     scaled -= scaled.mean()
     scaled *= scaled

@@ -12,7 +12,9 @@ decomposition
     (h_{j+1} / h_j)^2   = Var(W) + Var(eta),
 
 fitted by regressing binned conditional variances on the squared bin
-center.  Every layer spread ``h_j`` is :func:`wcascade.dwt.layer_spread`.
+center, each layer in its own unit (:func:`wcascade.dwt.layer_exponent`),
+with the results mapped back exactly.  Every layer spread ``h_j`` is
+:func:`wcascade.dwt.layer_spread`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wcascade.dwt import TimeSeries, WaveletPyramid, layer_spread
+from wcascade.dwt import TimeSeries, WaveletPyramid, layer_exponent, layer_spread
 from wcascade.stats import binned_conditional_variance, ols, pearson_correlation
 from wcascade.threads import thread_map
 
@@ -514,24 +516,15 @@ def _zero_variance_row(j: int, side: str, ratio_sq: float) -> TransitionVariance
     )
 
 
-def _square(x: float) -> float:
-    """``x**2``, or inf where Python's float power raises OverflowError."""
+def _ldexp(value: float, shift: int, what: str) -> float:
+    """``value * 2**shift``: a result taken from layer units back to input units.
+
+    One past the float range is refused as ``"{what} overflows"``.
+    """
     try:
-        return x**2
+        return math.ldexp(value, shift)
     except OverflowError:
-        return math.inf
-
-
-def _require_finite(j: int, side: str, values: dict) -> None:
-    """Refuse a transition side whose fit input or result is not finite, naming the value."""
-    for name, value in values.items():
-        value = np.ravel(value)
-        bad = value[~np.isfinite(value)]
-        if bad.size:
-            raise ValueError(
-                f"transition {j}->{j + 1} ({side}): {name} is {bad[0]}; "
-                "the layer values are too large to square"
-            )
+        raise ValueError(f"{what} overflows") from None
 
 
 def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> list:
@@ -543,71 +536,61 @@ def estimate_variances(pyramid: WaveletPyramid, min_layer_size: int = 256) -> li
     layer is smaller than ``min_layer_size`` are omitted, and so is a side
     with fewer than 3 usable bins (with a warning if its children could
     have filled 3 bins), except that an exactly deterministic transition
-    reports zero variances directly.  A squared ratio of layer spreads past
-    the float range is an error, and so is a fit input or result that is
-    not finite.
+    reports zero variances directly.
+
+    The fit runs in layer units, parents times ``2**-e`` and children times
+    ``2**-e1`` (their :func:`~wcascade.dwt.layer_exponent`), and each result
+    is mapped back exactly.  So no square is taken in input units, and a
+    pyramid times ``2**k`` gets bit-equal ratios.  A squared spread ratio or
+    a result past the float range in input units is an error, raised before
+    any warning.
     """
-    rows = []
+    rows, omitted = [], []
     for j in range(1, pyramid.depth):
         parents = pyramid.layer(j)
         if parents.size < min_layer_size:
             continue
-        h_j = layer_spread(parents)
-        h_j1 = layer_spread(pyramid.layer(j + 1))
+        e, e1 = layer_exponent(parents), layer_exponent(pyramid.layer(j + 1))
+        h_j = math.ldexp(layer_spread(parents), -e)
+        h_j1 = math.ldexp(layer_spread(pyramid.layer(j + 1)), -e1)
         sides = tuple(zip(("left", "right"), pyramid.children(j).T))
         if h_j == 0.0:
             ratio_sq = float("nan")
             for side, kids in sides:
-                if float(kids.var()) == 0.0:
+                if float(np.ldexp(kids, -e1).var()) == 0.0:
                     rows.append(_zero_variance_row(j, side, ratio_sq))
                 else:
-                    warnings.warn(
-                        f"transition {j}->{j + 1} ({side}): parent layer has no "
-                        "spread; cannot fit",
-                        stacklevel=2,
-                    )
+                    omitted.append(f"transition {j}->{j + 1} ({side}): parent layer has no "
+                                   "spread; cannot fit")
             continue
-        ratio_sq, h_sq = _square(h_j1 / h_j), _square(h_j)
-        if ratio_sq == math.inf:  # the ratio or its square is past the float range
-            raise ValueError(f"transition {j}->{j + 1}: the squared layer spread ratio overflows")
+        layer_ratio_sq = (h_j1 / h_j) ** 2
+        ratio_sq = _ldexp(layer_ratio_sq, 2 * (e1 - e),
+                          f"transition {j}->{j + 1}: the squared layer spread ratio")
+        parents = np.ldexp(parents, -e)
         for side, kids in sides:
-            # a square past the float range is refused below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                table = binned_conditional_variance(parents, kids, _BIN_WIDTH * h_j)
-                x = table.bin_centers**2
-            _require_finite(j, side, {"squared bin center": x,
-                                      "conditional variance": table.conditional_variances})
+            table = binned_conditional_variance(parents, np.ldexp(kids, -e1), _BIN_WIDTH * h_j)
             inc = table.bin_counts >= _MIN_COUNT
             if int(np.count_nonzero(inc)) < 3:
                 if table.conditional_variances.max() == 0.0:
                     rows.append(_zero_variance_row(j, side, ratio_sq))
                 elif kids.size >= 3 * _MIN_COUNT:  # too few children is no news
-                    warnings.warn(
-                        f"transition {j}->{j + 1} ({side}): fewer than 3 usable "
-                        "bins; omitted",
-                        stacklevel=2,
-                    )
+                    omitted.append(f"transition {j}->{j + 1} ({side}): fewer than 3 usable "
+                                   "bins; omitted")
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                fit = ols(x[inc], table.conditional_variances[inc])
-            _require_finite(j, side, {**vars(fit), "h_j**2": h_sq})
-            var_w = max(fit.slope, 0.0)
-            var_eta = max(fit.intercept, 0.0) / h_sq
-            rows.append(
-                TransitionVarianceFit(
-                    parent_layer=j,
-                    side=side,
-                    slope=fit.slope,
-                    intercept=fit.intercept,
-                    stderr_slope=fit.stderr_slope,
-                    stderr_intercept=fit.stderr_intercept,
-                    adj_r2=fit.adj_r2,
-                    var_w=var_w,
-                    var_eta=var_eta,
-                    clamped=fit.slope < 0.0 or fit.intercept < 0.0,
-                    ratio_sq=ratio_sq,
-                    identity_residual=abs(ratio_sq - (var_w + var_eta)),
-                    n_bins=int(np.count_nonzero(inc)),
-                )
-            )
+            fit = ols(table.bin_centers[inc] ** 2, table.conditional_variances[inc])
+            var_w, var_eta = max(fit.slope, 0.0), max(fit.intercept, 0.0) / h_j**2
+            fields = {"slope": fit.slope, "intercept": fit.intercept, "stderr_slope": fit.stderr_slope,
+                      "stderr_intercept": fit.stderr_intercept, "var_w": var_w, "var_eta": var_eta,
+                      "identity_residual": abs(layer_ratio_sq - (var_w + var_eta))}
+            # to input units: child variances times 2**(2 e1), variance ratios times 2**(2 (e1 - e))
+            fields = {name: _ldexp(value, 2 * e1 if "intercept" in name else 2 * (e1 - e),
+                                   f"transition {j}->{j + 1} ({side}): {name}")
+                      for name, value in fields.items()}
+            rows.append(TransitionVarianceFit(
+                parent_layer=j, side=side, adj_r2=fit.adj_r2, ratio_sq=ratio_sq,
+                clamped=fit.slope < 0.0 or fit.intercept < 0.0, n_bins=int(np.count_nonzero(inc)),
+                **fields,
+            ))
+    for message in omitted:
+        warnings.warn(message, stacklevel=2)
     return rows

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +46,9 @@ def read_tree(root):
     }
 
 
-def run_python(*args):
-    """``python *args`` in a fresh process, importing this checkout."""
-    env = dict(os.environ)
+def run_python(*args, **environ):
+    """``python *args`` in a fresh process, importing this checkout, ``environ`` added to its environment."""
+    env = {**os.environ, **environ}
     src = str(Path(wcascade.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
@@ -1054,10 +1055,10 @@ CONTRACT_CASES = {
         lambda t: ["variances", "--input", str(_json_file(t, _pyramid_with_spread_jump()))],
         4, "stage variances: transition 8->9: the squared layer spread ratio overflows",
     ),
-    # every value times 2**800: the squares of the spreads and of the children pass the float range
+    # every value times 2**800: the first fitted intercept, a child variance, is past the float range
     "variances-layers-times-2**800": (
         lambda t: ["variances", "--input", str(_scaled_study_pyramid(t, 800))],
-        4, "stage variances: transition 8->9 (left): squared bin center is inf",
+        4, "stage variances: transition 11->12 (left): intercept overflows",
     ),
 }
 
@@ -1254,6 +1255,38 @@ def test_bad_input_exit_code_without_traceback(tmp_path, case):
     assert not out.exists()  # flags and inputs are refused before any artifact
 
 
+@pytest.mark.parametrize("k", [-1000, -600, -300, -100, 100, 300, 500, 800, 1000])
+def test_variances_of_a_pyramid_times_a_power_of_two(tmp_path, capsys, k):
+    # the fit runs in layer units: the ratios are bit-equal to the unscaled run's, and past
+    # 2**512 the intercept is refused in one stderr line, before any warning
+    runs = {}
+    for exponent in (0, k):
+        where = tmp_path / str(exponent)
+        where.mkdir()
+        pyramid = _scaled_study_pyramid(where, exponent)
+        argv = ["variances", "--input", str(pyramid), "--out", str(where / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        messages = [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert "encountered" not in err and not any("encountered" in m for m in messages)
+        runs[exponent] = code, err.splitlines(), messages, where / "out"
+    code, lines, messages, out = runs[k]
+    if k > 512:
+        refusal = "analysis error: stage variances: transition 11->12 (left): intercept overflows"
+        assert (code, lines, messages) == (4, [refusal], [])
+        assert not out.exists()
+        return
+    assert (code, lines, messages) == runs[0][:3] == (0, [], runs[0][2])
+    rows, reference = (json.loads((run[3] / "variances.json").read_text()) for run in (runs[k], runs[0]))
+    assert len(rows) == len(reference) == 6
+    for row, ref in zip(rows, reference):
+        for name in ("intercept", "stderr_intercept"):
+            assert row.pop(name) == math.ldexp(ref.pop(name), 2 * k)
+        assert row == ref
+
+
 SHORT_ALPHA = {"q": [-1.0, 0.0, 1.0], "tau": [-2.0, -1.0, 0.0], "tau_stderr": [0.0, 0.0, 0.0],
                "alpha": [1.0, 1.0], "D": [1.0, 1.0, 1.0], "support": [1.0, 1.0],
                "peak_alpha": 1.0}
@@ -1399,3 +1432,132 @@ def test_regression_renders_two_decimals(tmp_path):
     row = (tmp_path / "variance_table.csv").read_text().splitlines()[1]
     assert row.split(",")[2] == "0.72"
     assert row.split(",")[3] == "0.13"
+
+
+# The study of `test_study_agrees_across_simd_dispatch_levels`, run through `main` in one
+# child process.  Besides the artifacts it writes `seen.json`: the exit codes and what no
+# artifact holds, the WTMM line counts per scale and the masked parents of each transition.
+DISPATCH_STUDY = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+from wcascade import cli, empirics, wtmm
+
+out, config = sys.argv[1:]
+seen = {"codes": [], "line_counts": [], "masked": []}
+partition_function, extract_multipliers = wtmm.partition_function, empirics.extract_multipliers
+
+
+def recorded_partition(*args):
+    pf = partition_function(*args)
+    seen["line_counts"].append(pf.line_counts.tolist())
+    return pf
+
+
+def recorded_multipliers(pyramid):
+    ms = extract_multipliers(pyramid)
+    seen["masked"].append([np.flatnonzero(~t.valid).tolist() for t in ms.transitions])
+    return ms
+
+
+wtmm.partition_function, empirics.extract_multipliers = recorded_partition, recorded_multipliers
+pyramid, path = f"{out}/simulate/pyramid.json", f"{out}/simulate/path.csv"
+for argv in (["simulate", "--config", config], ["multipliers", "--input", pyramid],
+             ["variances", "--input", pyramid], ["collapse", "--input", pyramid],
+             ["spectrum", "--input", path]):
+    seen["codes"].append(cli.main(argv + ["--out", f"{out}/{argv[0]}"]))
+Path(out, "seen.json").write_text(json.dumps(seen))
+"""
+# A float column may move by this much of its largest magnitude between dispatch levels.
+# On an x86-64 host with X86_V3 to AVX512_SPR found, the largest moves were 9.7e-15 (the
+# spectrum's D), 5.1e-15 (a variance identity residual) and 2.7e-15 (alpha); the path
+# moved by 6.1e-16 and the pyramid by 2.0e-16.
+DISPATCH_RTOL = 1e-13
+
+
+def _dispatch_levels() -> list:
+    """One ``NPY_DISABLE_CPU_FEATURES`` value per SIMD dispatch level of this host, the default first.
+
+    numpy lists the targets it found above the baseline lowest first, and a
+    target stays enabled when only a lower one is disabled; so each level
+    disables one found target together with every target above it.
+    """
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return [""] + [" ".join(found[i:]) for i in reversed(range(len(found)))]
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _columns(path: Path) -> dict:
+    """An artifact as ``{key: values}``: a CSV by header, a JSON tree by key path without list indices."""
+    if path.suffix == ".csv":
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        return {name: [_cell(cell) for cell in column] for name, column in zip(header, zip(*rows))}
+    columns = {}
+
+    def walk(tree, key):
+        if isinstance(tree, dict):
+            for name, value in tree.items():
+                walk(value, f"{key}.{name}")
+        elif isinstance(tree, list):
+            for value in tree:
+                walk(value, key)
+        else:
+            columns.setdefault(key, []).append(tree)
+
+    walk(json.loads(path.read_text()), "")
+    return columns
+
+
+def _assert_agree(name: str, ours: dict, reference: dict) -> None:
+    """Equal keys, lengths and non-floats, and floats within DISPATCH_RTOL of the column's largest magnitude."""
+    assert ours.keys() == reference.keys(), name
+    for key, ref in reference.items():
+        got = ours[key]
+        assert len(got) == len(ref), (name, key)
+        if not all(type(value) is float for value in ref):
+            assert got == ref, (name, key)  # codes, counts, masks, flags and labels
+            continue
+        a, b = np.array(got, dtype=float), np.array(ref, dtype=float)
+        assert np.array_equal(np.isnan(a), np.isnan(b)), (name, key)
+        a, b = a[~np.isnan(b)], b[~np.isnan(b)]
+        assert np.abs(a - b).max(initial=0.0) <= DISPATCH_RTOL * np.abs(b).max(initial=0.0), (name, key)
+
+
+def test_study_agrees_across_simd_dispatch_levels(tmp_path):
+    # numpy's dispatch level picks the kernels of exp, log and the reductions, so the
+    # artifacts' bits depend on it; the discrete outputs (exit codes, counts, masks,
+    # n_pairs, n_bins, n_valid, line counts, CSV line counts and the collapse, whose
+    # distances are count ratios) must not, and the floats move only by roundoff.  A host
+    # with the baseline target alone has one level: it checks a byte-identical rerun only.
+    config = write_config(tmp_path, {
+        "depth": 14, "seed": 7,
+        "multiplier_law": {"kind": "signed_lognormal", "mean_log": -0.8713, "var_log": 0.01386},
+        "additive_law": {"kind": "normal", "variance": 0.32},
+    })
+    levels = _dispatch_levels()
+    rerun = len(levels) == 1
+    runs = []
+    for i, level in enumerate(levels * 2 if rerun else levels):
+        out = tmp_path / f"level{i}"
+        proc = run_python("-c", DISPATCH_STUDY, str(out), str(config), NPY_DISABLE_CPU_FEATURES=level)
+        assert proc.returncode == 0, (level, proc.stderr)
+        runs.append({p.relative_to(out): p for p in sorted(out.rglob("*.*"))})
+    reference, *others = runs
+    assert json.loads(reference[Path("seen.json")].read_text())["codes"] == [0] * 5
+    for files in others:
+        assert files.keys() == reference.keys()
+        for name, path in reference.items():
+            if rerun or path.name.startswith("collapse."):
+                assert files[name].read_bytes() == path.read_bytes(), name
+            else:
+                _assert_agree(str(name), _columns(files[name]), _columns(path))

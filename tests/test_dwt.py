@@ -16,6 +16,8 @@ from wcascade.dwt import (
     _synthesis_step,
     dwt_forward,
     dwt_inverse,
+    layer_exponent,
+    layer_spread,
     load_pyramid,
     rescale,
     save_pyramid,
@@ -401,3 +403,15 @@ def test_children_are_rows_of_the_next_layer():
     for j in (-1, 4):
         with pytest.raises(ValueError, match="outside 0..3"):
             p.children(j)
+
+
+@pytest.mark.parametrize("k", [-1000, -3, 0, 5, 1000])
+def test_layer_unit_follows_a_power_of_two(k):
+    values = np.ldexp(np.random.default_rng(5).standard_normal(512), k)
+    e = layer_exponent(values)
+    assert e == layer_exponent(values * 2.0**-k) + k
+    assert 0.5 <= np.abs(np.ldexp(values, -e)).max() < 1.0
+    # the spread is worked in that unit: exact at any k, and the std wherever the squares are finite
+    assert layer_spread(values) == np.ldexp(layer_spread(np.ldexp(values, -k)), k)
+    if abs(k) < 500:
+        assert layer_spread(values) == values.std()

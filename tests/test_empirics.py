@@ -6,7 +6,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import threading
 import time
 import tracemalloc
@@ -399,6 +398,15 @@ def test_extract_masks_zero_parent():
     assert np.all(np.isfinite(t.pooled))
 
 
+def times_power_of_two(pyramid, k):
+    """``pyramid`` with every value times ``2**k``, exactly away from subnormals."""
+    return WaveletPyramid(
+        root_approx=math.ldexp(pyramid.root_approx, k),
+        root_detail=math.ldexp(pyramid.root_detail, k),
+        layers=[np.ldexp(layer, k) for layer in pyramid.layers],
+    )
+
+
 @pytest.mark.parametrize("k", [-1000, -600, 300, 600, 1000])
 def test_extract_multipliers_scale_by_a_power_of_two(k):
     spec = CascadeSpec(
@@ -408,11 +416,7 @@ def test_extract_multipliers_scale_by_a_power_of_two(k):
         seed=42,
     )
     pyramid = synthesize_mixed(spec)
-    scaled = WaveletPyramid(
-        root_approx=math.ldexp(pyramid.root_approx, k),
-        root_detail=math.ldexp(pyramid.root_detail, k),
-        layers=[np.ldexp(layer, k) for layer in pyramid.layers],
-    )
+    scaled = times_power_of_two(pyramid, k)
     # squaring a value past 2**512 overflows and one below 2**-537 underflows
     # to zero, which would mask or unmask parents that the unscaled run does not
     for t, u in zip(extract_multipliers(scaled).transitions,
@@ -421,27 +425,36 @@ def test_extract_multipliers_scale_by_a_power_of_two(k):
         assert np.array_equal(t.ratios, u.ratios, equal_nan=True)
 
 
-@pytest.mark.parametrize("k", [300, 500, 800, 1000])
-def test_estimate_variances_refuses_squares_past_the_float_range(k):
-    # at 2**300 and 2**500 the fit's sums of squares overflow, above that the bins' squares;
-    # a leaked numpy warning fails here as an error, before the ValueError
-    spec = CascadeSpec(
+@pytest.mark.parametrize("k", [-1000, -600, -300, -100, 100, 300, 500, 800, 1000])
+def test_estimate_variances_scale_by_a_power_of_two(k):
+    # the fit runs in layer units: every ratio is bit-equal and the child variances move by 2**(2k);
+    # past 2**512 the first fitted intercept (11->12) is past the float range, refused before any warning
+    pyramid = synthesize_mixed(CascadeSpec(
         depth=14,
         multiplier_law=SignedLognormal(-0.8713, 0.01386),
         additive_law=NormalNoise(0.32),
         seed=7,
-    )
-    pyramid = synthesize_mixed(spec)
-    scaled = WaveletPyramid(
-        root_approx=math.ldexp(pyramid.root_approx, k),
-        root_detail=math.ldexp(pyramid.root_detail, k),
-        layers=[np.ldexp(layer, k) for layer in pyramid.layers],
-    )
-    first = "11->12 (left): slope is nan" if k < 512 else "8->9 (left): squared bin center is inf"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the transitions omitted for too few bins
-        with pytest.raises(ValueError, match=rf"^transition {re.escape(first)};"):
-            estimate_variances(scaled)
+    ))
+    scaled = times_power_of_two(pyramid, k)
+    with warnings.catch_warnings(record=True) as unscaled_warnings:
+        warnings.simplefilter("always")
+        reference = estimate_variances(pyramid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if k > 512:
+            with pytest.raises(ValueError, match=r"^transition 11->12 \(left\): intercept overflows$"):
+                estimate_variances(scaled)
+            assert not caught
+            return
+        rows = estimate_variances(scaled)
+    assert [str(w.message) for w in caught] == [str(w.message) for w in unscaled_warnings]
+    assert len(rows) == len(reference) == 6
+    ratios = ("parent_layer", "side", "slope", "stderr_slope", "adj_r2", "var_w", "var_eta",
+              "clamped", "ratio_sq", "identity_residual", "n_bins")
+    for row, ref in zip(rows, reference):
+        assert [getattr(row, f) for f in ratios] == [getattr(ref, f) for f in ratios]
+        assert row.intercept == math.ldexp(ref.intercept, 2 * k)
+        assert row.stderr_intercept == math.ldexp(ref.stderr_intercept, 2 * k)
 
 
 def test_mixed_ratios_prefer_heavy_tailed_family():
@@ -923,6 +936,17 @@ def test_variances_refuse_a_spread_ratio_past_the_float_range(low, high):
     pyramid = WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers)
     with pytest.raises(ValueError, match="transition 8->9: the squared layer spread ratio overflows"):
         estimate_variances(pyramid)
+
+
+def test_variances_square_no_child_of_a_spreadless_parent_layer():
+    # the children's variance is taken in their layer's unit: children near 1e300 raise no numpy overflow
+    rng = np.random.default_rng(0)
+    layers = [rng.standard_normal(2**j) for j in range(1, 11)]
+    layers[8] = np.zeros(2**9)
+    layers[9] = rng.standard_normal(2**10) * 1e300
+    with pytest.warns(UserWarning, match=r"^transition 9->10 \(left\): parent layer has no spread"):
+        rows = estimate_variances(WaveletPyramid(root_approx=0.0, root_detail=1.0, layers=layers))
+    assert 9 not in {row.parent_layer for row in rows}
 
 
 def test_clamped_variance_fit_serializes():
